@@ -1,4 +1,4 @@
-"""Benchmark: out-of-core chunked serving and threaded sharding.
+"""Benchmark: out-of-core chunked serving and serial batch formation.
 
 Three acceptance bars for the 10^8-request serving path, each appended
 to ``benchmarks/BENCH_parallel.json`` so the trajectory is recorded
@@ -16,11 +16,12 @@ arm on the runner, the skip reason):
   budget chunked, while the whole-table run demonstrably exceeds it
   (measured ~1.5 GB): each side runs in a fresh subprocess reporting
   its own ``ru_maxrss``.
-* **threads** -- phase-1 batch formation across a 4-queue mix at
-  ``threads=4`` must beat serial by >= 1.8x.  Wall-clock parallel
-  speedup needs real cores, so the floor only arms on
-  ``os.cpu_count() >= 4``; starved containers record the skip reason
-  instead of a meaningless ratio.
+* **formation** -- a serial :func:`simulate_table` over a 4-queue mix
+  must finish within 0.364 s: the time the phase-1 thread pool it
+  replaced recorded at ``threads=4`` on the 4-core lane, over the same
+  stream.  An absolute ceiling needs a known runner, so it only arms
+  on ``os.cpu_count() >= 4``; smaller runners record the skip reason
+  instead.
 
 The strict gates (and the JSON appends) only arm under
 ``SPRINT_BENCH_GATE`` -- tier-1 collects this file too, and a loaded
@@ -64,9 +65,12 @@ MEMORY_REQUESTS = 10_000_000
 #: 1.5 GB (10 columns x 8 bytes x 10^7 plus sort/batch intermediates).
 MEMORY_BUDGET_MB = 256
 
-THREADS = 4
-THREAD_GATE_FLOOR = 1.8
-THREAD_MIX = {"BERT-B": 2.0, "BERT-L": 1.0, "ViT-B": 1.0, "ALBERT-XL": 0.5}
+FORMATION_CPUS = 4
+#: Seconds: the ``threads=4`` phase-1 time recorded in
+#: ``BENCH_parallel.json`` on the 4-core lane before the pool was removed.
+FORMATION_CEILING_S = 0.364
+FORMATION_MIX = {"BERT-B": 2.0, "BERT-L": 1.0, "ViT-B": 1.0, "ALBERT-XL": 0.5}
+FORMATION_PASSES = 3
 
 CHUNKED_GATE_FLOOR = 0.9
 #: Outside the gate (or timeshared), still catch a pathological
@@ -210,54 +214,46 @@ def test_bench_out_of_core_memory():
     )
 
 
-@pytest.mark.skipif(
-    not GATE_ARMED, reason="wall-clock gate; set SPRINT_BENCH_GATE=1"
-)
+@pytest.mark.skipif(not GATE_ARMED, reason="wall-clock gate; set SPRINT_BENCH_GATE=1")
 def test_bench_threaded_batch_formation():
-    """threads=4 phase 1 >= 1.8x serial on >= 4 CPUs."""
-    if CPUS < THREADS:
-        _append({
-            "benchmark": "threaded_batch_formation",
-            "threads": THREADS,
-            "skipped": (
-                f"needs >= {THREADS} CPUs for a wall-clock floor; "
-                f"runner has {CPUS}"
-            ),
-        })
-        pytest.skip(f"threaded floor needs >= {THREADS} CPUs (have {CPUS})")
+    """Serial 4-queue simulate_table within 0.364 s on >= 4 CPUs."""
+    if CPUS < FORMATION_CPUS:
+        _append(
+            {
+                "benchmark": "threaded_batch_formation",
+                "skipped": (
+                    f"needs >= {FORMATION_CPUS} CPUs for a wall-clock "
+                    f"ceiling; runner has {CPUS}"
+                ),
+            }
+        )
+        pytest.skip(f"formation ceiling needs >= {FORMATION_CPUS} CPUs (have {CPUS})")
 
     table = generate_request_table(
-        PoissonProcess(RATE_RPS), THREAD_MIX, count=NUM_REQUESTS, seed=0
+        PoissonProcess(RATE_RPS), FORMATION_MIX, count=NUM_REQUESTS, seed=0
     )
     cost = shared_cost_model(S_SPRINT, ExecutionMode.SPRINT)
     cost.prime(table.specs[0], table.valid_len)
-    base = simulate_table(table, cost)  # warm + serial reference
+    simulate_table(table, cost)  # warm: faults in the other queues' buckets
 
-    start = time.perf_counter()
-    serial = simulate_table(table, cost, threads=1)
-    serial_s = time.perf_counter() - start
+    # Best of a few passes: other tenants of a shared runner only ever
+    # slow a pass down.
+    serial_s = float("inf")
+    for _ in range(FORMATION_PASSES):
+        start = time.perf_counter()
+        result = simulate_table(table, cost)
+        serial_s = min(serial_s, time.perf_counter() - start)
+        assert result.completed == NUM_REQUESTS
 
-    start = time.perf_counter()
-    threaded = simulate_table(table, cost, threads=THREADS)
-    threaded_s = time.perf_counter() - start
-
-    # Byte-identical results are a precondition for a meaningful ratio.
-    import numpy as np
-
-    assert np.array_equal(threaded.finish_s, base.finish_s)
-    assert threaded.device_busy_s == base.device_busy_s
-
-    speedup = serial_s / threaded_s
-    _append({
-        "benchmark": "threaded_batch_formation",
-        "threads": THREADS,
-        "num_requests": NUM_REQUESTS,
-        "serial_s": round(serial_s, 4),
-        "threaded_s": round(threaded_s, 4),
-        "speedup": round(speedup, 2),
-    })
-    assert speedup >= THREAD_GATE_FLOOR, (
-        f"threads={THREADS} only {speedup:.2f}x serial "
-        f"({threaded_s:.2f}s vs {serial_s:.2f}s on {CPUS} CPUs; "
-        f"gate floor {THREAD_GATE_FLOOR}x)"
+    _append(
+        {
+            "benchmark": "threaded_batch_formation",
+            "num_requests": NUM_REQUESTS,
+            "serial_s": round(serial_s, 4),
+            "ceiling_s": FORMATION_CEILING_S,
+        }
+    )
+    assert serial_s <= FORMATION_CEILING_S, (
+        f"serial simulate_table took {serial_s:.3f}s on {CPUS} CPUs "
+        f"(ceiling {FORMATION_CEILING_S}s)"
     )

@@ -10,9 +10,9 @@ accelerator.
 Note the seal rules depend only on the arrival stream, never on device
 state: batch formation is fully determined before any batch runs.  The
 columnar fast path (:mod:`repro.serving.engine`) exploits exactly that
--- it computes every sealed batch in one forward pass over the sorted
-arrival columns instead of driving this incremental batcher, and is
-pinned to produce the same batches.
+-- it computes every sealed batch with a few vectorised passes over the
+sorted arrival columns instead of driving this incremental batcher,
+and is pinned to produce the same batches.
 
 Generative traffic batches at *token-step* granularity instead:
 :class:`ContinuousBatcher` queues :class:`StepItem` work (one prefill

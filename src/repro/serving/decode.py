@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.obs.trace import TraceRecorder
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
-from repro.serving.requests import Request, RequestTable
+from repro.serving.requests import Request, RequestTable, has_duplicate_ids
 from repro.serving.scheduler import DecodeRecord, GenerativeResult
 
 
@@ -918,7 +918,7 @@ def simulate_decode_table(
         )
     if retry is not None:
         raise ValueError("a retry policy requires a fault schedule")
-    if np.unique(table.request_id).size != len(table):
+    if has_duplicate_ids(table.request_id):
         raise ValueError("duplicate request id in stream")
 
     order = np.lexsort((table.request_id, table.arrival_s))
@@ -1132,7 +1132,7 @@ def simulate_decode_stream(
             start_s = float(arr[0])
         if (arr[0], rid[0]) <= (prev_arrival, prev_id):
             raise ValueError("chunks must be ordered by (arrival_s, request_id)")
-        if np.unique(rid).size != rid.size:
+        if has_duplicate_ids(rid):
             raise ValueError("duplicate request id in chunk")
         prev_arrival, prev_id = float(arr[-1]), int(rid[-1])
         if chunk.output_len is None:

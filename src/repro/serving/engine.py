@@ -8,15 +8,17 @@ over a struct-of-arrays :class:`~repro.serving.requests.RequestTable`:
 
 1. **Batch formation is device-independent.**  The dynamic batcher
    seals on size or on the oldest member's wait bound only, so every
-   sealed batch -- members, seal time, and trigger -- is computable in
-   a single forward pass over each model's sorted arrival column,
-   without running an event loop at all.
+   sealed batch -- members, seal time, and trigger -- follows from each
+   model's sorted arrival column by a few vectorised passes (one
+   ``searchsorted`` for every row's wait deadline, pointer doubling
+   over the chain of batch starts), without running an event loop.
 2. **Dispatch is a k-server FIFO over batches.**  Devices are k free
    times; each batch (in global seal order) starts at
    ``max(sealed_s, earliest free time)`` on the lowest-index device
    idle at that instant -- exactly the device the reference loop's
    event-driven dispatch would pick -- collapsing the event count by
-   the mean batch size.
+   the mean batch size.  One lean scalar loop serves every fleet size,
+   including a single device.
 3. **Costs and metrics stay columnar.**  Per-batch cycles/energy come
    from :meth:`~repro.serving.devices.ServiceCostModel.cost_arrays`
    (array indexing into the primed bucket cache) and
@@ -33,7 +35,6 @@ patterns, execution modes, seeds, device counts, and wait bounds.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Tuple
 
@@ -41,7 +42,7 @@ import numpy as np
 
 from repro.obs.trace import TraceRecorder
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
-from repro.serving.requests import RequestRecord, RequestTable
+from repro.serving.requests import RequestRecord, RequestTable, has_duplicate_ids
 from repro.serving.scheduler import ServingResult
 
 
@@ -122,7 +123,7 @@ def _form_batches(
     last_arrival_s: Optional[float] = None,
     horizon_s: Optional[float] = None,
 ) -> Tuple[np.ndarray, ...]:
-    """Seal one model queue's batches in a forward pass.
+    """Seal one model queue's batches in a few vectorised passes.
 
     Returns formation-order arrays ``(member_start, member_count,
     sealed_s, by_size, tie_arrival, tie_id, consumed)`` where
@@ -156,6 +157,14 @@ def _form_batches(
     batches order by their triggering (final) member's event position,
     timeout/end flushes by their oldest member's queue-creation
     position.
+
+    A batch opened at row ``i`` ends at ``min(due[i], i +
+    max_batch_size)``, where ``due[i]`` counts the rows arriving no
+    later than ``arrival[i] + max_wait_s``.  Both bounds are computed
+    for every row at once; the batch starts are then the chain ``0 ->
+    end[0] -> ...``, enumerated by pointer doubling in O(log batches)
+    array passes, and the seal times, triggers and tie anchors follow
+    by gathers at those starts.
     """
     if (last_arrival_s is None) == (horizon_s is None):
         raise ValueError("give exactly one of last_arrival_s / horizon_s")
@@ -173,49 +182,51 @@ def _form_batches(
             request_id.copy(),
             n,
         )
-    starts: List[int] = []
-    counts: List[int] = []
-    sealed: List[float] = []
-    by_size: List[bool] = []
-    tie_a: List[float] = []
-    tie_i: List[int] = []
-    i = 0
-    while i < n:
-        deadline = float(arrival[i]) + max_wait_s
-        due = int(np.searchsorted(arrival, deadline, side="right"))
-        take = min(max_batch_size, due - i)
-        if take == max_batch_size:
-            last = i + take - 1
-            seal_at, size_trigger = float(arrival[last]), True
-            anchor_a, anchor_i = float(arrival[last]), int(request_id[last])
-        elif last_arrival_s is not None:
-            seal_at = deadline if deadline <= last_arrival_s else last_arrival_s
-            size_trigger = False
-            anchor_a, anchor_i = float(arrival[i]), int(request_id[i])
-        elif deadline < horizon_s:
-            # Incremental mode: this timeout seal is final -- every
-            # arrival that could still join (<= deadline) has been seen,
-            # and the deadline precedes the stream's end (the horizon is
-            # itself an arrival), so no end-of-stream clamp applies.
-            seal_at, size_trigger = deadline, False
-            anchor_a, anchor_i = float(arrival[i]), int(request_id[i])
-        else:
-            break
-        starts.append(i)
-        counts.append(take)
-        sealed.append(seal_at)
-        by_size.append(size_trigger)
-        tie_a.append(anchor_a)
-        tie_i.append(anchor_i)
-        i += take
+    deadline = arrival + max_wait_s
+    due = np.searchsorted(arrival, deadline, side="right")
+    end = np.minimum(due, np.arange(max_batch_size, n + max_batch_size))
+    # Pointer doubling: after step t, ``starts`` holds the first 2**t
+    # members of the chain 0 -> end[0] -> ... and ``jump`` maps a row
+    # 2**t batches ahead (row n absorbs the queue's end).
+    jump = np.append(end, n)
+    starts = np.zeros(1, dtype=np.int64)
+    while starts[-1] < n:
+        starts = np.concatenate((starts, jump[starts]))
+        jump = jump[jump]
+    starts = starts[: np.searchsorted(starts, n)]
+    counts = end[starts] - starts
+    by_size = counts == max_batch_size
+    open_deadline = deadline[starts]
+    consumed = n
+    if last_arrival_s is not None:
+        timeout_seal = np.where(
+            open_deadline <= last_arrival_s, open_deadline, last_arrival_s
+        )
+    else:
+        # Incremental mode: a timeout seal is final only when every
+        # arrival that could still join (<= deadline) has been seen, and
+        # the deadline precedes the stream's end (the horizon is itself
+        # an arrival), so no end-of-stream clamp applies.  Formation
+        # stops at the first batch that is not yet final.
+        open_rows = np.flatnonzero(~(by_size | (open_deadline < horizon_s)))
+        if open_rows.size:
+            cut = int(open_rows[0])
+            consumed = int(starts[cut])
+            starts, counts = starts[:cut], counts[:cut]
+            by_size, open_deadline = by_size[:cut], open_deadline[:cut]
+        timeout_seal = open_deadline
+    # Size seals anchor on their final member, timeout seals on their
+    # oldest.
+    anchor = np.where(by_size, starts + counts - 1, starts)
+    tie_arrival = arrival[anchor]
     return (
-        np.asarray(starts, dtype=np.int64),
-        np.asarray(counts, dtype=np.int64),
-        np.asarray(sealed, dtype=np.float64),
-        np.asarray(by_size, dtype=bool),
-        np.asarray(tie_a, dtype=np.float64),
-        np.asarray(tie_i, dtype=np.int64),
-        i,
+        starts,
+        counts,
+        np.where(by_size, tie_arrival, timeout_seal),
+        by_size,
+        tie_arrival,
+        request_id[anchor],
+        consumed,
     )
 
 
@@ -297,44 +308,9 @@ def _form_queue(
     return f[:6], service_s, energy * counts, consumed
 
 
-def _single_device_chain(
-    sealed: np.ndarray, service: np.ndarray, free0: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Single-device dispatch over batches already in dispatch order.
-
-    The scalar loop is a left fold: ``start = max(sealed, prev_finish);
-    finish = start + service``.  Whenever the device never idles,
-    ``finish`` is a running sum -- and a seeded ``np.cumsum`` *is* that
-    exact left fold, so stretches between idle gaps vectorize without
-    changing a single rounding step.  The scan walks windows (doubling
-    up to 64k while no gap appears), accepts the prefix up to the first
-    idle gap (``sealed > previous finish``), and reseeds there, which
-    keeps every accepted value bitwise equal to the loop's.
-    """
-    n = sealed.size
-    start = np.empty(n, dtype=np.float64)
-    finish = np.empty(n, dtype=np.float64)
-    prev = float(free0)
-    i = 0
-    window = 64
-    while i < n:
-        j = min(n, i + window)
-        s = sealed[i:j]
-        sv = service[i:j]
-        first = prev if prev > s[0] else float(s[0])
-        f = np.cumsum(np.concatenate(([first], sv)))[1:]
-        gaps = np.flatnonzero(s[1:] > f[:-1])
-        if gaps.size == 0:
-            take = j - i
-            window = min(window * 2, 65536)
-        else:
-            take = int(gaps[0]) + 1
-        start[i] = first
-        start[i + 1 : i + take] = f[: take - 1]
-        finish[i : i + take] = f[:take]
-        prev = float(f[take - 1])
-        i += take
-    return start, finish
+#: Batches converted to Python scalars per dispatch block: whole-column
+#: ``tolist()`` copies would hold ~3 Python floats per batch at once.
+_DISPATCH_BLOCK = 8192
 
 
 def _dispatch(
@@ -358,6 +334,14 @@ def _dispatch(
     the chunked driver calls this once per flush and the carried state
     makes the flush sequence bitwise equal to one whole-stream pass.
     Returns per-batch ``(start, finish, device)`` in input order.
+
+    Each batch takes the lowest-index device idle at its seal (the
+    device the reference's index-order scan picks); when every device
+    is busy it waits for the earliest free time and takes the first
+    device freeing then -- together, ``max(sealed, earliest free)``.
+    The loop runs over Python scalars, one block of sorted batches at
+    a time, and ``finish = start + service`` is one vector add per
+    block.
     """
     num_batches = sealed_s.size
     batch_start = np.empty(num_batches, dtype=np.float64)
@@ -366,38 +350,36 @@ def _dispatch(
     if num_batches == 0:
         return batch_start, batch_finish, batch_device
     order = np.lexsort((tie_id, tie_arrival, ~size_sealed, sealed_s))
-    if len(free_at) == 1:
-        sv = service_s[order]
-        st, fin = _single_device_chain(sealed_s[order], sv, free_at[0])
-        batch_start[order] = st
-        batch_finish[order] = fin
-        batch_device[:] = 0
-        free_at[0] = float(fin[-1])
-        # Seeded cumsum == the loop's sequential ``+=`` left fold.
-        busy_s[0] = float(np.cumsum(np.concatenate(([busy_s[0]], sv)))[-1])
-        energy_by_device[0] = float(
-            np.cumsum(np.concatenate(([energy_by_device[0]], energy_pj[order])))[-1]
-        )
-    else:
-        for b in order:
-            start = sealed_s[b]
+    sealed_sorted = sealed_s[order]
+    service_sorted = service_s[order]
+    energy_sorted = energy_pj[order]
+    for lo in range(0, num_batches, _DISPATCH_BLOCK):
+        hi = min(lo + _DISPATCH_BLOCK, num_batches)
+        starts: List[float] = []
+        devices: List[int] = []
+        for start, service, energy in zip(
+            sealed_sorted[lo:hi].tolist(),
+            service_sorted[lo:hi].tolist(),
+            energy_sorted[lo:hi].tolist(),
+        ):
             earliest = min(free_at)
             if earliest > start:
                 start = earliest
-            # The reference scans devices in index order at the dispatch
-            # instant: the *lowest-index idle* device takes the batch,
-            # not necessarily the earliest-freed one.
-            for device in range(len(free_at)):
-                if free_at[device] <= start:
-                    break
-            service = float(service_s[b])
-            finish = start + service
-            free_at[device] = finish
+                device = free_at.index(earliest)
+            else:
+                for device, free in enumerate(free_at):
+                    if free <= start:
+                        break
+            free_at[device] = start + service
             busy_s[device] += service
-            energy_by_device[device] += float(energy_pj[b])
-            batch_start[b] = start
-            batch_finish[b] = finish
-            batch_device[b] = device
+            energy_by_device[device] += energy
+            starts.append(start)
+            devices.append(device)
+        rows = order[lo:hi]
+        block_start = np.asarray(starts, dtype=np.float64)
+        batch_start[rows] = block_start
+        batch_finish[rows] = block_start + service_sorted[lo:hi]
+        batch_device[rows] = devices
     return batch_start, batch_finish, batch_device
 
 
@@ -437,13 +419,14 @@ def simulate_table(
     value -- results are bitwise identical with tracing on or off (and
     the emitted spans bitwise match the reference loop's).
 
-    ``threads > 1`` runs phase 1 (per-queue batch formation + cost
-    lookup, embarrassingly parallel and numpy-heavy, so the GIL is
-    mostly released) across a thread pool -- results stay bitwise
-    identical at every thread count.  ``_formed`` is the process-shard
-    injection point (:func:`repro.runtime.pool.simulate_table_sharded`):
-    a dict of queue id -> precomputed phase-1 parts for the canonically
-    sorted table.
+    ``threads`` parallelises only the decode engine's per-queue
+    cost-vector prebuild, so it matters for generative tables alone; a
+    prefill run forms its batches serially in a few vectorised passes
+    per queue, and its results are the same at every thread count.
+    ``_formed`` is the process-shard injection point
+    (:func:`repro.runtime.pool.simulate_table_sharded`): a dict of
+    queue id -> precomputed phase-1 parts for the canonically sorted
+    table.
 
     ``faults`` (a :class:`~repro.serving.faults.FaultSchedule`) routes
     to the unified fault-mode event core
@@ -504,7 +487,7 @@ def simulate_table(
         raise ValueError("max_wait_s must be non-negative")
     if threads < 1:
         raise ValueError("threads must be positive")
-    if np.unique(table.request_id).size != len(table):
+    if has_duplicate_ids(table.request_id):
         raise ValueError("duplicate request id in stream")
 
     order = np.lexsort((table.request_id, table.arrival_s))
@@ -549,14 +532,6 @@ def simulate_table(
 
     if _formed is not None:
         per_queue = [_formed[qid] for qid in active]
-    elif threads > 1 and len(active) > 1:
-        # Fault every cold length bucket serially first: the threaded
-        # workers then only read the memo dict (plus GIL-free numpy),
-        # and the fault order stays deterministic.
-        for qid in active:
-            cost_model.prime(queue_specs[qid], table.valid_len[rows_list[qid]])
-        with ThreadPoolExecutor(max_workers=min(threads, len(active))) as pool:
-            per_queue = list(pool.map(_one_queue, active))
     else:
         per_queue = [_one_queue(qid) for qid in active]
 
@@ -880,7 +855,8 @@ def simulate_stream(
     same concatenated stream and knobs, every per-request column value,
     device busy/energy total, and batch counter is **bitwise equal**
     to the whole-table run (and hence to the reference event loop),
-    at every chunk size and thread count.
+    at every chunk size.  As in :func:`simulate_table`, ``threads``
+    reaches only the decode engine's cost-vector prebuild.
 
     Chunks must be non-overlapping and ordered: each chunk's earliest
     (arrival, id) must lexicographically follow the previous chunk's
@@ -956,7 +932,6 @@ def simulate_stream(
     end_s = -np.inf
     prev_arrival = -np.inf
     prev_id = -1
-    pool: Optional[ThreadPoolExecutor] = None
 
     def _advance_and_split(qid: int, horizon, last_arrival):
         part = _advance_queue(
@@ -1009,78 +984,56 @@ def simulate_stream(
         if sink is not None:
             sink(completed)
 
-    try:
-        for chunk in chunks:
-            if len(chunk) == 0:
-                continue
-            order = np.lexsort((chunk.request_id, chunk.arrival_s))
-            arrival = chunk.arrival_s[order]
-            request_id = chunk.request_id[order]
-            spec_idx = chunk.spec_idx[order]
-            valid_len = chunk.valid_len[order]
-            if np.unique(request_id).size != request_id.size:
-                raise ValueError("duplicate request id in chunk")
-            if specs is None:
-                specs = list(chunk.specs)
-                queue_specs, queue_of_spec = _queue_map(specs)
-                queues = [_QueueState(spec) for spec in queue_specs]
-                start_s = float(arrival[0])
-            elif list(chunk.specs) != specs:
-                raise ValueError("chunks disagree on the spec list")
-            first_a, first_i = float(arrival[0]), int(request_id[0])
-            if first_a < prev_arrival or (
-                first_a == prev_arrival and first_i <= prev_id
-            ):
-                raise ValueError(
-                    "chunks out of order: a chunk must start strictly "
-                    "after the previous chunk's last (arrival, id)"
-                )
-            prev_arrival = float(arrival[-1])
-            prev_id = int(request_id[-1])
-            horizon = prev_arrival
-
-            rows_list = _group_rows(spec_idx, queue_of_spec, len(queues))
-            for qid, rows in enumerate(rows_list):
-                if rows.size:
-                    q = queues[qid]
-                    q.pend = (
-                        np.concatenate((q.pend[0], arrival[rows])),
-                        np.concatenate((q.pend[1], request_id[rows])),
-                        np.concatenate((q.pend[2], valid_len[rows])),
-                        np.concatenate((q.pend[3], spec_idx[rows])),
-                    )
-            busy_qids = [
-                qid
-                for qid in range(len(queues))
-                if queues[qid].pend[0].size or queues[qid].carry is not None
-            ]
-            if threads > 1 and len(busy_qids) > 1:
-                for qid in busy_qids:
-                    if queues[qid].pend[0].size:
-                        cost_model.prime(queues[qid].spec, queues[qid].pend[2])
-                if pool is None:
-                    pool = ThreadPoolExecutor(max_workers=threads)
-                parts = list(
-                    pool.map(
-                        lambda qid: _advance_and_split(qid, horizon, None),
-                        busy_qids,
-                    )
-                )
-            else:
-                parts = [_advance_and_split(qid, horizon, None) for qid in busy_qids]
-            _flush([p for p in parts if p is not None])
-
+    for chunk in chunks:
+        if len(chunk) == 0:
+            continue
+        order = np.lexsort((chunk.request_id, chunk.arrival_s))
+        arrival = chunk.arrival_s[order]
+        request_id = chunk.request_id[order]
+        spec_idx = chunk.spec_idx[order]
+        valid_len = chunk.valid_len[order]
+        if has_duplicate_ids(request_id):
+            raise ValueError("duplicate request id in chunk")
         if specs is None:
-            raise ValueError("request stream must not be empty")
-        # End of stream: the pending tails seal at the global last
-        # arrival and every carried batch dispatches.
+            specs = list(chunk.specs)
+            queue_specs, queue_of_spec = _queue_map(specs)
+            queues = [_QueueState(spec) for spec in queue_specs]
+            start_s = float(arrival[0])
+        elif list(chunk.specs) != specs:
+            raise ValueError("chunks disagree on the spec list")
+        first_a, first_i = float(arrival[0]), int(request_id[0])
+        if first_a < prev_arrival or (first_a == prev_arrival and first_i <= prev_id):
+            raise ValueError(
+                "chunks out of order: a chunk must start strictly "
+                "after the previous chunk's last (arrival, id)"
+            )
+        prev_arrival = float(arrival[-1])
+        prev_id = int(request_id[-1])
+        horizon = prev_arrival
+
+        rows_list = _group_rows(spec_idx, queue_of_spec, len(queues))
+        for qid, rows in enumerate(rows_list):
+            if rows.size:
+                q = queues[qid]
+                q.pend = (
+                    np.concatenate((q.pend[0], arrival[rows])),
+                    np.concatenate((q.pend[1], request_id[rows])),
+                    np.concatenate((q.pend[2], valid_len[rows])),
+                    np.concatenate((q.pend[3], spec_idx[rows])),
+                )
         parts = [
-            _advance_and_split(qid, None, prev_arrival) for qid in range(len(queues))
+            _advance_and_split(qid, horizon, None)
+            for qid in range(len(queues))
+            if queues[qid].pend[0].size or queues[qid].carry is not None
         ]
         _flush([p for p in parts if p is not None])
-    finally:
-        if pool is not None:
-            pool.shutdown()
+
+    if specs is None:
+        raise ValueError("request stream must not be empty")
+    # End of stream: the pending tails seal at the global last
+    # arrival and every carried batch dispatches.
+    parts = [_advance_and_split(qid, None, prev_arrival) for qid in range(len(queues))]
+    _flush([p for p in parts if p is not None])
 
     return StreamedServingResult(
         completed=completed_total,

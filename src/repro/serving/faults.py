@@ -48,7 +48,7 @@ import numpy as np
 from repro.obs.trace import TraceRecorder
 from repro.serving.decode import _build_cost_vectors, _queue_map, _validate_knobs
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
-from repro.serving.requests import Request, RequestTable
+from repro.serving.requests import Request, RequestTable, has_duplicate_ids
 
 _INF = float("inf")
 
@@ -916,7 +916,7 @@ def _sorted_columns(table: RequestTable):
         output_len=None if table.output_len is None else table.output_len[order],
         deadline_s=None if table.deadline_s is None else table.deadline_s[order],
     )
-    if np.unique(sorted_table.request_id).size != len(sorted_table):
+    if has_duplicate_ids(sorted_table.request_id):
         raise ValueError("duplicate request id")
     return sorted_table
 

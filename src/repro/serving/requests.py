@@ -154,6 +154,22 @@ class Batch:
         return max(r.valid_len for r in self.requests)
 
 
+def has_duplicate_ids(request_id: np.ndarray) -> bool:
+    """Whether any id in ``request_id`` occurs more than once.
+
+    Streams usually carry strictly increasing ids, which one adjacent
+    compare proves unique; any other order is sorted and compared
+    adjacently.  Both are cheaper than ``np.unique``, which hashes
+    integer input.
+    """
+    if request_id.size < 2:
+        return False
+    if np.all(request_id[1:] > request_id[:-1]):
+        return False
+    ordered = np.sort(request_id)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
+
+
 @dataclass
 class RequestTable:
     """A request stream as struct-of-arrays numpy columns.

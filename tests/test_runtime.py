@@ -665,7 +665,10 @@ class TestStreamingUnitCache:
             str(marks),
             str(tmp_path / "cache"),
         ]
-        return subprocess.Popen(cmd, env=env)
+        # Own session: killing the group also kills the driver's
+        # fork-pool workers, which a SIGKILL of the driver alone
+        # would leave running.
+        return subprocess.Popen(cmd, env=env, start_new_session=True)
 
     def test_killed_jobs_run_resumes_from_landed_units(self, tmp_path):
         import os
@@ -688,7 +691,7 @@ class TestStreamingUnitCache:
             assert landed >= 1, "no unit result streamed into the cache"
         finally:
             if proc.poll() is None:
-                os.kill(proc.pid, signal.SIGKILL)
+                os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
 
         # No torn entries: everything that landed is a whole pickle.
@@ -816,7 +819,10 @@ class TestDecodeUnitResume:
             str(marks),
             str(tmp_path / "cache"),
         ]
-        return subprocess.Popen(cmd, env=env)
+        # Own session: killing the group also kills the driver's
+        # fork-pool workers, which a SIGKILL of the driver alone
+        # would leave running.
+        return subprocess.Popen(cmd, env=env, start_new_session=True)
 
     def test_killed_decode_run_resumes_from_landed_units(self, tmp_path):
         import os
@@ -838,7 +844,7 @@ class TestDecodeUnitResume:
             assert landed >= 1, "no decode unit streamed into the cache"
         finally:
             if proc.poll() is None:
-                os.kill(proc.pid, signal.SIGKILL)
+                os.killpg(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
 
         landed = 0

@@ -13,6 +13,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.configs import S_SPRINT
 from repro.core.system import ExecutionMode
@@ -20,6 +23,7 @@ from repro.models.zoo import get_model
 from repro.serving import (
     BurstyProcess,
     DynamicBatcher,
+    FaultSchedule,
     PoissonProcess,
     RequestTable,
     ServiceCostModel,
@@ -29,10 +33,15 @@ from repro.serving import (
     generate_request_table,
     generate_requests,
     sample_valid_len,
+    simulate_decode_stream,
+    simulate_decode_table,
+    simulate_stream,
     simulate_table,
     summarize,
 )
 from repro.experiments.serving import ServingExperiment
+from repro.serving.engine import _form_batches
+from repro.serving.requests import has_duplicate_ids
 
 SEEDS = (0, 1, 7)
 DEVICE_COUNTS = (1, 2, 4)
@@ -301,3 +310,264 @@ class TestVectorizedGeneration:
                 spec_idx=np.ones(1, dtype=np.int64),
                 valid_len=np.full(1, 10),
             )
+
+
+# ----------------------------------------------------------------------
+# Property tests: vectorised batch formation, the single dispatch loop
+# and the duplicate-id check, each against a plain oracle.
+# ----------------------------------------------------------------------
+
+
+def _form_batches_loop(
+    arrival, request_id, max_batch_size, max_wait_s, last_arrival_s=None, horizon_s=None
+):
+    """Per-batch forward pass: one ``searchsorted`` per sealed batch.
+
+    The oracle for :func:`repro.serving.engine._form_batches`, which
+    must return the same arrays bit for bit.
+    """
+    n = arrival.size
+    if max_wait_s == 0.0:
+        return (
+            np.arange(n, dtype=np.int64),
+            np.ones(n, dtype=np.int64),
+            arrival.copy(),
+            np.full(n, max_batch_size == 1, dtype=bool),
+            arrival.copy(),
+            request_id.copy(),
+            n,
+        )
+    starts, counts, sealed, by_size, tie_a, tie_i = [], [], [], [], [], []
+    i = 0
+    while i < n:
+        deadline = float(arrival[i]) + max_wait_s
+        due = int(np.searchsorted(arrival, deadline, side="right"))
+        take = min(max_batch_size, due - i)
+        if take == max_batch_size:
+            last = i + take - 1
+            seal_at, size_trigger = float(arrival[last]), True
+            anchor_a, anchor_i = float(arrival[last]), int(request_id[last])
+        elif last_arrival_s is not None:
+            seal_at = deadline if deadline <= last_arrival_s else last_arrival_s
+            size_trigger = False
+            anchor_a, anchor_i = float(arrival[i]), int(request_id[i])
+        elif deadline < horizon_s:
+            seal_at, size_trigger = deadline, False
+            anchor_a, anchor_i = float(arrival[i]), int(request_id[i])
+        else:
+            break
+        starts.append(i)
+        counts.append(take)
+        sealed.append(seal_at)
+        by_size.append(size_trigger)
+        tie_a.append(anchor_a)
+        tie_i.append(anchor_i)
+        i += take
+    return (
+        np.asarray(starts, dtype=np.int64),
+        np.asarray(counts, dtype=np.int64),
+        np.asarray(sealed, dtype=np.float64),
+        np.asarray(by_size, dtype=bool),
+        np.asarray(tie_a, dtype=np.float64),
+        np.asarray(tie_i, dtype=np.int64),
+        i,
+    )
+
+
+def _grid_arrivals(slots, hops, max_wait_s, grid_s):
+    """Arrivals on a coarse grid, each pushed ``hop`` wait bounds later.
+
+    A hop adds ``max_wait_s`` the way the engine forms a deadline, so
+    hopped arrivals land bit for bit on other requests' deadlines; the
+    power-of-two grid keeps ``slot * grid_s`` exact, so grid arrivals
+    tie exactly.
+    """
+    out = []
+    for slot, hop in zip(slots, hops):
+        at = slot * grid_s
+        for _ in range(hop):
+            at = at + max_wait_s
+        out.append(at)
+    return np.array(out, dtype=np.float64)
+
+
+#: About 1 ms: next to the 1 ms and 50 ms wait bounds, many batches
+#: see ties and exact deadline landings.
+FORMATION_GRID_S = 2.0**-10
+
+
+@st.composite
+def formation_cases(draw):
+    """One queue's sorted (arrival, id) rows plus the formation knobs."""
+    max_wait_s = draw(st.sampled_from((0.0, 1e-3, 0.05)))
+    n = draw(st.integers(1, 60))
+    slots = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    hops = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    ids = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    arrival = _grid_arrivals(slots, hops, max_wait_s, FORMATION_GRID_S)
+    order = np.lexsort((ids, arrival))
+    arrival, ids = arrival[order], ids[order]
+    # The stream's last arrival or the chunk horizon sits on an
+    # arrival or a deadline: the ties the seal rules care about.
+    bound = draw(st.sampled_from(np.concatenate((arrival, arrival + max_wait_s))))
+    mode = draw(st.sampled_from(("last_arrival_s", "horizon_s")))
+    return arrival, ids, draw(st.integers(1, 9)), max_wait_s, {mode: float(bound)}
+
+
+class TestFormationProperty:
+    @given(case=formation_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_vectorised_matches_per_batch_loop(self, case):
+        arrival, ids, max_batch_size, max_wait_s, mode = case
+        got = _form_batches(arrival, ids, max_batch_size, max_wait_s, **mode)
+        want = _form_batches_loop(arrival, ids, max_batch_size, max_wait_s, **mode)
+        assert got[6] == want[6]
+        for g, w in zip(got[:6], want[:6]):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+
+#: About 0.24 ms: a BERT-B batch lasts several slots, so dense draws
+#: queue behind busy devices and sparse draws find them idle.
+DISPATCH_GRID_S = 2.0**-12
+DISPATCH_MODELS = ("BERT-B", "ViT-B")
+
+
+def _tie_heavy_table(case, max_wait_s):
+    slots, hops, picks, lengths, ids = case
+    return RequestTable(
+        specs=[get_model(name) for name in DISPATCH_MODELS[: max(picks) + 1]],
+        request_id=np.array(ids, dtype=np.int64),
+        arrival_s=_grid_arrivals(slots, hops, max_wait_s, DISPATCH_GRID_S),
+        spec_idx=np.array(picks, dtype=np.int64),
+        valid_len=np.array(lengths, dtype=np.int64),
+    )
+
+
+@st.composite
+def dispatch_cases(draw):
+    """Up to 300 requests of 1-2 models on a coarse arrival grid."""
+    n = draw(st.integers(1, 300))
+    span = draw(st.integers(0, 400))
+    models = draw(st.integers(1, len(DISPATCH_MODELS)))
+
+    def column(values):
+        return st.lists(values, min_size=n, max_size=n)
+
+    return (
+        draw(column(st.integers(0, span))),
+        draw(column(st.integers(0, 1))),
+        draw(column(st.integers(0, models - 1))),
+        draw(column(st.sampled_from((16, 48, 64, 100)))),
+        draw(st.permutations(range(n))),
+    )
+
+
+#: One device: a burst that queues, then arrivals that find it idle.
+ONE_DEVICE_BURST = (
+    [0] * 12 + [40, 400, 900],
+    [0] * 15,
+    [0] * 15,
+    [64] * 15,
+    list(range(14, -1, -1)),
+)
+#: Three devices, two models: early batches land on idle devices past a
+#: busy device 0, later ones wait for the earliest free device.
+FLEET_BURST = (
+    [0, 0, 1, 1, 2, 2, 3] * 10 + [300, 301, 900],
+    [0, 1] * 35 + [0, 0, 0],
+    [0, 1, 0, 1, 1, 0, 0] * 10 + [1, 0, 0],
+    [100, 64, 48, 16, 100, 64, 100] * 10 + [64, 64, 16],
+    list(range(73)),
+)
+
+
+class TestDispatchProperty:
+    @given(
+        case=dispatch_cases(),
+        num_devices=st.integers(1, 5),
+        max_wait_s=st.sampled_from((0.0, 2e-3)),
+    )
+    @example(case=ONE_DEVICE_BURST, num_devices=1, max_wait_s=2e-3)
+    @example(case=ONE_DEVICE_BURST, num_devices=1, max_wait_s=0.0)
+    @example(case=FLEET_BURST, num_devices=3, max_wait_s=2e-3)
+    @example(case=FLEET_BURST, num_devices=3, max_wait_s=0.0)
+    @settings(max_examples=60, deadline=None)
+    def test_fast_equals_reference(self, cost_model, case, num_devices, max_wait_s):
+        table = _tie_heavy_table(case, max_wait_s)
+        assert_engines_equal(table, cost_model, num_devices, max_wait_s)
+
+    @pytest.mark.parametrize(
+        "case, num_devices", [(ONE_DEVICE_BURST, 1), (FLEET_BURST, 3)]
+    )
+    @pytest.mark.parametrize("max_wait_s", (0.0, 2e-3))
+    def test_examples_reach_both_dispatch_branches(
+        self, cost_model, case, num_devices, max_wait_s
+    ):
+        result = simulate_table(
+            _tie_heavy_table(case, max_wait_s),
+            cost_model,
+            num_devices=num_devices,
+            max_wait_s=max_wait_s,
+        )
+        waited = result.service_start_s > result.batched_s
+        assert waited.any()  # every device was busy at the seal
+        assert (~waited).any()  # an idle device took the batch at its seal
+        if num_devices > 1:
+            # The idle scan passed a busy device 0.
+            assert (result.device_id[~waited] > 0).any()
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+class TestDuplicateIds:
+    @given(
+        ids=st.one_of(
+            arrays(
+                np.int64,
+                st.integers(0, 40),
+                elements=st.integers(-6, 6) | st.integers(_INT64.min, _INT64.max),
+            ),
+            arrays(
+                np.int64,
+                st.integers(0, 40),
+                elements=st.integers(_INT64.min, _INT64.max),
+                unique=True,
+            ),
+        ),
+        sort=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unique_count(self, ids, sort):
+        if sort:
+            ids = np.sort(ids)
+        assert has_duplicate_ids(ids) == (np.unique(ids).size != ids.size)
+
+    @pytest.mark.parametrize(
+        "entry",
+        ("stream", "decode_table", "decode_stream", "faulty_table", "faulty_stream"),
+    )
+    def test_entry_points_reject_duplicate_id(self, cost_model, entry):
+        # ``simulate_table`` itself is covered by ``test_validation``.
+        columns = dict(
+            specs=[get_model("BERT-B")],
+            request_id=np.array([5, 2, 5], dtype=np.int64),
+            arrival_s=np.array([0.0, 1e-3, 2e-3]),
+            spec_idx=np.zeros(3, dtype=np.int64),
+            valid_len=np.full(3, 32, dtype=np.int64),
+        )
+        prefill = RequestTable(**columns)
+        generative = RequestTable(**columns, output_len=np.array([2, 1, 3]))
+        faults = FaultSchedule.none(1)
+        run = {
+            "stream": lambda: simulate_stream([prefill], cost_model),
+            "decode_table": lambda: simulate_decode_table(generative, cost_model),
+            "decode_stream": lambda: simulate_decode_stream([generative], cost_model),
+            "faulty_table": lambda: simulate_table(prefill, cost_model, faults=faults),
+            "faulty_stream": lambda: simulate_stream(
+                [prefill], cost_model, faults=faults
+            ),
+        }[entry]
+        with pytest.raises(ValueError, match="duplicate request id"):
+            run()
