@@ -6,8 +6,9 @@ every existing caller hits) must stay within 10% of the direct
 fast-path call -- threading the fault machinery through the engines
 cannot slow the no-fault path.  The measured ratio is appended to
 ``benchmarks/BENCH_faults.json``, alongside an informational timing of
-the fault core running an *empty* schedule (bitwise-equal results;
-allowed to be slower since it is a different, event-driven engine).
+fault mode running an *empty* schedule on the decode engine's event
+core (bitwise-equal results; allowed to be slower since that core is
+event-driven and steps one batch at a time).
 
 The strict gate (and the JSON append) only arm under
 ``SPRINT_BENCH_GATE`` -- tier-1 collects this file too, and a loaded
@@ -83,9 +84,10 @@ def test_bench_no_fault_overhead(stream):
         routed_s = min(routed_s, time.perf_counter() - start)
     overhead = routed_s / direct_s
 
-    # Informational: the event-driven fault core on an empty schedule
-    # (exact same records).  Not gated -- it trades columnar batch
-    # granularity for per-event fault checks by design.
+    # Informational: fault mode on an empty schedule, which runs the
+    # event-driven decode core one step at a time (exact same records).
+    # Not gated -- it trades columnar batch granularity for per-event
+    # fault checks by design.
     start = time.perf_counter()
     empty = simulate_faulty_table(table, cost, FaultSchedule.none(1))
     fault_core_s = time.perf_counter() - start

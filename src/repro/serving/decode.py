@@ -33,6 +33,14 @@ Seal rules are the reference batcher's, at step granularity: a queue
 seals on ``max_batch_size`` members or when its oldest step has waited
 ``max_wait_s``; prefill and decode steps never share a batch; when no
 future step can ever join, pending queues flush immediately.
+
+The same core also runs fault mode (:mod:`repro.serving.faults`): given
+a :class:`~repro.serving.faults.FaultSchedule` and a
+:class:`~repro.serving.faults.RetryPolicy`, it dispatches only to
+devices that are up, loses batches whose device fails mid-service, and
+retries or drops their members -- one step at a time, with
+macro-stepping off.  Prefill tables run as the ``output_len == 1``
+degenerate case.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ import numpy as np
 
 from repro.obs.trace import TraceRecorder
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
+from repro.serving.engine import _queue_map
 from repro.serving.requests import Request, RequestTable, has_duplicate_ids
 from repro.serving.scheduler import DecodeRecord, GenerativeResult
 
@@ -68,6 +77,15 @@ _FIN = 11     # finish (last token)
 _DSLOT = 12   # summed decode batch occupancy
 _ROW = 13     # global row index (sorted order)
 _QID = 14     # name-keyed queue id (duplicate-name specs share one)
+_FLS = 15     # lost dispatches so far (fault mode)
+_ADL = 16     # absolute deadline: arrival + deadline_s (inf if none)
+
+#: Drop-reason codes (the fault results' ``drop_reason`` column; 0 =
+#: completed).
+DROP_NONE = 0
+DROP_RETRIES = 1
+DROP_DEADLINE = 2
+DROP_STRANDED = 3
 
 
 @dataclass
@@ -254,24 +272,6 @@ class DecodeStreamedResult:
         return max(self.end_s - self.start_s, 0.0)
 
 
-def _queue_map(specs) -> Tuple[List, List[int]]:
-    """Name-keyed queue ids, exactly the reference batcher's keying.
-
-    Same-name specs (identical by table validation) share one queue.
-    Shared with the process-shard workers in :mod:`repro.runtime.pool`
-    so both sides agree on which queue owns which rows.
-    """
-    queue_ids: dict = {}
-    queue_specs: List = []
-    queue_of_spec: List[int] = []
-    for spec in specs:
-        qid = queue_ids.setdefault(spec.name, len(queue_specs))
-        if qid == len(queue_specs):
-            queue_specs.append(spec)
-        queue_of_spec.append(qid)
-    return queue_specs, queue_of_spec
-
-
 def _build_cost_vectors(
     cost_model: ServiceCostModel, spec, decode: bool, max_ctx: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -300,14 +300,23 @@ def _build_cost_vectors(
 class _DecodeCore:
     """The event loop over columnar generative state.
 
-    Shared by the whole-table and chunked entry points: arrivals feed
-    in through :meth:`run_arrivals` (possibly across many calls), the
-    heap carries one entry per in-flight step batch plus queue-creation
-    timeouts, and completed per-request records accumulate in
-    ``self.completed`` (the callers drain it).  Event ordering --
-    (time, priority, push order) with DEVICE_DONE < ARRIVAL <
-    BATCH_TIMEOUT at equal instants -- matches the reference
+    Shared by the whole-table and chunked entry points, fault-free and
+    fault mode alike: arrivals feed in through :meth:`run_arrivals`
+    (possibly across many calls), the heap carries one entry per
+    in-flight step batch plus queue-creation timeouts, and completed
+    per-request records accumulate in ``self.completed`` (the callers
+    drain it).  Event ordering -- (time, priority, push order) with
+    DEVICE_DONE < ARRIVAL < BATCH_TIMEOUT < BATCH_FAILED < RECOVERY <
+    RETRY at equal instants -- matches the reference
     :class:`~repro.serving.events.EventQueue` exactly.
+
+    ``faults`` (a :class:`~repro.serving.faults.FaultSchedule`) and
+    ``retry`` (the :class:`~repro.serving.faults.RetryPolicy` it
+    requires) switch on fault mode: dispatch skips devices that are
+    down, a batch whose device fails mid-service is lost, and its
+    members retry or land in ``self.dropped`` as (record, reason code,
+    drop instant).  Macro-stepping stays off under a schedule, because
+    a macro-run dispatches implicitly and cannot see an outage.
     """
 
     def __init__(
@@ -318,9 +327,12 @@ class _DecodeCore:
         max_batch_size: int,
         max_wait_s: float,
         setup_cycles: int,
+        faults=None,
+        retry=None,
     ):
         self.specs = specs
-        self.queue_specs, self.queue_of_spec = _queue_map(specs)
+        self.queue_specs, queue_of_spec = _queue_map(specs)
+        self.queue_of_spec = queue_of_spec.tolist()
         self.cost_model = cost_model
         self.num_devices = num_devices
         self.max_batch_size = max_batch_size
@@ -329,8 +341,10 @@ class _DecodeCore:
         self.setup_cycles = setup_cycles
         self.frequency_hz = cost_model.config.frequency_ghz * 1e9
 
-        # (time, priority, seq, payload); priority 0 = DEVICE_DONE
-        # (payload: sealed batch), 2 = BATCH_TIMEOUT (payload: None).
+        # (time, priority, seq, payload); priority 0 = DEVICE_DONE and
+        # 3 = BATCH_FAILED (payload: sealed batch), 5 = RETRY (payload:
+        # (record, context)), 2 = BATCH_TIMEOUT and 4 = RECOVERY
+        # (payload: None).
         self.heap: list = []
         self.seq = 0
         # (queue id, decode?) -> [ready times, records, contexts,
@@ -341,12 +355,14 @@ class _DecodeCore:
         self.queues: dict = {}
         # Sealed batches awaiting a device, FIFO.  Entries are mutable
         # lists [decode?, records, contexts, service_s, energy_pj,
-        # macro_steps, min_left, max_ctx]: ``macro_steps`` counts
-        # decode steps advanced without touching the per-member
-        # records (stamped lazily at the next scalar event),
-        # ``min_left`` is the fewest steps any member still has from
-        # the materialized contexts minus ``macro_steps``, and
-        # ``max_ctx`` tracks the batch's current max context.
+        # macro_steps, min_left, max_ctx, sealed_s, rejoiners]:
+        # ``macro_steps`` counts decode steps advanced without touching
+        # the per-member records (stamped lazily at the next scalar
+        # event), ``min_left`` is the fewest steps any member still has
+        # from the materialized contexts minus ``macro_steps``, and
+        # ``max_ctx`` tracks the batch's current max context.  A lost
+        # batch releases its ``rejoiners``; a batch the dead fleet can
+        # never run strands its members at ``sealed_s``.
         self.ready: deque = deque()
         self.free_at = [0.0] * num_devices
         #: min(free_at), maintained on every assignment: the dispatch
@@ -381,6 +397,23 @@ class _DecodeCore:
         self.size_triggered = 0
         self.timeout_triggered = 0
         self.end_s = -np.inf
+        # Fault mode: per-device outage traces (None = fault-free).
+        self.traces = None if faults is None else faults.traces
+        self.retry = retry
+        #: (record, reason code, drop instant), in event order.
+        self.dropped: list = []
+        self.pending_retries = 0
+        self.retries = 0
+        self.failed_batches = 0
+        self.wasted_energy_pj = 0.0
+        #: (request id, retry instant, attempt number, model name).
+        self.retry_events: list = []
+        if faults is not None:
+            # A recovery only re-triggers dispatch (up/down is a pure
+            # function of time), so every one is known up front.
+            for _device, up in faults.recovery_events():
+                heappush(self.heap, (up, 4, self.seq, None))
+                self.seq += 1
 
     # ------------------------------------------------------------------
     def _vectors(self, qid: int, decode: bool, max_ctx: int):
@@ -430,9 +463,11 @@ class _DecodeCore:
                 rec[_PFB] = now
                 rec[_PFSZ] = size
         self.in_flight_rejoiners += rejoiners
-        self.ready.append([decode, recs, ctxs, service, energy, 0, left, mx])
+        self.ready.append(
+            [decode, recs, ctxs, service, energy, 0, left, mx, now, rejoiners]
+        )
 
-    def _admit(self, rec, ctx: int, decode: bool, now: float) -> None:
+    def _admit(self, rec, ctx: int, decode: bool, now: float, limit: float) -> None:
         self.steps_in += 1
         key = (rec[_QID], decode)
         queues = self.queues
@@ -443,7 +478,14 @@ class _DecodeCore:
             if self.max_batch_size <= 1:
                 self._seal(key, now, by_size=True)
             elif self.max_wait_s > 0:
-                self.deferred_to.append((now + self.max_wait_s, key))
+                due = now + self.max_wait_s
+                if due < limit:
+                    # The event loop drains up to ``limit`` before the
+                    # deferred list is next read: push it now.
+                    heappush(self.heap, (due, 2, self.seq, None))
+                    self.seq += 1
+                else:
+                    self.deferred_to.append((due, key))
         else:
             q[0].append(now)
             q[1].append(rec)
@@ -470,10 +512,11 @@ class _DecodeCore:
         if not ready or self.min_free_at > now:
             return
         free_at = self.free_at
+        traces = self.traces
         while ready:
             dev = -1
             for d in range(self.num_devices):
-                if free_at[d] <= now:
+                if free_at[d] <= now and (traces is None or traces[d].is_up(now)):
                     dev = d
                     break
             if dev < 0:
@@ -482,6 +525,21 @@ class _DecodeCore:
             recs = batch[1]
             service = batch[3]
             finish = now + service
+            if traces is not None:
+                fail = traces[dev].next_down_after(now)
+                if fail < finish:
+                    # Preordained loss: the device dies mid-batch.  It
+                    # stays occupied until the failure; the partial
+                    # work's energy is wasted, not delivered.
+                    lost = fail - now
+                    free_at[dev] = fail
+                    self.min_free_at = min(free_at)
+                    self.busy_s[dev] += lost
+                    self.wasted_energy_pj += batch[4] * len(recs) * (lost / service)
+                    self.failed_batches += 1
+                    heappush(self.heap, (fail, 3, self.seq, batch))
+                    self.seq += 1
+                    continue
             free_at[dev] = finish
             self.min_free_at = min(free_at)
             self.busy_s[dev] += service
@@ -660,6 +718,7 @@ class _DecodeCore:
                 batch[0]
                 and batch[6] >= 2
                 and not self.ready
+                and self.traces is None
                 and self._macro_run(batch, now, limit)
             ):
                 return
@@ -729,20 +788,59 @@ class _DecodeCore:
                         self.seq += 1
             self.in_flight_rejoiners -= rejoined
             self.steps_in += rejoined
-        elif self.queues:  # BATCH_TIMEOUT
-            self._flush_due(now)
+        elif priority == 2:  # BATCH_TIMEOUT
+            if self.queues:
+                self._flush_due(now)
+        elif priority == 3:  # BATCH_FAILED
+            self._retry_or_drop(batch, now)
+        elif priority == 5:  # RETRY: re-admit at the stored context
+            self.pending_retries -= 1
+            rec, ctx = batch
+            self._admit(rec, ctx, ctx > rec[_VLEN], now, limit)
+        # RECOVERY (4) changes no state: it only re-triggers dispatch.
         # _after_event, inlined (this handler is the hot loop).
         self.last_now = now
         if self.zero_wait and self.queues:
             self._flush_due(now)
-        if self.arrivals_done and self.in_flight_rejoiners == 0 and self.queues:
+        if (
+            self.arrivals_done
+            and self.in_flight_rejoiners == 0
+            and self.queues
+            and self.pending_retries == 0
+        ):
             for key in list(self.queues):
                 self._seal(key, now, by_size=False)
         if self.ready:
             self._dispatch(now)
 
+    def _retry_or_drop(self, batch, now: float) -> None:
+        """BATCH_FAILED: each member retries under the policy or drops."""
+        recs, ctxs = batch[1], batch[2]
+        self.in_flight_rejoiners -= batch[9]
+        retry = self.retry
+        for k in range(len(recs)):
+            rec = recs[k]
+            f = rec[_FLS] + 1
+            rec[_FLS] = f
+            if f >= retry.max_attempts:
+                self.dropped.append((rec, DROP_RETRIES, now))
+                continue
+            retry_at = now + retry.backoff_s(f)
+            if retry_at > rec[_ADL]:
+                self.dropped.append((rec, DROP_DEADLINE, now))
+                continue
+            self.retries += 1
+            self.pending_retries += 1
+            self.retry_events.append(
+                (rec[_RID], retry_at, f + 1, self.queue_specs[rec[_QID]].name)
+            )
+            heappush(self.heap, (retry_at, 5, self.seq, (rec, ctxs[k])))
+            self.seq += 1
+
     # ------------------------------------------------------------------
-    def run_arrivals(self, rid, arr, spec_i, vlen, olen, row_base: int):
+    def run_arrivals(
+        self, rid, arr, spec_i, vlen, olen, row_base: int, deadline_s=None
+    ):
         """Feed one chunk of sorted arrivals through the event loop.
 
         Heap events strictly preceding each arrival (in the reference
@@ -751,19 +849,22 @@ class _DecodeCore:
         or :meth:`finalize`.  Deferred queue-creation timeouts whose
         deadline the loop is about to reach are pushed first -- only
         for queues still alive, which is what lets size-sealed queues
-        skip their timeout events entirely.
+        skip their timeout events entirely.  ``deadline_s`` is the
+        optional per-request deadline column (relative to arrival);
+        only fault mode reads it, to gate retries.
         """
         heap = self.heap
         queues = self.queues
         deferred = self.deferred_to
         qmap = self.queue_of_spec
+        inf = float("inf")
         n = rid.size
         for i in range(n):
             t = float(arr[i])
             while deferred and deferred[0][0] <= t:
-                deadline, key = deferred.popleft()
+                due, key = deferred.popleft()
                 if key in queues:
-                    heappush(heap, (deadline, 2, self.seq, None))
+                    heappush(heap, (due, 2, self.seq, None))
                     self.seq += 1
             while heap and (heap[0][0] < t or (heap[0][0] == t and heap[0][1] == 0)):
                 self._handle_heap_event(t)
@@ -786,8 +887,10 @@ class _DecodeCore:
                 0,
                 row_base + i,
                 qmap[s],
+                0,
+                inf if deadline_s is None else t + float(deadline_s[i]),
             ]
-            self._admit(rec, v, False, t)
+            self._admit(rec, v, False, t, t)
             # _after_event, inlined (arrivals_done is False here, so
             # the end-of-stream flush can never apply).
             self.last_now = t
@@ -799,7 +902,7 @@ class _DecodeCore:
     def finalize(self) -> None:
         """No further arrivals: apply the tail flush and drain the heap."""
         self.arrivals_done = True
-        if self.in_flight_rejoiners == 0 and self.queues:
+        if self.in_flight_rejoiners == 0 and self.pending_retries == 0 and self.queues:
             # The end-of-stream flush the monolithic loop would have
             # applied at the last processed event.
             now = self.last_now
@@ -808,15 +911,22 @@ class _DecodeCore:
             self._dispatch(now)
         deferred = self.deferred_to
         while deferred:
-            deadline, key = deferred.popleft()
+            due, key = deferred.popleft()
             if key in self.queues:
-                heappush(self.heap, (deadline, 2, self.seq, None))
+                heappush(self.heap, (due, 2, self.seq, None))
                 self.seq += 1
         inf = float("inf")
         while self.heap:
             self._handle_heap_event(inf)
-        assert not self.ready and not self.queues
-        assert self.in_flight_rejoiners == 0
+        # Fleet down for good with sealed work still queued: those
+        # batches can never run, so their members strand.
+        while self.ready:
+            batch = self.ready.popleft()
+            self.in_flight_rejoiners -= batch[9]
+            for rec in batch[1]:
+                self.dropped.append((rec, DROP_STRANDED, batch[8]))
+        assert not self.queues
+        assert self.in_flight_rejoiners == 0 and self.pending_retries == 0
 
 
 def _validate_knobs(num_devices, max_batch_size, max_wait_s, threads=1):

@@ -429,7 +429,7 @@ def simulate_table(
     table.
 
     ``faults`` (a :class:`~repro.serving.faults.FaultSchedule`) routes
-    to the unified fault-mode event core
+    to fault mode on the decode engine's event core
     (:func:`~repro.serving.faults.simulate_faulty_table`) and returns a
     :class:`~repro.serving.faults.FaultColumnarResult`; ``retry``
     customizes its :class:`~repro.serving.faults.RetryPolicy`.  With

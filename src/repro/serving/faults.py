@@ -29,34 +29,49 @@ Failure semantics
 
 Both serving paths understand fault schedules: the per-request
 reference loops (:mod:`repro.serving.scheduler`) define the semantics,
-and :class:`_FaultCore` here is their columnar fast path, pinned
-bitwise-equal under every schedule (and equal to the no-fault engines
-when the schedule is empty).  Conservation holds by construction:
+and the columnar fast path is the decode engine's event core
+(:class:`repro.serving.decode._DecodeCore`) run with the schedule and
+retry policy as its fault hook.  It is pinned bitwise-equal under every
+schedule (and equal to the no-fault engines when the schedule is
+empty).  This module holds the schedule and policy types, the fault
+result types and the two drivers.  Conservation holds by construction:
 ``completed + dropped == offered``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs.trace import TraceRecorder
-from repro.serving.decode import _build_cost_vectors, _queue_map, _validate_knobs
+from repro.serving.decode import (
+    _ARR,
+    _DSLOT,
+    _FIN,
+    _FLS,
+    _FT,
+    _OLEN,
+    _PFB,
+    _PFD,
+    _PFS,
+    _PFSZ,
+    _RID,
+    _ROW,
+    DROP_DEADLINE,
+    DROP_NONE,  # noqa: F401 - re-exported
+    DROP_RETRIES,
+    DROP_STRANDED,
+    _DecodeCore,
+    _validate_knobs,
+)
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
 from repro.serving.requests import Request, RequestTable, has_duplicate_ids
 
 _INF = float("inf")
 
-#: Drop-reason codes (the ``drop_reason`` column; 0 = completed).
-DROP_NONE = 0
-DROP_RETRIES = 1
-DROP_DEADLINE = 2
-DROP_STRANDED = 3
 DROP_REASON_NAMES = {
     DROP_RETRIES: "retries",
     DROP_DEADLINE: "deadline",
@@ -250,351 +265,6 @@ class DroppedRecord:
     dropped_s: float
     #: Dispatch attempts that actually started (and were lost).
     attempts: int
-
-
-# Per-request record layout for the columnar fault core (plain lists:
-# the hot loop touches these per token step, so attribute access is
-# out).  Slots 0..13 mirror :mod:`repro.serving.decode`; the tail adds
-# the fault bookkeeping.
-_RID = 0  # request id
-_ARR = 1  # arrival_s
-_SPEC = 2  # spec index
-_VLEN = 3  # prompt length
-_OLEN = 4  # output length
-_LCTX = 5  # final context: vlen + olen - 1
-_PFB = 6  # prefill batched (sealed) time
-_PFS = 7  # prefill service start
-_PFD = 8  # prefill device id
-_PFSZ = 9  # prefill batch size
-_FT = 10  # first token (prefill finish)
-_FIN = 11  # finish (last token)
-_DSLOT = 12  # summed decode batch occupancy
-_ROW = 13  # global row index (sorted order)
-_QID = 14  # batching queue id (model name)
-_FLS = 15  # lost dispatches so far
-_ADL = 16  # absolute deadline (arrival + deadline_s; inf if none)
-
-# Heap priorities, matching :class:`repro.serving.events.EventKind`.
-_P_DONE = 0
-_P_TIMEOUT = 2
-_P_FAILED = 3
-_P_RECOVERY = 4
-_P_RETRY = 5
-
-
-class _FaultCore:
-    """Event loop over columnar state with a fault schedule in force.
-
-    The unified fast path for *both* fault-mode reference loops:
-    generative streams run step-by-step exactly like
-    :class:`~repro.serving.decode._DecodeCore` (minus macro-stepping,
-    which assumes fixed batch membership that failures break), and
-    prefill streams run as the ``output_len == 1`` degenerate case --
-    the generative loop's documented degeneracy makes that exact.
-    Heap order (time, priority, push order) matches the reference
-    :class:`~repro.serving.events.EventQueue`, with the fault kinds
-    BATCH_FAILED(3) < RECOVERY(4) < RETRY(5) after BATCH_TIMEOUT at
-    shared instants.
-    """
-
-    def __init__(
-        self,
-        specs: List,
-        cost_model: ServiceCostModel,
-        num_devices: int,
-        max_batch_size: int,
-        max_wait_s: float,
-        setup_cycles: int,
-        schedule: FaultSchedule,
-        retry: RetryPolicy,
-    ):
-        self.specs = specs
-        self.queue_specs, self.queue_of_spec = _queue_map(specs)
-        self.cost_model = cost_model
-        self.num_devices = num_devices
-        self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_s
-        self.zero_wait = max_wait_s == 0
-        self.setup_cycles = setup_cycles
-        self.frequency_hz = cost_model.config.frequency_ghz * 1e9
-        self.schedule = schedule
-        self.retry = retry
-
-        # (time, priority, seq, payload); payloads: sealed batch for
-        # DONE/FAILED, (record, context) for RETRY, None otherwise.
-        self.heap: list = []
-        self.seq = 0
-        # (queue id, decode?) -> [ready times, records, contexts,
-        # rejoiner count]; insertion-ordered like the reference
-        # batcher's dict.
-        self.queues: dict = {}
-        # Sealed batches awaiting a device, FIFO.  Entries:
-        # [decode?, records, contexts, service_s, energy_pj_per_sample,
-        #  sealed_s, rejoiners].
-        self.ready: deque = deque()
-        self.free_at = [0.0] * num_devices
-        self.busy_s = [0.0] * num_devices
-        self.energy_pj = [0.0] * num_devices
-        self.vecs: dict = {}
-        self.completed: list = []
-        #: (record, reason code, drop instant), in event order.
-        self.dropped: list = []
-        self.in_flight_rejoiners = 0
-        self.pending_retries = 0
-        self.arrivals_done = False
-        self.last_now = 0.0
-        self.steps_in = 0
-        self.batches = 0
-        self.prefill_batches = 0
-        self.decode_batches = 0
-        self.size_triggered = 0
-        self.timeout_triggered = 0
-        self.retries = 0
-        self.failed_batches = 0
-        self.wasted_energy_pj = 0.0
-        #: (request id, retry instant, attempt number, model name).
-        self.retry_events: list = []
-        for _device, up in schedule.recovery_events():
-            heappush(self.heap, (up, _P_RECOVERY, self.seq, None))
-            self.seq += 1
-
-    # ------------------------------------------------------------------
-    def _vectors(self, qid: int, decode: bool, max_ctx: int):
-        key = (qid, decode)
-        vecs = self.vecs.get(key)
-        if vecs is None or max_ctx >= len(vecs[0]):
-            cyc, en = _build_cost_vectors(
-                self.cost_model, self.queue_specs[qid], decode, max_ctx
-            )
-            vecs = self.vecs[key] = (cyc.tolist(), en.tolist())
-        return vecs
-
-    def _seal(self, key, now: float, by_size: bool) -> None:
-        readys, recs, ctxs, rejoiners = self.queues.pop(key)
-        qid, decode = key
-        size = len(recs)
-        mx = max(ctxs)
-        vecs = self._vectors(qid, decode, mx)
-        service = (self.setup_cycles + vecs[0][mx] * size) / self.frequency_hz
-        self.batches += 1
-        if decode:
-            self.decode_batches += 1
-        else:
-            self.prefill_batches += 1
-            for rec in recs:
-                rec[_PFB] = now
-                rec[_PFSZ] = size
-        if by_size:
-            self.size_triggered += 1
-        else:
-            self.timeout_triggered += 1
-        self.in_flight_rejoiners += rejoiners
-        self.ready.append([decode, recs, ctxs, service, vecs[1][mx], now, rejoiners])
-
-    def _admit(self, rec, ctx: int, decode: bool, now: float) -> None:
-        self.steps_in += 1
-        key = (rec[_QID], decode)
-        q = self.queues.get(key)
-        rejoin = 0 if ctx == rec[_LCTX] else 1
-        if q is None:
-            self.queues[key] = [[now], [rec], [ctx], rejoin]
-            if self.max_batch_size <= 1:
-                self._seal(key, now, by_size=True)
-            elif self.max_wait_s > 0:
-                # One timeout per queue creation: it covers the head's
-                # deadline, and a stale pop is a no-op flush_due (the
-                # reference pushes one per non-sealing admission; the
-                # contract is over outcomes, not pushes).
-                heappush(self.heap, (now + self.max_wait_s, _P_TIMEOUT, self.seq, None))
-                self.seq += 1
-        else:
-            q[0].append(now)
-            q[1].append(rec)
-            q[2].append(ctx)
-            q[3] += rejoin
-            if len(q[1]) >= self.max_batch_size:
-                self._seal(key, now, by_size=True)
-
-    def _flush_due(self, now: float) -> None:
-        due = [
-            key
-            for key, q in self.queues.items()
-            if now >= q[0][0] + self.max_wait_s
-        ]
-        for key in due:
-            self._seal(key, now, by_size=False)
-
-    def _drop(self, rec, reason: int, now: float) -> None:
-        self.dropped.append((rec, reason, now))
-
-    def _dispatch(self, now: float) -> None:
-        traces = self.schedule.traces
-        while self.ready:
-            dev = -1
-            for d in range(self.num_devices):
-                if self.free_at[d] <= now and traces[d].is_up(now):
-                    dev = d
-                    break
-            if dev < 0:
-                return
-            batch = self.ready.popleft()
-            service = batch[3]
-            size = len(batch[1])
-            fail = traces[dev].next_down_after(now)
-            if fail < now + service:
-                # Preordained loss: the device dies mid-batch.  It
-                # stays occupied until the failure; the partial work's
-                # energy is wasted, not delivered.
-                self.busy_s[dev] += fail - now
-                self.free_at[dev] = fail
-                self.wasted_energy_pj += batch[4] * size * ((fail - now) / service)
-                self.failed_batches += 1
-                heappush(self.heap, (fail, _P_FAILED, self.seq, batch))
-                self.seq += 1
-                continue
-            finish = now + service
-            self.free_at[dev] = finish
-            self.busy_s[dev] += service
-            self.energy_pj[dev] += batch[4] * size
-            if not batch[0]:
-                for rec in batch[1]:
-                    rec[_PFS] = now
-                    rec[_PFD] = dev
-            heappush(self.heap, (finish, _P_DONE, self.seq, batch))
-            self.seq += 1
-
-    # ------------------------------------------------------------------
-    def _handle(self) -> None:
-        now, priority, _, payload = heappop(self.heap)
-        if priority == _P_DONE:
-            decode, recs, ctxs = payload[0], payload[1], payload[2]
-            size = len(recs)
-            for k in range(size):
-                rec = recs[k]
-                if decode:
-                    rec[_DSLOT] += size
-                else:
-                    rec[_FT] = now
-                ctx = ctxs[k]
-                if ctx == rec[_LCTX]:
-                    rec[_FIN] = now
-                    self.completed.append(rec)
-                else:
-                    self.in_flight_rejoiners -= 1
-                    self._admit(rec, ctx + 1, True, now)
-        elif priority == _P_TIMEOUT:
-            if self.queues:
-                self._flush_due(now)
-        elif priority == _P_FAILED:
-            recs, ctxs = payload[1], payload[2]
-            self.in_flight_rejoiners -= payload[6]
-            retry = self.retry
-            for k in range(len(recs)):
-                rec = recs[k]
-                f = rec[_FLS] + 1
-                rec[_FLS] = f
-                if f >= retry.max_attempts:
-                    self._drop(rec, DROP_RETRIES, now)
-                    continue
-                retry_at = now + retry.backoff_s(f)
-                if retry_at > rec[_ADL]:
-                    self._drop(rec, DROP_DEADLINE, now)
-                    continue
-                self.retries += 1
-                self.pending_retries += 1
-                self.retry_events.append(
-                    (rec[_RID], retry_at, f + 1, self.queue_specs[rec[_QID]].name)
-                )
-                heappush(self.heap, (retry_at, _P_RETRY, self.seq, (rec, ctxs[k])))
-                self.seq += 1
-        elif priority == _P_RETRY:
-            self.pending_retries -= 1
-            rec, ctx = payload
-            self._admit(rec, ctx, ctx > rec[_VLEN], now)
-        # _P_RECOVERY carries no state change: up/down is a pure
-        # function of time; the event exists to re-trigger dispatch.
-        self.last_now = now
-        if self.zero_wait and self.queues:
-            self._flush_due(now)
-        if (
-            self.arrivals_done
-            and self.in_flight_rejoiners == 0
-            and self.pending_retries == 0
-            and self.queues
-        ):
-            for key in list(self.queues):
-                self._seal(key, now, by_size=False)
-        if self.ready:
-            self._dispatch(now)
-
-    # ------------------------------------------------------------------
-    def run_arrivals(
-        self,
-        request_id,
-        arrival_s,
-        spec_idx,
-        valid_len,
-        output_len,
-        deadline_s,
-        row_base: int,
-    ) -> None:
-        heap = self.heap
-        qmap = self.queue_of_spec
-        for i in range(len(request_id)):
-            t = float(arrival_s[i])
-            while heap and (heap[0][0] < t or (heap[0][0] == t and heap[0][1] == 0)):
-                self._handle()
-            v = int(valid_len[i])
-            o = int(output_len[i])
-            si = int(spec_idx[i])
-            rec = [
-                int(request_id[i]),
-                t,
-                si,
-                v,
-                o,
-                v + o - 1,
-                0.0,
-                0.0,
-                -1,
-                1,
-                0.0,
-                0.0,
-                0,
-                row_base + i,
-                qmap[si],
-                0,
-                t + float(deadline_s[i]) if deadline_s is not None else _INF,
-            ]
-            self._admit(rec, v, False, t)
-            self.last_now = t
-            if self.zero_wait and self.queues:
-                self._flush_due(t)
-            if self.ready:
-                self._dispatch(t)
-
-    def finalize(self) -> None:
-        self.arrivals_done = True
-        if (
-            self.in_flight_rejoiners == 0
-            and self.pending_retries == 0
-            and self.queues
-        ):
-            now = self.last_now
-            for key in list(self.queues):
-                self._seal(key, now, by_size=False)
-            self._dispatch(now)
-        while self.heap:
-            self._handle()
-        # Fleet dead forever with sealed work still queued: those
-        # batches can never run; their members strand.
-        while self.ready:
-            batch = self.ready.popleft()
-            self.in_flight_rejoiners -= batch[6]
-            for rec in batch[1]:
-                self._drop(rec, DROP_STRANDED, batch[5])
-        assert not self.queues
-        assert self.in_flight_rejoiners == 0 and self.pending_retries == 0
 
 
 @dataclass
@@ -791,7 +461,7 @@ def _emit_fault_trace(
 
 
 def _run_core_result(
-    core: _FaultCore,
+    core: _DecodeCore,
     table: RequestTable,
     schedule: FaultSchedule,
     num_devices: int,
@@ -934,10 +604,13 @@ def simulate_faulty_table(
 ) -> FaultColumnarResult:
     """Columnar serving with a fault schedule in force.
 
-    Handles prefill-only and generative tables through one unified
-    event core; pinned bitwise-equal to the fault-mode reference loops
+    Runs prefill-only and generative tables on the decode engine's
+    event core (prefill as the ``output_len == 1`` case), one step at a
+    time; pinned bitwise-equal to the fault-mode reference loops
     (:class:`~repro.serving.scheduler.ServingSimulator` /
     :class:`~repro.serving.scheduler.GenerativeServingSimulator`).
+    ``retry=None`` means the default :class:`RetryPolicy` (3 attempts,
+    1 ms base backoff doubled each time).
     """
     if len(table) == 0:
         raise ValueError("request table must not be empty")
@@ -951,15 +624,15 @@ def simulate_faulty_table(
         if sorted_table.output_len is not None
         else np.ones(len(sorted_table), dtype=np.int64)
     )
-    core = _FaultCore(
+    core = _DecodeCore(
         sorted_table.specs,
         cost_model,
         num_devices,
         max_batch_size,
         max_wait_s,
         setup_cycles,
-        faults,
-        retry,
+        faults=faults,
+        retry=retry,
     )
     core.run_arrivals(
         sorted_table.request_id,
@@ -967,8 +640,8 @@ def simulate_faulty_table(
         sorted_table.spec_idx,
         sorted_table.valid_len,
         olen,
-        sorted_table.deadline_s,
         0,
+        sorted_table.deadline_s,
     )
     core.finalize()
     return _run_core_result(core, sorted_table, faults, num_devices, recorder)
@@ -1066,7 +739,7 @@ def simulate_faulty_stream(
     if retry is None:
         retry = RetryPolicy()
 
-    core: Optional[_FaultCore] = None
+    core: Optional[_DecodeCore] = None
     generative = False
     seen_ids: set = set()
     offered = 0
@@ -1077,7 +750,7 @@ def simulate_faulty_stream(
     dropped_by_reason = {name: 0 for name in DROP_REASON_NAMES.values()}
     dropped = 0
 
-    def _drain(core: _FaultCore) -> None:
+    def _drain(core: _DecodeCore) -> None:
         nonlocal end_s, total_tokens, dropped
         if core.completed:
             recs = core.completed
@@ -1117,15 +790,15 @@ def simulate_faulty_stream(
         if core is None:
             generative = sub.output_len is not None
             start_s = float(sub.arrival_s[0])
-            core = _FaultCore(
+            core = _DecodeCore(
                 sub.specs,
                 cost_model,
                 num_devices,
                 max_batch_size,
                 max_wait_s,
                 setup_cycles,
-                faults,
-                retry,
+                faults=faults,
+                retry=retry,
             )
         elif sub.specs is not core.specs and list(sub.specs) != list(core.specs):
             raise ValueError("every chunk must share the stream's spec list")
@@ -1148,8 +821,8 @@ def simulate_faulty_stream(
             sub.spec_idx,
             sub.valid_len,
             olen,
-            sub.deadline_s,
             offered,
+            sub.deadline_s,
         )
         offered += len(sub)
         _drain(core)

@@ -1,10 +1,11 @@
 """Fault-injection suite: equivalence, conservation, and validation.
 
-The fault layer's contract mirrors the engines' own: the columnar
-fault core is *exactly* equal -- per-request records, drop records,
-retry events, device accounting -- to the fault-threaded reference
-event loops, across arrival patterns, seeds, fleet sizes, outage
-traces, and retry/deadline policies.  On top of that sit conservation
+The fault layer's contract mirrors the engines' own: fault mode on the
+columnar decode core is *exactly* equal -- per-request records, drop
+records, retry events, device accounting -- to the fault-threaded
+reference event loops, across arrival patterns, seeds, fleet sizes,
+outage traces, and retry/deadline policies, on fixed grids and on
+hypothesis-drawn cases.  On top of that sit conservation
 properties every fault run must satisfy (``completed + dropped ==
 total``, busy time bounded by uptime), byte-identity of fault traces
 across engines, and the no-faults guarantee: an empty schedule changes
@@ -13,6 +14,8 @@ nothing, and the fault-free fast path is never perturbed.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.configs import S_SPRINT
 from repro.core.system import ExecutionMode
@@ -30,6 +33,7 @@ from repro.serving import (
     SprintDevice,
     TraceProcess,
     generate_request_table,
+    simulate_decode_table,
     simulate_faulty_stream,
     simulate_faulty_table,
     simulate_table,
@@ -282,6 +286,37 @@ class TestFaultEquivalence:
         assert faulted.retries == 0 and faulted.failed_batches == 0
         assert faulted.device_downtime_s == [0.0, 0.0]
 
+    @pytest.mark.parametrize("num_devices", (1, 2))
+    @pytest.mark.parametrize("max_wait_s", (0.0, 2e-3))
+    def test_empty_schedule_equals_fault_free_decode_run(
+        self, cost_model, num_devices, max_wait_s
+    ):
+        # Fault mode runs one step at a time; the fault-free decode run
+        # macro-steps.  An empty schedule must make them agree.
+        table = generate_request_table(
+            PoissonProcess(120.0),
+            {"BERT-B": 0.5, "GPT-2-L": 0.5},
+            count=300,
+            seed=3,
+            mean_output_tokens=12.0,
+        )
+        kwargs = dict(num_devices=num_devices, max_wait_s=max_wait_s)
+        plain = simulate_decode_table(table, cost_model, **kwargs).to_result()
+        faulted = simulate_faulty_table(
+            table, cost_model, FaultSchedule.none(num_devices), **kwargs
+        ).to_result()
+        assert faulted.records == plain.records
+        assert faulted.device_busy_s == plain.device_busy_s
+        assert faulted.device_energy_pj == plain.device_energy_pj
+        assert faulted.batches == plain.batches
+        assert faulted.prefill_batches == plain.prefill_batches
+        assert faulted.decode_batches == plain.decode_batches
+        assert faulted.size_triggered_batches == plain.size_triggered_batches
+        assert faulted.timeout_triggered_batches == plain.timeout_triggered_batches
+        assert faulted.total_tokens == plain.total_tokens
+        assert not faulted.dropped
+        assert faulted.retries == 0 and faulted.failed_batches == 0
+
     def test_faults_kwarg_off_is_untouched_fast_path(self, cost_model):
         # simulate_table(faults=None) must stay byte-for-byte today's
         # golden fast path: identical result object, no fault fields.
@@ -293,6 +328,68 @@ class TestFaultEquivalence:
         routed = simulate_table(table, cost_model, num_devices=2, faults=None)
         assert type(routed) is type(plain)
         assert routed.to_result() == plain.to_result()
+
+
+# ----------------------------------------------------------------------
+# property: drawn streams, fleets, schedules and policies
+# ----------------------------------------------------------------------
+#: Inter-arrival gaps; zero gaps make arrivals tie.
+PROPERTY_GAPS_S = (0.0, 1e-3, 2e-3, 5e-3)
+#: Outage edges sit on a 1 ms grid over the first 0.4 s, so failures,
+#: recoveries, retries and timeouts share instants.
+OUTAGE_GRID_S = 1e-3
+OUTAGE_SLOTS = 400
+
+
+@st.composite
+def outage_intervals(draw):
+    """Up to 6 sorted, disjoint outages of one device.
+
+    An odd number of edges leaves the last outage never ending.
+    """
+    edges = sorted(
+        draw(st.lists(st.integers(0, OUTAGE_SLOTS), unique=True, max_size=12))
+    )
+    times = [OUTAGE_GRID_S * e for e in edges] + [np.inf]
+    return [(times[k], times[k + 1]) for k in range(0, len(edges), 2)]
+
+
+@st.composite
+def fault_cases(draw):
+    """A tie-heavy stream plus the fleet, schedule and retry policy."""
+    num_devices = draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.sampled_from(PROPERTY_GAPS_S), min_size=1, max_size=8))
+    table = generate_request_table(
+        TraceProcess(gaps),
+        {"BERT-B": 0.5, "ViT-B": 0.5},
+        count=draw(st.integers(1, 80)),
+        seed=draw(st.integers(0, 2**16)),
+        mean_output_tokens=draw(st.sampled_from((None, 3.0, 24.0))),
+        deadline_range_s=draw(st.sampled_from((None, (5e-3, 50e-3)))),
+    )
+    faults = FaultSchedule.from_intervals(
+        [draw(outage_intervals()) for _ in range(num_devices)]
+    )
+    retry = RetryPolicy(
+        max_attempts=draw(st.integers(1, 4)),
+        backoff_base_s=draw(st.sampled_from((0.0, 1e-3, 2e-3))),
+        backoff_multiplier=draw(st.sampled_from((1.0, 2.0))),
+    )
+    return table, faults, retry, num_devices
+
+
+class TestFaultProperty:
+    @given(
+        case=fault_cases(),
+        max_batch_size=st.integers(1, 8),
+        max_wait_s=st.sampled_from((0.0, 2e-3)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fast_equals_reference(self, cost_model, case, max_batch_size, max_wait_s):
+        table, faults, retry, num_devices = case
+        assert_fault_runs_equal(
+            table, cost_model, faults, retry, num_devices, max_wait_s, max_batch_size
+        )
 
 
 # ----------------------------------------------------------------------
