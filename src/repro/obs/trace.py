@@ -2,11 +2,12 @@
 
 An opt-in :class:`TraceRecorder` collects request/batch lifecycle spans
 from either serving path -- the per-request reference event loop
-(:class:`~repro.serving.scheduler.ServingSimulator`) or the columnar
-fast engine (:func:`~repro.serving.engine.simulate_table`).  Every
-timestamp is **simulation** time (the deterministic clock both engines
-already agree on bitwise), never wall clock, so two runs of the same
-seed -- at any ``--jobs`` value, on either engine -- produce
+(:class:`~repro.serving.scheduler.GenerativeServingSimulator`, which
+:class:`~repro.serving.scheduler.ServingSimulator` wraps) or the
+columnar fast engine (:func:`~repro.serving.engine.simulate_table`).
+Every timestamp is **simulation** time (the deterministic clock both
+engines already agree on bitwise), never wall clock, so two runs of
+the same seed -- at any ``--jobs`` value, on either engine -- produce
 byte-identical trace files.
 
 Each sampled request contributes three complete ("X") spans on its own

@@ -18,8 +18,10 @@ Two execution paths share those semantics:
       report = summarize(simulate_table(table, cost), ...)
 
 * the **per-request reference loop** (:class:`ServingSimulator` over
-  ``list[Request]``) -- the ``slow_exact`` event-driven definition of
-  the semantics; the fast path is pinned exactly equal to it.
+  ``list[Request]``, a thin constructor over the one event loop,
+  :class:`GenerativeServingSimulator`) -- the ``slow_exact``
+  event-driven definition of the semantics; the fast path is pinned
+  exactly equal to it.
 
 A third, **out-of-core** path scales the fast path to 10^7--10^8
 requests: :class:`RequestStream` yields chunks whose concatenation is
@@ -39,10 +41,10 @@ grown attention context, device slots freeing per token.  The same
 entry points route automatically -- :func:`simulate_table` /
 :func:`simulate_stream` dispatch to the event-driven columnar decode
 engine (:mod:`repro.serving.decode`), pinned bitwise-equal to the
-:class:`GenerativeServingSimulator` reference loop -- and
+same :class:`GenerativeServingSimulator` reference loop -- and
 :func:`summarize` / :func:`summarize_stream` add TTFT / TBT /
-tokens-per-second to the report.  With every ``output_len == 1`` the
-generative loop degenerates exactly to the prefill-only semantics.
+tokens-per-second to the report.  With every ``output_len == 1`` that
+loop runs exactly the prefill-only semantics.
 
 **Fault injection** (:mod:`repro.serving.faults`) threads a
 deterministic, seedable :class:`FaultSchedule` of per-device outages
@@ -53,7 +55,7 @@ once their per-request deadline passes, and :func:`summarize` /
 :func:`summarize_stream` report availability, goodput, retries, and
 wasted energy.  ``simulate_table`` / ``simulate_stream`` take
 ``faults=`` / ``retry=`` and stay bitwise-equal to the fault-threaded
-reference loops; with no schedule the fast paths are untouched.
+reference loop; with no schedule the fast paths are untouched.
 
 Both paths accept an optional :class:`repro.obs.trace.TraceRecorder`
 for sim-time request tracing, and :func:`summarize` can fold latency

@@ -1,28 +1,29 @@
-"""Dynamic batching: group compatible requests under size/wait knobs.
+"""Batching: group compatible token steps under size/wait knobs.
 
-The batcher keeps one FIFO queue per model.  A batch seals when it
-reaches ``max_batch_size``, or when its oldest member has waited
-``max_wait_s`` (the reference scheduler drives the timeout via
-events).  Requests for different models never share a batch -- they
-need different weights and learned thresholds programmed into the
-accelerator.
+:class:`ContinuousBatcher` queues :class:`StepItem` work -- one prefill
+or decode step of one request -- in one FIFO queue per (model, phase).
+A queue seals into a :class:`StepBatch` when it reaches
+``max_batch_size``, or when its oldest step has waited ``max_wait_s``
+(the reference scheduler drives the timeout via events).  Steps for
+different models never share a batch -- they need different weights
+and learned thresholds programmed into the accelerator -- and neither
+do prefill and decode steps.  Decode steps re-enter the queue the
+moment their previous step finishes, so device slots free per token
+rather than per request -- continuous batching.
 
-Note the seal rules depend only on the arrival stream, never on device
-state: batch formation is fully determined before any batch runs.  The
-columnar fast path (:mod:`repro.serving.engine`) exploits exactly that
--- it computes every sealed batch with a few vectorised passes over the
-sorted arrival columns instead of driving this incremental batcher,
-and is pinned to produce the same batches.
+:class:`DynamicBatcher` is a second name for the same class: a
+prefill-only stream fills only (model, prefill) queues.  Its ``add``
+takes a :class:`StepItem` and returns a :class:`StepBatch`.
 
-Generative traffic batches at *token-step* granularity instead:
-:class:`ContinuousBatcher` queues :class:`StepItem` work (one prefill
-or decode step of one request) under the same size/wait seal rules,
-keyed by (model, phase).  Decode steps re-enter the queue the moment
-their previous step finishes, so device slots free per token rather
-than per request -- continuous batching.  Unlike the prefill-only
-batcher, step readiness *does* depend on device timing, so generative
-batch formation cannot be precomputed; the fast decode engine
-(:mod:`repro.serving.decode`) replays these seal rules
+For prefill-only traffic the seal rules depend only on the arrival
+stream, never on device state, so batch formation is fully determined
+before any batch runs.  The columnar prefill engine
+(:mod:`repro.serving.engine`) exploits exactly that -- it computes
+every sealed batch with a few vectorised passes over the sorted arrival
+columns instead of driving this incremental batcher, and is pinned to
+produce the same batches.  Decode readiness *does* depend on device
+timing, so generative batch formation cannot be precomputed; the
+decode core (:mod:`repro.serving.decode`) replays these seal rules
 event-driven over columnar state instead.
 """
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.models.zoo import ModelSpec
-from repro.serving.requests import Batch, Request
+from repro.serving.requests import Request
 
 
 @dataclass
@@ -49,73 +50,6 @@ class BatcherStats:
         if self.batches_out == 0:
             return 0.0
         return self.requests_in / self.batches_out
-
-
-class DynamicBatcher:
-    """Size- and latency-bounded request grouping.
-
-    Parameters
-    ----------
-    max_batch_size:
-        Seal a batch as soon as it holds this many requests.
-    max_wait_s:
-        Upper bound on the time any request spends waiting for
-        batch-mates.  ``0`` degenerates to one-request batches.
-    """
-
-    def __init__(self, max_batch_size: int = 8, max_wait_s: float = 2e-3):
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be positive")
-        if max_wait_s < 0:
-            raise ValueError("max_wait_s must be non-negative")
-        self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_s
-        self.stats = BatcherStats()
-        self._queues: Dict[str, List[Request]] = {}
-        self._next_batch_id = 0
-
-    # ------------------------------------------------------------------
-    def _seal(self, model: str, now_s: float, by_size: bool) -> Batch:
-        requests = self._queues.pop(model)
-        batch = Batch(batch_id=self._next_batch_id, requests=requests, sealed_s=now_s)
-        self._next_batch_id += 1
-        self.stats.batches_out += 1
-        if by_size:
-            self.stats.size_triggered += 1
-        else:
-            self.stats.timeout_triggered += 1
-        return batch
-
-    # ------------------------------------------------------------------
-    def add(self, request: Request, now_s: float) -> Optional[Batch]:
-        """Admit one request; returns a sealed batch on a size trigger."""
-        self.stats.requests_in += 1
-        queue = self._queues.setdefault(request.spec.name, [])
-        queue.append(request)
-        if len(queue) >= self.max_batch_size:
-            return self._seal(request.spec.name, now_s, by_size=True)
-        return None
-
-    def deadline_for(self, request: Request) -> float:
-        """Latest instant this request may wait for batch-mates."""
-        return request.arrival_s + self.max_wait_s
-
-    def flush_due(self, now_s: float) -> List[Batch]:
-        """Seal every queue whose oldest member's wait bound expired."""
-        due = [
-            model
-            for model, queue in self._queues.items()
-            if now_s >= queue[0].arrival_s + self.max_wait_s
-        ]
-        return [self._seal(m, now_s, by_size=False) for m in due]
-
-    def flush_all(self, now_s: float) -> List[Batch]:
-        """Seal everything (end of stream)."""
-        return [self._seal(m, now_s, by_size=False) for m in list(self._queues)]
-
-    @property
-    def pending(self) -> int:
-        return sum(len(q) for q in self._queues.values())
 
 
 @dataclass
@@ -185,13 +119,19 @@ class StepBatch:
 class ContinuousBatcher:
     """Size- and latency-bounded grouping of token steps.
 
-    The generative twin of :class:`DynamicBatcher`: identical seal
-    knobs and FIFO rules, but the queued unit is a :class:`StepItem`
-    and queues key on (model name, phase) -- prefill and decode steps
-    never share a batch (a prefill pass and a single-token step are
-    different kernels), while both phases interleave freely on the
-    devices.  ``stats.requests_in`` counts *steps*, so
-    ``stats.mean_batch_size`` is mean step-batch occupancy.
+    Queues key on (model name, phase): prefill and decode steps never
+    share a batch (a prefill pass and a single-token step are different
+    kernels), while both phases interleave freely on the devices.
+    ``stats.requests_in`` counts *steps*, so ``stats.mean_batch_size``
+    is mean step-batch occupancy.
+
+    Parameters
+    ----------
+    max_batch_size:
+        Seal a batch as soon as it holds this many steps.
+    max_wait_s:
+        Upper bound on the time any step spends waiting for
+        batch-mates.  ``0`` degenerates to one-step batches.
     """
 
     def __init__(self, max_batch_size: int = 8, max_wait_s: float = 2e-3):
@@ -248,3 +188,7 @@ class ContinuousBatcher:
     @property
     def pending(self) -> int:
         return sum(len(q) for q in self._queues.values())
+
+
+#: The prefill-traffic name of :class:`ContinuousBatcher`.
+DynamicBatcher = ContinuousBatcher

@@ -12,11 +12,12 @@ serializing the batch's samples through the accelerator and charging a
 fixed per-batch setup (threshold/projection reprogramming, pipeline
 drain) that dynamic batching amortizes.
 
-:class:`SprintDevice` objects serve the per-request reference loop;
-the columnar fast path prices whole batch columns at once through
-:meth:`ServiceCostModel.cost_arrays` (array indexing into the same
-primed bucket cache) and models devices as k free-times, so both paths
-charge bitwise-identical cycles and energy.
+:class:`SprintDevice` objects serve the per-request reference loop,
+one token-step batch at a time; the columnar fast paths price whole
+batch columns at once through :meth:`ServiceCostModel.cost_arrays` and
+:meth:`ServiceCostModel.decode_cost_arrays` (array indexing into the
+same primed bucket cache) and model devices as k free-times, so every
+path charges bitwise-identical cycles and energy.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from repro.core.configs import SprintConfig
 from repro.core.multihead import MultiHeadSimulator
 from repro.core.system import ExecutionMode
 from repro.models.zoo import ModelSpec
-from repro.serving.requests import Batch
 
 
 #: Per-batch setup cost (threshold/projection reprogramming, pipeline
@@ -267,16 +267,6 @@ class SprintDevice:
     def is_idle(self, now_s: float) -> bool:
         return now_s >= self.busy_until_s
 
-    def _batch_cost(self, batch: Batch) -> Tuple[float, SampleCost]:
-        """(service seconds, per-sample cost) -- one cost lookup."""
-        per_sample = self.cost_model.sample_cost(batch.spec, batch.max_valid_len)
-        cycles = self.setup_cycles + per_sample.cycles * batch.size
-        return cycles / self.frequency_hz, per_sample
-
-    def service_time_s(self, batch: Batch) -> float:
-        """Wall-clock seconds this device needs for ``batch``."""
-        return self._batch_cost(batch)[0]
-
     def _step_cost(
         self, spec: ModelSpec, context_len: int, size: int, decode: bool
     ) -> Tuple[float, SampleCost]:
@@ -294,19 +284,6 @@ class SprintDevice:
         """Wall-clock seconds one token-step batch would occupy."""
         return self._step_cost(spec, context_len, size, decode)[0]
 
-    def lose_batch(self, batch: Batch, now_s: float, fail_s: float) -> float:
-        """The device dies at ``fail_s`` mid-``batch``: occupy it until
-        the failure and return the energy wasted on the partial work.
-
-        The lost work counts toward neither ``batches_done`` nor
-        ``energy_pj`` -- it delivered nothing -- but the device was
-        genuinely busy until the failure instant.
-        """
-        service, per_sample = self._batch_cost(batch)
-        self.busy_until_s = fail_s
-        self.busy_s += fail_s - now_s
-        return per_sample.energy_pj * batch.size * ((fail_s - now_s) / service)
-
     def lose_step_batch(
         self,
         spec: ModelSpec,
@@ -316,25 +293,17 @@ class SprintDevice:
         now_s: float,
         fail_s: float,
     ) -> float:
-        """Token-step twin of :meth:`lose_batch`."""
+        """The device dies at ``fail_s`` mid-step: occupy it until the
+        failure and return the energy wasted on the partial work.
+
+        The lost work counts toward neither ``batches_done`` nor
+        ``energy_pj`` -- it delivered nothing -- but the device was
+        genuinely busy until the failure instant.
+        """
         service, per_sample = self._step_cost(spec, context_len, size, decode)
         self.busy_until_s = fail_s
         self.busy_s += fail_s - now_s
         return per_sample.energy_pj * size * ((fail_s - now_s) / service)
-
-    def start_batch(self, batch: Batch, now_s: float) -> float:
-        """Begin executing ``batch`` at ``now_s``; returns finish time."""
-        if not self.is_idle(now_s):
-            raise RuntimeError(
-                f"device {self.device_id} busy until {self.busy_until_s}"
-            )
-        service, per_sample = self._batch_cost(batch)
-        self.busy_until_s = now_s + service
-        self.busy_s += service
-        self.batches_done += 1
-        self.samples_done += batch.size
-        self.energy_pj += per_sample.energy_pj * batch.size
-        return self.busy_until_s
 
     def start_step_batch(
         self,
@@ -344,14 +313,14 @@ class SprintDevice:
         decode: bool,
         now_s: float,
     ) -> float:
-        """Begin one continuous-batching token step; returns finish time.
+        """Begin one token-step batch at ``now_s``; returns finish time.
 
-        The generative scheduler's unit of device work: ``size``
-        same-model requests advancing one token together, padded to the
-        batch's longest context.  A *prefill* step prices like a legacy
-        batch (full pass at ``context_len``); a *decode* step charges
-        the per-token :meth:`ServiceCostModel.decode_cost` share.  Both
-        pay the per-batch ``setup_cycles``.
+        The scheduler's unit of device work: ``size`` same-model
+        requests advancing one token together, padded to the batch's
+        longest context.  A *prefill* step charges a full forward pass
+        at ``context_len``; a *decode* step charges the per-token
+        :meth:`ServiceCostModel.decode_cost` share.  Both pay the
+        per-batch ``setup_cycles``.
         """
         if not self.is_idle(now_s):
             raise RuntimeError(

@@ -1,10 +1,12 @@
 """Columnar fast path: batch-granular serving simulation over arrays.
 
 The per-request reference loop (:class:`~repro.serving.scheduler.
-ServingSimulator`) spends its time on Python object churn: one heap
-event, one dict lookup, and one record mutation per request.  This
-module simulates the *same* deployment semantics at batch granularity
-over a struct-of-arrays :class:`~repro.serving.requests.RequestTable`:
+GenerativeServingSimulator`, which :class:`~repro.serving.scheduler.
+ServingSimulator` runs for prefill traffic) spends its time on Python
+object churn: one heap event, one dict lookup, and one record mutation
+per request.  This module simulates the *same* deployment semantics at
+batch granularity over a struct-of-arrays
+:class:`~repro.serving.requests.RequestTable`:
 
 1. **Batch formation is device-independent.**  The dynamic batcher
    seals on size or on the oldest member's wait bound only, so every

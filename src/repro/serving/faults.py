@@ -28,7 +28,7 @@ Failure semantics
   those requests are dropped as ``stranded``.
 
 Both serving paths understand fault schedules: the per-request
-reference loops (:mod:`repro.serving.scheduler`) define the semantics,
+reference loop (:mod:`repro.serving.scheduler`) defines the semantics,
 and the columnar fast path is the decode engine's event core
 (:class:`repro.serving.decode._DecodeCore`) run with the schedule and
 retry policy as its fault hook.  It is pinned bitwise-equal under every
@@ -606,9 +606,10 @@ def simulate_faulty_table(
 
     Runs prefill-only and generative tables on the decode engine's
     event core (prefill as the ``output_len == 1`` case), one step at a
-    time; pinned bitwise-equal to the fault-mode reference loops
-    (:class:`~repro.serving.scheduler.ServingSimulator` /
-    :class:`~repro.serving.scheduler.GenerativeServingSimulator`).
+    time; pinned bitwise-equal to the fault-mode reference loop
+    (:class:`~repro.serving.scheduler.GenerativeServingSimulator`, run
+    through :class:`~repro.serving.scheduler.ServingSimulator` for
+    prefill tables).
     ``retry=None`` means the default :class:`RetryPolicy` (3 attempts,
     1 ms base backoff doubled each time).
     """

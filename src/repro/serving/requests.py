@@ -9,7 +9,9 @@ timestamp the tail-latency analysis needs.
 Streams exist in two interchangeable representations:
 
 * a list of :class:`Request` objects, consumed by the per-request
-  reference event loop (:class:`repro.serving.scheduler.ServingSimulator`);
+  reference event loop (:class:`repro.serving.scheduler.
+  GenerativeServingSimulator`, or :class:`repro.serving.scheduler.
+  ServingSimulator` for prefill traffic);
 * a :class:`RequestTable` -- the same stream as struct-of-arrays numpy
   columns, consumed by the columnar fast path
   (:mod:`repro.serving.engine`).

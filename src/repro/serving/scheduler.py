@@ -1,18 +1,23 @@
-"""The serving event loop: arrivals -> batcher -> devices -> records.
+"""The serving reference event loop: arrivals -> batcher -> devices -> records.
 
-:class:`ServingSimulator` wires the pieces together as a discrete-event
-simulation: request arrivals feed the dynamic batcher; sealed batches
-enter a FIFO dispatch queue; idle devices pull from it; completions
-free the device and stamp every member request's record.  The loop is
-fully deterministic -- same requests, same knobs, same result.
+:class:`GenerativeServingSimulator` is a discrete-event simulation of
+continuous batching: request arrivals enter the batcher as prefill
+steps; sealed batches enter a FIFO dispatch queue; idle devices pull
+from it; a completion frees the device, stamps its members' records
+and re-admits each unfinished request as its next decode step.  The
+loop is fully deterministic -- same requests, same knobs, same result.
+:class:`ServingSimulator` is a thin constructor over it for prefill
+traffic, where every request is one forward pass.
 
-This per-request event loop is the serving layer's ``slow_exact``
-**reference**: the columnar fast path (:mod:`repro.serving.engine`)
+This per-request event loop is the serving layer's one ``slow_exact``
+**reference**: the columnar fast paths -- the prefill engine
+(:mod:`repro.serving.engine`) and the decode core
+(:mod:`repro.serving.decode`), with or without a fault schedule --
 must produce per-request records exactly equal to it, and the
-equivalence suite pins that contract across patterns, modes, device
-counts, and wait bounds.  Production-size streams should run through
-the fast engine; this loop exists to define the semantics and to keep
-the fast path honest.
+equivalence suites pin that contract across patterns, modes, device
+counts, wait bounds and fault schedules.  Production-size streams
+should run through the fast paths; this loop exists to define the
+semantics and to keep the fast paths honest.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from repro.serving.batching import (
 )
 from repro.serving.devices import SprintDevice
 from repro.serving.events import EventKind, EventQueue
-from repro.serving.requests import Batch, Request, RequestRecord
+from repro.serving.requests import Request, RequestRecord
 
 
 @dataclass
@@ -82,7 +87,12 @@ class ServingResult:
 
 
 class ServingSimulator:
-    """Simulate one (devices, batcher) deployment over a request stream.
+    """Simulate one (devices, batcher) deployment over a prefill stream.
+
+    A thin constructor over :class:`GenerativeServingSimulator`: every
+    request runs as one forward pass, so only prefill batches form, and
+    the loop's records come back as :class:`RequestRecord` objects in a
+    :class:`ServingResult`.
 
     Parameters
     ----------
@@ -114,278 +124,57 @@ class ServingSimulator:
         faults=None,
         retry=None,
     ):
-        devices = list(devices)
-        if not devices:
-            raise ValueError("at least one device required")
-        if faults is None:
-            if retry is not None:
-                raise ValueError("a retry policy requires a fault schedule")
-        else:
-            faults.validate_for(len(devices))
-            if retry is None:
-                from repro.serving.faults import RetryPolicy
-
-                retry = RetryPolicy()
-        self.devices = devices
-        self.batcher = batcher
-        self.recorder = recorder
-        self.faults = faults
-        self.retry = retry
-        self._consumed = False
+        self._loop = GenerativeServingSimulator(
+            devices, batcher, recorder, faults=faults, retry=retry
+        )
 
     # ------------------------------------------------------------------
     def run(self, requests: Sequence[Request]) -> ServingResult:
         """Process every request to completion; returns the records.
 
+        Every request is one forward pass: ``output_len`` is not read.
+        Records and drops hold the caller's :class:`Request` objects.
+
         Single-use: devices and the batcher accumulate wall-clock and
         counter state during a run, so reusing them would corrupt the
         next run's timing.  Build a fresh simulator per stream.
         """
-        if self._consumed:
-            raise RuntimeError(
-                "ServingSimulator.run() is single-use: devices and "
-                "batcher carry per-run state; build a new simulator"
-            )
-        self._consumed = True
-        requests = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))
-        if not requests:
-            raise ValueError("request stream must not be empty")
-        seen = set()
-        for r in requests:
-            if r.request_id in seen:
-                raise ValueError(f"duplicate request id {r.request_id}")
-            seen.add(r.request_id)
-
-        queue = EventQueue()
-        # Sealed batches awaiting a device, FIFO: a deque so the head
-        # pop is O(1) instead of list.pop(0)'s O(n) shuffle.
-        ready: Deque[Batch] = deque()
-        records: Dict[int, RequestRecord] = {}
-        arrivals_left = len(requests)
-        faults = self.faults
-        retry = self.retry
-        # Fault-mode state.  A retried request re-enters the batcher
-        # as a copy with ``arrival_s`` moved to the retry instant (so
-        # the batcher's wait rules apply naturally); ``originals``
-        # keeps the true request for records and latency.
-        originals: Dict[int, Request] = {}
-        failures: Dict[int, int] = {}
-        dropped: list = []
-        retry_events: list = []
-        pending_retries = 0
-        retries = 0
-        failed_batches = 0
-        wasted_energy_pj = 0.0
-        if faults is not None:
-            from repro.serving.faults import DroppedRecord
-
-            originals = {r.request_id: r for r in requests}
-
-        for r in requests:
-            queue.push(r.arrival_s, EventKind.ARRIVAL, r)
-        if faults is not None:
-            for device_index, up_s in faults.recovery_events():
-                queue.push(up_s, EventKind.RECOVERY, device_index)
-
-        def seal(batch: Batch) -> None:
-            for member in batch.requests:
-                records[member.request_id] = RequestRecord(
-                    request=originals.get(member.request_id, member),
-                    batched_s=batch.sealed_s,
-                    batch_size=batch.size,
-                )
-            ready.append(batch)
-
-        def dispatch(now_s: float) -> None:
-            nonlocal failed_batches, wasted_energy_pj
-            while ready:
-                at = -1
-                for i, d in enumerate(self.devices):
-                    if d.is_idle(now_s) and (
-                        faults is None or faults.is_up(i, now_s)
-                    ):
-                        at = i
-                        break
-                if at < 0:
-                    return
-                device = self.devices[at]
-                batch = ready.popleft()
-                if faults is not None:
-                    fail_s = faults.next_down_after(at, now_s)
-                    if fail_s < now_s + device.service_time_s(batch):
-                        # Preordained loss: the device dies mid-batch.
-                        wasted_energy_pj += device.lose_batch(batch, now_s, fail_s)
-                        failed_batches += 1
-                        queue.push(fail_s, EventKind.BATCH_FAILED, batch)
-                        continue
-                finish = device.start_batch(batch, now_s)
-                for member in batch.requests:
-                    rec = records[member.request_id]
-                    rec.service_start_s = now_s
-                    rec.finish_s = finish
-                    rec.device_id = device.device_id
-                queue.push(finish, EventKind.DEVICE_DONE, batch)
-
-        while queue:
-            event = queue.pop()
-            now = event.time_s
-            if event.kind == EventKind.ARRIVAL:
-                arrivals_left -= 1
-                sealed = self.batcher.add(event.payload, now)
-                if sealed is not None:
-                    seal(sealed)
-                elif self.batcher.max_wait_s > 0:
-                    queue.push(
-                        self.batcher.deadline_for(event.payload),
-                        EventKind.BATCH_TIMEOUT,
-                    )
-                elif faults is None:
-                    # Zero wait: the request never lingers in the
-                    # batcher; seal its (possibly singleton) queue now.
-                    # (Fault mode runs the same flush post-event, where
-                    # retry re-admissions share it.)
-                    for b in self.batcher.flush_due(now):
-                        seal(b)
-                if faults is None and arrivals_left == 0 and self.batcher.pending:
-                    # Stream over: don't make the tail wait out its
-                    # timeout for batch-mates that will never come.
-                    for b in self.batcher.flush_all(now):
-                        seal(b)
-            elif event.kind == EventKind.BATCH_TIMEOUT:
-                for b in self.batcher.flush_due(now):
-                    seal(b)
-            elif event.kind == EventKind.DEVICE_DONE:
-                if faults is not None:
-                    for member in event.payload.requests:
-                        records[member.request_id].attempts = (
-                            failures.get(member.request_id, 0) + 1
-                        )
-            elif event.kind == EventKind.BATCH_FAILED:
-                for member in event.payload.requests:
-                    rid = member.request_id
-                    f = failures.get(rid, 0) + 1
-                    failures[rid] = f
-                    original = originals[rid]
-                    if f >= retry.max_attempts:
-                        dropped.append(DroppedRecord(original, "retries", now, f))
-                        continue
-                    retry_at = now + retry.backoff_s(f)
-                    if (
-                        original.deadline_s is not None
-                        and retry_at > original.arrival_s + original.deadline_s
-                    ):
-                        dropped.append(DroppedRecord(original, "deadline", now, f))
-                        continue
-                    retries += 1
-                    pending_retries += 1
-                    retry_events.append(
-                        (rid, retry_at, f + 1, original.spec.name)
-                    )
-                    queue.push(
-                        retry_at,
-                        EventKind.RETRY,
-                        dataclasses.replace(original, arrival_s=retry_at),
-                    )
-            elif event.kind == EventKind.RETRY:
-                pending_retries -= 1
-                sealed = self.batcher.add(event.payload, now)
-                if sealed is not None:
-                    seal(sealed)
-                elif self.batcher.max_wait_s > 0:
-                    queue.push(
-                        self.batcher.deadline_for(event.payload),
-                        EventKind.BATCH_TIMEOUT,
-                    )
-            # EventKind.RECOVERY carries no state change: up/down is a
-            # pure function of time; the event re-triggers dispatch.
-            if faults is not None:
-                if self.batcher.max_wait_s == 0 and self.batcher.pending:
-                    for b in self.batcher.flush_due(now):
-                        seal(b)
-                if (
-                    arrivals_left == 0
-                    and pending_retries == 0
-                    and self.batcher.pending
-                ):
-                    for b in self.batcher.flush_all(now):
-                        seal(b)
-            dispatch(now)
-
-        if faults is not None:
-            # Fleet dead forever with sealed work still queued: those
-            # batches can never run; their members strand.
-            while ready:
-                batch = ready.popleft()
-                for member in batch.requests:
-                    rid = member.request_id
-                    dropped.append(
-                        DroppedRecord(
-                            originals[rid],
-                            "stranded",
-                            batch.sealed_s,
-                            failures.get(rid, 0),
-                        )
-                    )
-        assert not ready and self.batcher.pending == 0
-        dropped_ids = {d.request.request_id for d in dropped}
-        result_records = [
-            records[r.request_id]
-            for r in requests
-            if r.request_id not in dropped_ids
-        ]
-        assert len(result_records) + len(dropped) == len(requests)
-        if faults is None:
-            end_s = max(rec.finish_s for rec in result_records)
-        else:
-            end_s = max(
-                [rec.finish_s for rec in result_records]
-                + [d.dropped_s for d in dropped]
-            )
-        if self.recorder is not None:
-            for rec in result_records:
-                self.recorder.add_request(
-                    request_id=rec.request.request_id,
-                    model=rec.request.spec.name,
-                    arrival_s=rec.request.arrival_s,
-                    batched_s=rec.batched_s,
-                    service_start_s=rec.service_start_s,
-                    finish_s=rec.finish_s,
-                    device_id=rec.device_id,
-                    batch_size=rec.batch_size,
-                )
-            if faults is not None:
-                from repro.serving.faults import _emit_fault_trace
-
-                _emit_fault_trace(
-                    self.recorder,
-                    faults,
-                    len(self.devices),
-                    requests[0].arrival_s,
-                    end_s,
-                    retry_events,
-                )
+        by_id = {r.request_id: r for r in requests}
+        result = self._loop.run(
+            [
+                r if r.output_len == 1 else dataclasses.replace(r, output_len=1)
+                for r in requests
+            ]
+        )
         return ServingResult(
-            records=result_records,
-            start_s=requests[0].arrival_s,
-            end_s=end_s,
-            device_busy_s=[d.busy_s for d in self.devices],
-            device_energy_pj=[d.energy_pj for d in self.devices],
-            batches=self.batcher.stats.batches_out,
-            size_triggered_batches=self.batcher.stats.size_triggered,
-            timeout_triggered_batches=self.batcher.stats.timeout_triggered,
-            retries=retries,
-            failed_batches=failed_batches,
-            wasted_energy_pj=wasted_energy_pj,
-            dropped=dropped,
-            device_downtime_s=(
-                []
-                if faults is None
-                else [
-                    faults.downtime_within(i, requests[0].arrival_s, end_s)
-                    for i in range(len(self.devices))
-                ]
-            ),
-            retry_events=retry_events,
+            records=[
+                RequestRecord(
+                    request=by_id[rec.request.request_id],
+                    batched_s=rec.prefill_batched_s,
+                    service_start_s=rec.prefill_start_s,
+                    finish_s=rec.finish_s,
+                    batch_size=rec.prefill_batch_size,
+                    device_id=rec.prefill_device_id,
+                    attempts=rec.attempts,
+                )
+                for rec in result.records
+            ],
+            start_s=result.start_s,
+            end_s=result.end_s,
+            device_busy_s=result.device_busy_s,
+            device_energy_pj=result.device_energy_pj,
+            batches=result.batches,
+            size_triggered_batches=result.size_triggered_batches,
+            timeout_triggered_batches=result.timeout_triggered_batches,
+            retries=result.retries,
+            failed_batches=result.failed_batches,
+            wasted_energy_pj=result.wasted_energy_pj,
+            dropped=[
+                dataclasses.replace(d, request=by_id[d.request.request_id])
+                for d in result.dropped
+            ],
+            device_downtime_s=result.device_downtime_s,
+            retry_events=result.retry_events,
         )
 
 
@@ -480,26 +269,23 @@ class GenerativeResult:
 
 
 class GenerativeServingSimulator:
-    """Reference event loop for autoregressive (decode) serving.
+    """The reference event loop, for prefill and generative serving.
 
-    The semantic spec for continuous batching on the SPRINT machine,
-    mirroring :class:`ServingSimulator`'s structure: arrivals enter as
-    prefill :class:`~repro.serving.batching.StepItem` work; every
-    batch completion re-admits its unfinished members as decode steps
-    at the finish instant (device slots free per token); the
-    :class:`~repro.serving.batching.ContinuousBatcher` seals mixed
-    prefill/decode queues under the same size/wait rules.  Timing
-    rules, event priorities, FIFO dispatch, and the lowest-index-idle
-    device choice are identical to the prefill-only loop, and with
-    every ``output_len == 1`` this loop degenerates to it exactly
-    (same batches, same floats).  The columnar fast path
-    (:mod:`repro.serving.decode`) is pinned bitwise-equal to this
-    loop.
+    The semantic spec for continuous batching on the SPRINT machine:
+    arrivals enter as prefill :class:`~repro.serving.batching.StepItem`
+    work; every batch completion re-admits its unfinished members as
+    decode steps at the finish instant (device slots free per token);
+    the :class:`~repro.serving.batching.ContinuousBatcher` seals
+    (model, phase) queues under its size/wait rules; sealed batches
+    dispatch FIFO to the lowest-index idle device.  With every
+    ``output_len == 1`` only prefill batches form, which is how
+    :class:`ServingSimulator` runs prefill traffic.  The columnar fast
+    paths (:mod:`repro.serving.engine`, :mod:`repro.serving.decode`)
+    are pinned bitwise-equal to this loop.
 
     End-of-stream rule: when no future steps can ever join (all
     arrivals seen and no unfinished request is in flight), pending
-    queues flush immediately instead of waiting out their timeout --
-    the generative extension of the reference loop's tail flush.
+    queues flush immediately instead of waiting out their timeout.
     """
 
     def __init__(
@@ -534,8 +320,8 @@ class GenerativeServingSimulator:
         """Process every request's every token step to completion."""
         if self._consumed:
             raise RuntimeError(
-                "GenerativeServingSimulator.run() is single-use: devices "
-                "and batcher carry per-run state; build a new simulator"
+                "run() is single-use: devices and batcher carry per-run "
+                "state; build a new simulator"
             )
         self._consumed = True
         requests = sorted(requests, key=lambda r: (r.arrival_s, r.request_id))

@@ -1,5 +1,7 @@
 """Tests for the serving-traffic subsystem (repro.serving)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,17 @@ from repro.serving import (
     DynamicBatcher,
     EventKind,
     EventQueue,
+    FaultSchedule,
     LatencyStats,
     PoissonProcess,
     Request,
+    RetryPolicy,
     ServiceCostModel,
     ServingSimulator,
     SprintDevice,
+    StepItem,
     TraceProcess,
+    generate_request_table,
     generate_requests,
     summarize,
 )
@@ -117,32 +123,33 @@ class TestEventQueue:
 
 
 class TestDynamicBatcher:
-    def _request(self, i, t, spec=None):
-        return Request(
+    def _item(self, i, t, spec=None):
+        request = Request(
             request_id=i, arrival_s=t,
             spec=spec or get_model("BERT-B"), valid_len=100,
         )
+        return StepItem(request, 0, t)
 
     def test_size_trigger_seals(self):
         b = DynamicBatcher(max_batch_size=3, max_wait_s=1.0)
-        assert b.add(self._request(0, 0.0), 0.0) is None
-        assert b.add(self._request(1, 0.1), 0.1) is None
-        batch = b.add(self._request(2, 0.2), 0.2)
+        assert b.add(self._item(0, 0.0), 0.0) is None
+        assert b.add(self._item(1, 0.1), 0.1) is None
+        batch = b.add(self._item(2, 0.2), 0.2)
         assert batch is not None and batch.size == 3
         assert b.pending == 0
 
     def test_models_never_share_a_batch(self):
         b = DynamicBatcher(max_batch_size=2, max_wait_s=1.0)
-        b.add(self._request(0, 0.0), 0.0)
-        b.add(self._request(1, 0.0, get_model("ViT-B")), 0.0)
+        b.add(self._item(0, 0.0), 0.0)
+        b.add(self._item(1, 0.0, get_model("ViT-B")), 0.0)
         assert b.pending == 2  # two singleton queues, neither sealed
-        batch = b.add(self._request(2, 0.1), 0.1)
+        batch = b.add(self._item(2, 0.1), 0.1)
         assert batch is not None
-        assert {r.request_id for r in batch.requests} == {0, 2}
+        assert {i.request.request_id for i in batch.items} == {0, 2}
 
     def test_flush_due_honors_oldest_wait(self):
         b = DynamicBatcher(max_batch_size=8, max_wait_s=0.5)
-        b.add(self._request(0, 0.0), 0.0)
+        b.add(self._item(0, 0.0), 0.0)
         assert b.flush_due(0.4) == []
         sealed = b.flush_due(0.5)
         assert len(sealed) == 1 and sealed[0].size == 1
@@ -200,6 +207,74 @@ class TestDynamicBatcher:
             DynamicBatcher(max_wait_s=-1.0)
 
 
+class TestPrefillOnGenerativeRequests:
+    """``ServingSimulator`` runs every request as one forward pass."""
+
+    @pytest.mark.parametrize("faulted", (False, True))
+    def test_output_len_is_not_read(self, faulted):
+        cost = ServiceCostModel(S_SPRINT, ExecutionMode.SPRINT)
+        requests = generate_request_table(
+            PoissonProcess(60.0), {"BERT-B": 0.5, "GPT-2-L": 0.5},
+            count=200, seed=0, mean_output_tokens=6.0,
+        ).to_requests()
+        assert any(r.output_len > 1 for r in requests)
+
+        def run(stream):
+            faults = retry = None
+            if faulted:
+                # Rapid flapping: most up-gaps are shorter than a batch,
+                # so batches of both models are lost, retried and dropped.
+                faults = FaultSchedule.from_intervals(
+                    [
+                        [(t + 0.004 * d, t + 0.015 + 0.004 * d)
+                         for t in np.arange(0.12, 1.4, 0.017)]
+                        for d in range(2)
+                    ]
+                )
+                retry = RetryPolicy(max_attempts=2)
+            return ServingSimulator(
+                [SprintDevice(i, cost) for i in range(2)],
+                DynamicBatcher(max_batch_size=4),
+                faults=faults,
+                retry=retry,
+            ).run(stream)
+
+        result = run(requests)
+        one_pass = run(
+            [dataclasses.replace(r, output_len=1) for r in requests]
+        )
+
+        def rows(res):
+            # Every record field but the request object, which differs
+            # between the two streams in its output_len.
+            return (
+                [
+                    (rec.request.request_id, rec.batched_s,
+                     rec.service_start_s, rec.finish_s, rec.batch_size,
+                     rec.device_id, rec.attempts)
+                    for rec in res.records
+                ],
+                [
+                    (d.request.request_id, d.reason, d.dropped_s, d.attempts)
+                    for d in res.dropped
+                ],
+                dataclasses.replace(res, records=[], dropped=[]),
+            )
+
+        assert rows(result) == rows(one_pass)
+        by_id = {r.request_id: r for r in requests}
+        assert all(
+            rec.request is by_id[rec.request.request_id]
+            for rec in result.records
+        )
+        assert all(
+            d.request is by_id[d.request.request_id] for d in result.dropped
+        )
+        assert result.completed + len(result.dropped) == len(requests)
+        generative_drops = [d for d in result.dropped if d.request.output_len > 1]
+        assert bool(generative_drops) == bool(result.retries) == faulted
+
+
 class TestDevicesAndCostModel:
     def test_cost_monotone_in_length_and_cached(self):
         cost = ServiceCostModel(
@@ -227,13 +302,10 @@ class TestDevicesAndCostModel:
         cost = ServiceCostModel(S_SPRINT, ExecutionMode.SPRINT)
         device = SprintDevice(0, cost)
         spec = get_model("BERT-B")
-        from repro.serving.requests import Batch
-
-        batch = Batch(0, [Request(0, 0.0, spec, 200)], sealed_s=0.0)
-        finish = device.start_batch(batch, 0.0)
+        finish = device.start_step_batch(spec, 200, 1, False, 0.0)
         assert finish > 0.0
         with pytest.raises(RuntimeError):
-            device.start_batch(batch, finish / 2)
+            device.start_step_batch(spec, 200, 1, False, finish / 2)
         assert device.is_idle(finish)
 
     def test_multi_device_cuts_tail_latency(self):

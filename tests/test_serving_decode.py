@@ -164,8 +164,10 @@ class TestDecodeEquivalence:
 
 class TestDegeneration:
     def test_output_len_one_reduces_to_prefill_engines(self, cost_model):
-        """output_len == 1 everywhere: the generative loop IS the
-        legacy loop -- same batches, same floats, on both paths."""
+        """output_len == 1 everywhere: the prefill and generative
+        results agree -- same batches, same floats, on both paths.
+        ``ServingSimulator`` runs the generative loop, so the reference
+        half checks its mapping onto prefill record fields."""
         table = generate_request_table(
             PoissonProcess(120.0), {"BERT-B": 0.6, "ViT-B": 0.4},
             count=150, seed=3,

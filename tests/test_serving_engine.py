@@ -487,15 +487,20 @@ class TestDispatchProperty:
         case=dispatch_cases(),
         num_devices=st.integers(1, 5),
         max_wait_s=st.sampled_from((0.0, 2e-3)),
+        max_batch_size=st.integers(1, 9),
     )
-    @example(case=ONE_DEVICE_BURST, num_devices=1, max_wait_s=2e-3)
-    @example(case=ONE_DEVICE_BURST, num_devices=1, max_wait_s=0.0)
-    @example(case=FLEET_BURST, num_devices=3, max_wait_s=2e-3)
-    @example(case=FLEET_BURST, num_devices=3, max_wait_s=0.0)
+    @example(case=ONE_DEVICE_BURST, num_devices=1, max_wait_s=2e-3, max_batch_size=8)
+    @example(case=ONE_DEVICE_BURST, num_devices=1, max_wait_s=0.0, max_batch_size=8)
+    @example(case=FLEET_BURST, num_devices=3, max_wait_s=2e-3, max_batch_size=8)
+    @example(case=FLEET_BURST, num_devices=3, max_wait_s=0.0, max_batch_size=8)
     @settings(max_examples=60, deadline=None)
-    def test_fast_equals_reference(self, cost_model, case, num_devices, max_wait_s):
+    def test_fast_equals_reference(
+        self, cost_model, case, num_devices, max_wait_s, max_batch_size
+    ):
         table = _tie_heavy_table(case, max_wait_s)
-        assert_engines_equal(table, cost_model, num_devices, max_wait_s)
+        assert_engines_equal(
+            table, cost_model, num_devices, max_wait_s, max_batch_size
+        )
 
     @pytest.mark.parametrize(
         "case, num_devices", [(ONE_DEVICE_BURST, 1), (FLEET_BURST, 3)]
