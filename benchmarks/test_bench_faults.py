@@ -91,7 +91,7 @@ def test_bench_no_fault_overhead(stream):
     start = time.perf_counter()
     empty = simulate_faulty_table(table, cost, FaultSchedule.none(1))
     fault_core_s = time.perf_counter() - start
-    assert empty.completed_count == NUM_REQUESTS
+    assert empty.completed == NUM_REQUESTS
 
     if GATE_ARMED:
         entry = {

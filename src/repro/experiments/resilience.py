@@ -25,11 +25,12 @@ value.  Units group by retry policy so a shard warms one shared cost
 model per group.
 
 Each point runs through the fault-mode columnar engine
-(:func:`~repro.serving.faults.simulate_faulty_table`) by default,
-pinned record-for-record equal to the fault-threaded per-request
-reference loop (``engine="reference"``); ``engine="stream"`` runs the
-same point out-of-core through :func:`~repro.serving.metrics
-.summarize_stream` with fixed-size sketches.
+(:func:`~repro.serving.engine.simulate_table` with ``faults=``) by
+default, pinned record-for-record equal to the fault-threaded
+per-request reference loop (``engine="reference"``);
+``engine="stream"`` runs the same point out-of-core through
+:func:`~repro.serving.metrics.summarize_stream` with fixed-size
+sketches.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ from repro.obs.trace import TraceConfig, TraceRecorder
 from repro.serving.arrivals import generate_request_table
 from repro.serving.batching import DynamicBatcher
 from repro.serving.devices import ServiceCostModel, SprintDevice, shared_cost_model
-from repro.serving.faults import FaultSchedule, RetryPolicy, simulate_faulty_table
+from repro.serving.engine import simulate_table
+from repro.serving.faults import FaultSchedule, RetryPolicy
 from repro.serving.metrics import ServingReport, summarize, summarize_stream
 from repro.serving.scheduler import ServingSimulator
 from repro.serving.stream import RequestStream
@@ -247,10 +249,10 @@ class ResilienceExperiment:
         cost.prime(table.specs[0], table.valid_len)
         recorder = self._trace_recorder()
         if self.engine == "fast":
-            result = simulate_faulty_table(
+            result = simulate_table(
                 table,
                 cost,
-                faults,
+                faults=faults,
                 retry=retry,
                 num_devices=num_devices,
                 max_batch_size=self.max_batch_size,

@@ -54,8 +54,19 @@ batch, affected requests re-enter their queue under a
 once their per-request deadline passes, and :func:`summarize` /
 :func:`summarize_stream` report availability, goodput, retries, and
 wasted energy.  ``simulate_table`` / ``simulate_stream`` take
-``faults=`` / ``retry=`` and stay bitwise-equal to the fault-threaded
-reference loop; with no schedule the fast paths are untouched.
+``faults=`` / ``retry=``, run the decode engine's drivers with the
+schedule as their fault hook, and stay bitwise-equal to the
+fault-threaded reference loop; with no schedule the fast paths are
+untouched.
+
+Every columnar run returns one of three types, one per role, whatever
+its traffic shape: :class:`ColumnarServingResult` (a whole table),
+:class:`CompletedChunk` (one streamed flush, handed to the ``sink``)
+and :class:`StreamedServingResult` (a streamed run's totals).
+Generative traffic fills their ``output_len`` / ``first_token_s`` /
+``decode_slots`` columns, and fault mode their ``attempts`` and drop
+columns and fault totals.  The ``Decode*`` and ``Fault*`` names are
+aliases of these three.
 
 Both paths accept an optional :class:`repro.obs.trace.TraceRecorder`
 for sim-time request tracing, and :func:`summarize` can fold latency
@@ -104,13 +115,7 @@ from repro.serving.batching import (
     StepBatch,
     StepItem,
 )
-from repro.serving.decode import (
-    DecodeColumnarResult,
-    DecodeCompletedChunk,
-    DecodeStreamedResult,
-    simulate_decode_stream,
-    simulate_decode_table,
-)
+from repro.serving.decode import simulate_decode_stream, simulate_decode_table
 from repro.serving.devices import (
     SampleCost,
     ServiceCostModel,
@@ -120,6 +125,12 @@ from repro.serving.devices import (
 from repro.serving.engine import (
     ColumnarServingResult,
     CompletedChunk,
+    DecodeColumnarResult,
+    DecodeCompletedChunk,
+    DecodeStreamedResult,
+    FaultColumnarResult,
+    FaultCompletedChunk,
+    FaultStreamedResult,
     StreamedServingResult,
     simulate_stream,
     simulate_table,
@@ -128,10 +139,7 @@ from repro.serving.events import Event, EventKind, EventQueue
 from repro.serving.faults import (
     DeviceFaultTrace,
     DroppedRecord,
-    FaultColumnarResult,
-    FaultCompletedChunk,
     FaultSchedule,
-    FaultStreamedResult,
     RetryPolicy,
     simulate_faulty_stream,
     simulate_faulty_table,

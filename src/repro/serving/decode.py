@@ -34,20 +34,28 @@ seals on ``max_batch_size`` members or when its oldest step has waited
 ``max_wait_s``; prefill and decode steps never share a batch; when no
 future step can ever join, pending queues flush immediately.
 
-The same core also runs fault mode (:mod:`repro.serving.faults`): given
-a :class:`~repro.serving.faults.FaultSchedule` and a
-:class:`~repro.serving.faults.RetryPolicy`, it dispatches only to
-devices that are up, loses batches whose device fails mid-service, and
-retries or drops their members -- one step at a time, with
-macro-stepping off.  Prefill tables run as the ``output_len == 1``
-degenerate case.
+Both drivers take the fault hook (:mod:`repro.serving.faults`): given a
+:class:`~repro.serving.faults.FaultSchedule` (``faults=``) and a
+:class:`~repro.serving.faults.RetryPolicy` (``retry=``), the core
+dispatches only to devices that are up, loses batches whose device
+fails mid-service, and retries or drops their members -- one step at a
+time, with macro-stepping off.  Prefill tables run as the
+``output_len == 1`` degenerate case.
+
+Results come back as the serving layer's three columnar types
+(:mod:`repro.serving.engine`): :class:`~repro.serving.engine.
+ColumnarServingResult` from the table driver, :class:`~repro.serving.
+engine.CompletedChunk` batches and a :class:`~repro.serving.engine.
+StreamedServingResult` from the stream driver.  A table with an
+``output_len`` column fills their generative columns, and a schedule
+their fault columns and totals; a prefill table gives a
+prefill-shaped result.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -55,9 +63,24 @@ import numpy as np
 
 from repro.obs.trace import TraceRecorder
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
-from repro.serving.engine import _queue_map
-from repro.serving.requests import Request, RequestTable, has_duplicate_ids
-from repro.serving.scheduler import DecodeRecord, GenerativeResult
+from repro.serving.engine import (
+    _MIXED_CHUNKS,
+    ColumnarServingResult,
+    CompletedChunk,
+    StreamedServingResult,
+    _queue_map,
+    _record_spans,
+)
+from repro.serving.faults import (
+    DROP_DEADLINE,
+    DROP_REASON_NAMES,
+    DROP_RETRIES,
+    DROP_STRANDED,
+    FaultSchedule,
+    RetryPolicy,
+    _emit_fault_trace,
+)
+from repro.serving.requests import RequestTable, has_duplicate_ids
 
 
 # Per-request record layout (plain lists: the hot loop touches these
@@ -80,196 +103,29 @@ _QID = 14     # name-keyed queue id (duplicate-name specs share one)
 _FLS = 15     # lost dispatches so far (fault mode)
 _ADL = 16     # absolute deadline: arrival + deadline_s (inf if none)
 
-#: Drop-reason codes (the fault results' ``drop_reason`` column; 0 =
-#: completed).
-DROP_NONE = 0
-DROP_RETRIES = 1
-DROP_DEADLINE = 2
-DROP_STRANDED = 3
-
-
-@dataclass
-class DecodeColumnarResult:
-    """A generative run's outcome as struct-of-arrays columns.
-
-    Rows follow the canonical (arrival_s, request_id) sort of the
-    input table; every value is bitwise equal to the reference loop's
-    :class:`~repro.serving.scheduler.DecodeRecord` fields.
-    """
-
-    specs: List
-    request_id: np.ndarray
-    arrival_s: np.ndarray
-    spec_idx: np.ndarray
-    valid_len: np.ndarray
-    output_len: np.ndarray
-    prefill_batched_s: np.ndarray
-    prefill_start_s: np.ndarray
-    first_token_s: np.ndarray
-    finish_s: np.ndarray
-    prefill_batch_size: np.ndarray
-    prefill_device_id: np.ndarray
-    decode_slots: np.ndarray
-    start_s: float
-    end_s: float
-    device_busy_s: List[float]
-    device_energy_pj: List[float]
-    batches: int
-    prefill_batches: int
-    decode_batches: int
-    size_triggered_batches: int
-    timeout_triggered_batches: int
-    total_tokens: int
-    #: Optional per-request deadline column (seconds relative to
-    #: arrival, ``inf`` = none), carried through the canonical sort so
-    #: :meth:`to_result` round-trips deadline-bearing tables losslessly.
-    deadline_s: Optional[np.ndarray] = None
-
-    @property
-    def duration_s(self) -> float:
-        return max(self.end_s - self.start_s, 0.0)
-
-    @property
-    def completed(self) -> int:
-        return int(self.request_id.size)
-
-    @property
-    def latency_s(self) -> np.ndarray:
-        """End-to-end latency column: arrival to last token."""
-        return self.finish_s - self.arrival_s
-
-    @property
-    def queue_wait_s(self) -> np.ndarray:
-        """Arrival to prefill service start."""
-        return self.prefill_start_s - self.arrival_s
-
-    @property
-    def ttft_s(self) -> np.ndarray:
-        """Time-to-first-token column: arrival to prefill finish."""
-        return self.first_token_s - self.arrival_s
-
-    @property
-    def tbt_s(self) -> np.ndarray:
-        """Mean time between tokens per request (NaN when 1 token)."""
-        steps = (self.output_len - 1).astype(np.float64)
-        return np.divide(
-            self.finish_s - self.first_token_s,
-            steps,
-            out=np.full(steps.shape, np.nan),
-            where=steps > 0,
-        )
-
-    def to_result(self) -> GenerativeResult:
-        """Materialize reference-shaped records (tests, small runs)."""
-        records = [
-            DecodeRecord(
-                request=Request(
-                    request_id=int(self.request_id[i]),
-                    arrival_s=float(self.arrival_s[i]),
-                    spec=self.specs[int(self.spec_idx[i])],
-                    valid_len=int(self.valid_len[i]),
-                    output_len=int(self.output_len[i]),
-                    deadline_s=(
-                        None
-                        if self.deadline_s is None
-                        or not np.isfinite(self.deadline_s[i])
-                        else float(self.deadline_s[i])
-                    ),
-                ),
-                prefill_batched_s=float(self.prefill_batched_s[i]),
-                prefill_start_s=float(self.prefill_start_s[i]),
-                first_token_s=float(self.first_token_s[i]),
-                finish_s=float(self.finish_s[i]),
-                prefill_batch_size=int(self.prefill_batch_size[i]),
-                prefill_device_id=int(self.prefill_device_id[i]),
-                decode_slots=int(self.decode_slots[i]),
-            )
-            for i in range(self.completed)
-        ]
-        return GenerativeResult(
-            records=records,
-            start_s=self.start_s,
-            end_s=self.end_s,
-            device_busy_s=list(self.device_busy_s),
-            device_energy_pj=list(self.device_energy_pj),
-            batches=self.batches,
-            prefill_batches=self.prefill_batches,
-            decode_batches=self.decode_batches,
-            size_triggered_batches=self.size_triggered_batches,
-            timeout_triggered_batches=self.timeout_triggered_batches,
-            total_tokens=self.total_tokens,
-        )
-
-
-@dataclass
-class DecodeCompletedChunk:
-    """Outcome columns for requests retired by the chunked decode driver.
-
-    Rows are in completion (finish-event) order; values are bitwise
-    equal to the whole-table run's.  Downstream consumers
-    (:func:`repro.serving.metrics.summarize_stream`) fold these into
-    fixed-size sketches and drop them.
-    """
-
-    specs: List
-    request_id: np.ndarray
-    arrival_s: np.ndarray
-    spec_idx: np.ndarray
-    valid_len: np.ndarray
-    output_len: np.ndarray
-    prefill_batched_s: np.ndarray
-    prefill_start_s: np.ndarray
-    first_token_s: np.ndarray
-    finish_s: np.ndarray
-    prefill_batch_size: np.ndarray
-    prefill_device_id: np.ndarray
-    decode_slots: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.request_id.size)
-
-    @property
-    def latency_s(self) -> np.ndarray:
-        return self.finish_s - self.arrival_s
-
-    @property
-    def queue_wait_s(self) -> np.ndarray:
-        return self.prefill_start_s - self.arrival_s
-
-    @property
-    def ttft_s(self) -> np.ndarray:
-        return self.first_token_s - self.arrival_s
-
-    @property
-    def tbt_s(self) -> np.ndarray:
-        steps = (self.output_len - 1).astype(np.float64)
-        return np.divide(
-            self.finish_s - self.first_token_s,
-            steps,
-            out=np.full(steps.shape, np.nan),
-            where=steps > 0,
-        )
-
-
-@dataclass
-class DecodeStreamedResult:
-    """Run-level aggregates of a chunked generative simulation."""
-
-    completed: int
-    start_s: float
-    end_s: float
-    device_busy_s: List[float]
-    device_energy_pj: List[float]
-    batches: int
-    prefill_batches: int
-    decode_batches: int
-    size_triggered_batches: int
-    timeout_triggered_batches: int
-    total_tokens: int
-
-    @property
-    def duration_s(self) -> float:
-        return max(self.end_s - self.start_s, 0.0)
+#: Result columns read off finished records, as (name, dtype, record
+#: slot).  The whole-table driver takes the request columns from its
+#: sorted input instead, and the generative ones apply only to tables
+#: with an ``output_len`` column.
+_REQUEST_COLUMNS = (
+    ("request_id", np.int64, _RID),
+    ("arrival_s", np.float64, _ARR),
+    ("spec_idx", np.int64, _SPEC),
+    ("valid_len", np.int64, _VLEN),
+)
+_OUTCOME_COLUMNS = (
+    ("batched_s", np.float64, _PFB),
+    ("service_start_s", np.float64, _PFS),
+    ("finish_s", np.float64, _FIN),
+    ("batch_size", np.int64, _PFSZ),
+    ("device_id", np.int64, _PFD),
+)
+_GENERATIVE_COLUMNS = (
+    ("first_token_s", np.float64, _FT),
+    ("decode_slots", np.int64, _DSLOT),
+)
+#: An outcome column's value on a dropped row; times are NaN.
+_DROPPED_FILL = {"batch_size": 0, "device_id": -1, "decode_slots": 0}
 
 
 def _build_cost_vectors(
@@ -390,13 +246,11 @@ class _DecodeCore:
         self.in_flight_rejoiners = 0
         self.arrivals_done = False
         self.last_now = 0.0
-        self.steps_in = 0
         self.batches = 0
         self.prefill_batches = 0
         self.decode_batches = 0
         self.size_triggered = 0
         self.timeout_triggered = 0
-        self.end_s = -np.inf
         # Fault mode: per-device outage traces (None = fault-free).
         self.traces = None if faults is None else faults.traces
         self.retry = retry
@@ -468,7 +322,6 @@ class _DecodeCore:
         )
 
     def _admit(self, rec, ctx: int, decode: bool, now: float, limit: float) -> None:
-        self.steps_in += 1
         key = (rec[_QID], decode)
         queues = self.queues
         q = queues.get(key)
@@ -658,7 +511,6 @@ class _DecodeCore:
                 m += 1
                 if m == last or fin > hi or (strict and fin == hi):
                     break
-            self.end_s = prev
             self.last_now = prev
         else:
             # Timeout cadence: DONE at fin_j -> members re-queue ->
@@ -668,7 +520,6 @@ class _DecodeCore:
             # bounds are strict.
             w = self.max_wait_s
             hi = limit if t2 is None or limit <= t2 else t2
-            prev_fin = now
             t_seal = now
             while True:
                 ts = fin + w
@@ -678,7 +529,6 @@ class _DecodeCore:
                 s = (setup + cyc_vec[idx] * size) / freq
                 busy += s
                 energy += en_vec[idx] * size
-                prev_fin = fin
                 t_seal = ts
                 fin = ts + s
                 m += 1
@@ -686,8 +536,6 @@ class _DecodeCore:
                     break
             if m < 1:
                 return False
-            if m >= 2:
-                self.end_s = prev_fin
             self.last_now = t_seal
         self.busy_s[dev] = busy
         self.energy_pj[dev] = energy
@@ -699,7 +547,6 @@ class _DecodeCore:
             self.size_triggered += m
         else:
             self.timeout_triggered += m
-        self.steps_in += size * m
         batch[3] = s
         batch[4] = en_vec[mx + m]
         batch[5] += m
@@ -712,8 +559,6 @@ class _DecodeCore:
     def _handle_heap_event(self, limit: float) -> None:
         now, priority, _, batch = heappop(self.heap)
         if priority == 0:  # DEVICE_DONE
-            if now > self.end_s:
-                self.end_s = now
             if (
                 batch[0]
                 and batch[6] >= 2
@@ -787,7 +632,6 @@ class _DecodeCore:
                         heappush(self.heap, (now + w, 2, self.seq, None))
                         self.seq += 1
             self.in_flight_rejoiners -= rejoined
-            self.steps_in += rejoined
         elif priority == 2:  # BATCH_TIMEOUT
             if self.queues:
                 self._flush_due(now)
@@ -930,6 +774,7 @@ class _DecodeCore:
 
 
 def _validate_knobs(num_devices, max_batch_size, max_wait_s, threads=1):
+    """The one knob check behind every columnar driver."""
     if num_devices < 1:
         raise ValueError("at least one device required")
     if max_batch_size < 1:
@@ -938,6 +783,24 @@ def _validate_knobs(num_devices, max_batch_size, max_wait_s, threads=1):
         raise ValueError("max_wait_s must be non-negative")
     if threads < 1:
         raise ValueError("threads must be positive")
+
+
+def _fault_hook(
+    faults: Optional[FaultSchedule], retry: Optional[RetryPolicy], num_devices: int
+) -> Optional[RetryPolicy]:
+    """Check a run's fault knobs; returns the retry policy it runs with.
+
+    ``retry=None`` under a schedule means the default
+    :class:`~repro.serving.faults.RetryPolicy` (3 attempts, 1 ms base
+    backoff doubled each time); a policy without a schedule is an
+    error.
+    """
+    if faults is None:
+        if retry is not None:
+            raise ValueError("a retry policy requires a fault schedule")
+        return None
+    faults.validate_for(num_devices)
+    return RetryPolicy() if retry is None else retry
 
 
 def _prebuild_vectors(core: _DecodeCore, spec_i, vlen, olen, threads: int) -> None:
@@ -974,6 +837,112 @@ def _prebuild_vectors(core: _DecodeCore, spec_i, vlen, olen, threads: int) -> No
             _one(target)
 
 
+def _core_result(
+    core: _DecodeCore,
+    request: dict,
+    faults: Optional[FaultSchedule],
+    recorder: Optional[TraceRecorder],
+) -> ColumnarServingResult:
+    """Map a finished core's records onto the rows of the sorted table.
+
+    ``request`` holds the sorted input columns under their result field
+    names.  The fault columns and totals join only under a schedule;
+    there, dropped rows keep NaN times, batch size 0 and device -1.
+    ``recorder`` receives the completed requests' lifecycle spans and
+    the schedule's outages and retries, byte-identical to the
+    reference loop's.
+    """
+    n = request["request_id"].size
+    output_len = request["output_len"]
+    recs = core.completed
+    rows = np.array([rec[_ROW] for rec in recs], dtype=np.int64)
+    columns = _OUTCOME_COLUMNS
+    if output_len is not None:
+        columns += _GENERATIVE_COLUMNS
+    outcome = {}
+    for name, dtype, slot in columns:
+        col = np.full(n, _DROPPED_FILL.get(name, np.nan), dtype=dtype)
+        col[rows] = [rec[slot] for rec in recs]
+        outcome[name] = col
+    finish = outcome["finish_s"]
+    start_s = float(request["arrival_s"][0])
+    fault_columns: dict = {}
+    if faults is None:
+        end_s = float(finish.max())
+    else:
+        drops = core.dropped
+        drop_order = np.array([rec[_ROW] for rec, _, _ in drops], dtype=np.int64)
+        attempts = np.zeros(n, dtype=np.int64)
+        attempts[rows] = [rec[_FLS] + 1 for rec in recs]
+        attempts[drop_order] = [rec[_FLS] for rec, _, _ in drops]
+        drop_reason = np.zeros(n, dtype=np.int8)
+        drop_reason[drop_order] = [reason for _, reason, _ in drops]
+        dropped_s = np.full(n, np.nan)
+        dropped_s[drop_order] = [at for _, _, at in drops]
+        # Each row either finished or dropped: fmax skips the other NaN.
+        end_s = float(np.fmax(finish, dropped_s).max())
+        fault_columns = dict(
+            attempts=attempts,
+            drop_reason=drop_reason,
+            dropped_s=dropped_s,
+            drop_order=drop_order,
+            retry_events=list(core.retry_events),
+            **_fault_totals(core, faults, start_s, end_s, _count_drops(drops)),
+        )
+    result = ColumnarServingResult(
+        **request,
+        **outcome,
+        **fault_columns,
+        completed=len(recs),
+        start_s=start_s,
+        end_s=end_s,
+        device_busy_s=list(core.busy_s),
+        device_energy_pj=list(core.energy_pj),
+        batches=core.batches,
+        prefill_batches=core.prefill_batches,
+        decode_batches=core.decode_batches,
+        size_triggered_batches=core.size_triggered,
+        timeout_triggered_batches=core.timeout_triggered,
+        total_tokens=len(recs) if output_len is None else int(output_len[rows].sum()),
+    )
+    if recorder is not None:
+        _record_spans(recorder, result)
+        if faults is not None:
+            _emit_fault_trace(
+                recorder, faults, core.num_devices, start_s, end_s, core.retry_events
+            )
+    return result
+
+
+def _fault_totals(
+    core: _DecodeCore,
+    faults: FaultSchedule,
+    start_s: float,
+    end_s: float,
+    dropped_by_reason: Dict[str, int],
+) -> dict:
+    """A finished fault-mode core's totals, given its drop counts."""
+    return dict(
+        dropped=sum(dropped_by_reason.values()),
+        dropped_by_reason=dropped_by_reason,
+        retries=core.retries,
+        failed_batches=core.failed_batches,
+        wasted_energy_pj=core.wasted_energy_pj,
+        device_downtime_s=[
+            faults.downtime_within(d, start_s, end_s) for d in range(core.num_devices)
+        ],
+    )
+
+
+def _count_drops(drops, by_reason: Optional[Dict[str, int]] = None) -> Dict[str, int]:
+    """Drop counts per reason name, added onto ``by_reason`` if given."""
+    if by_reason is None:
+        by_reason = dict.fromkeys(DROP_REASON_NAMES.values(), 0)
+    for _, reason, _ in drops:
+        by_reason[DROP_REASON_NAMES[reason]] += 1
+    return by_reason
+
+
 def simulate_decode_table(
     table: RequestTable,
     cost_model: ServiceCostModel,
@@ -986,7 +955,7 @@ def simulate_decode_table(
     _vectors: Optional[dict] = None,
     faults=None,
     retry=None,
-) -> "DecodeColumnarResult | FaultColumnarResult":
+) -> ColumnarServingResult:
     """Run one deployment over a generative columnar stream; fast path.
 
     Identical knobs and semantics to building ``num_devices``
@@ -995,7 +964,18 @@ def simulate_decode_table(
     :meth:`~repro.serving.scheduler.GenerativeServingSimulator.run`;
     per-request timestamps, busy/energy folds, and batch counters are
     bitwise equal.  Tables without an ``output_len`` column run as
-    all-``output_len=1`` generative traffic (pure prefill).
+    one-token requests (pure prefill) and return a prefill-shaped
+    result, which :meth:`~repro.serving.engine.ColumnarServingResult.
+    to_result` turns into a :class:`~repro.serving.scheduler.
+    ServingResult`.
+
+    ``faults`` (a :class:`~repro.serving.faults.FaultSchedule`) is the
+    fault hook: the core dispatches only to devices that are up, loses
+    batches whose device fails mid-service, and retries or drops their
+    members under ``retry`` (default :class:`~repro.serving.faults.
+    RetryPolicy`).  The result then covers every offered request and
+    carries the drop columns and fault totals; it stays bitwise equal
+    to the fault-threaded reference loop.
 
     ``recorder`` emits the sampled requests' lifecycle spans post-hoc
     from the finished columns (prefill batching/dispatch, decode phase,
@@ -1010,37 +990,25 @@ def simulate_decode_table(
     if len(table) == 0:
         raise ValueError("request stream must not be empty")
     _validate_knobs(num_devices, max_batch_size, max_wait_s, threads)
-    if faults is not None:
-        from repro.serving.faults import simulate_faulty_table
-
-        if _vectors is not None:
-            raise ValueError("sharded cost vectors do not apply under fault injection")
-        return simulate_faulty_table(
-            table,
-            cost_model,
-            faults,
-            retry=retry,
-            num_devices=num_devices,
-            max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
-            setup_cycles=setup_cycles,
-            recorder=recorder,
-        )
-    if retry is not None:
-        raise ValueError("a retry policy requires a fault schedule")
+    retry = _fault_hook(faults, retry, num_devices)
+    if faults is not None and _vectors is not None:
+        raise ValueError("sharded cost vectors do not apply under fault injection")
     if has_duplicate_ids(table.request_id):
         raise ValueError("duplicate request id in stream")
 
     order = np.lexsort((table.request_id, table.arrival_s))
-    rid = table.request_id[order]
-    arr = table.arrival_s[order]
-    spec_i = table.spec_idx[order]
-    vlen = table.valid_len[order]
-    if table.output_len is None:
+    request = dict(
+        specs=table.specs,
+        request_id=table.request_id[order],
+        arrival_s=table.arrival_s[order],
+        spec_idx=table.spec_idx[order],
+        valid_len=table.valid_len[order],
+        output_len=None if table.output_len is None else table.output_len[order],
+        deadline_s=None if table.deadline_s is None else table.deadline_s[order],
+    )
+    olen = request["output_len"]
+    if olen is None:
         olen = np.ones(len(table), dtype=np.int64)
-    else:
-        olen = table.output_len[order]
-
     core = _DecodeCore(
         table.specs,
         cost_model,
@@ -1048,6 +1016,8 @@ def simulate_decode_table(
         max_batch_size,
         max_wait_s,
         setup_cycles,
+        faults=faults,
+        retry=retry,
     )
     if _vectors:
         core.vecs.update(
@@ -1057,101 +1027,20 @@ def simulate_decode_table(
             }
         )
     elif threads > 1:
-        _prebuild_vectors(core, spec_i, vlen, olen, threads)
-    core.run_arrivals(rid, arr, spec_i, vlen, olen, 0)
-    core.finalize()
-
-    n = len(table)
-    prefill_batched = np.empty(n, dtype=np.float64)
-    prefill_start = np.empty(n, dtype=np.float64)
-    first_token = np.empty(n, dtype=np.float64)
-    finish = np.empty(n, dtype=np.float64)
-    prefill_size = np.empty(n, dtype=np.int64)
-    prefill_dev = np.empty(n, dtype=np.int64)
-    dslots = np.empty(n, dtype=np.int64)
-    assert len(core.completed) == n
-    for rec in core.completed:
-        row = rec[_ROW]
-        prefill_batched[row] = rec[_PFB]
-        prefill_start[row] = rec[_PFS]
-        first_token[row] = rec[_FT]
-        finish[row] = rec[_FIN]
-        prefill_size[row] = rec[_PFSZ]
-        prefill_dev[row] = rec[_PFD]
-        dslots[row] = rec[_DSLOT]
-
-    if recorder is not None:
-        specs = table.specs
-        for i in range(n):
-            recorder.add_request(
-                request_id=int(rid[i]),
-                model=specs[int(spec_i[i])].name,
-                arrival_s=float(arr[i]),
-                batched_s=float(prefill_batched[i]),
-                service_start_s=float(prefill_start[i]),
-                finish_s=float(finish[i]),
-                device_id=int(prefill_dev[i]),
-                batch_size=int(prefill_size[i]),
-            )
-            recorder.add_decode_phase(
-                request_id=int(rid[i]),
-                model=specs[int(spec_i[i])].name,
-                first_token_s=float(first_token[i]),
-                finish_s=float(finish[i]),
-                tokens=int(olen[i]) - 1,
-            )
-
-    return DecodeColumnarResult(
-        specs=table.specs,
-        request_id=rid,
-        arrival_s=arr,
-        spec_idx=spec_i,
-        valid_len=vlen,
-        output_len=olen,
-        prefill_batched_s=prefill_batched,
-        prefill_start_s=prefill_start,
-        first_token_s=first_token,
-        finish_s=finish,
-        prefill_batch_size=prefill_size,
-        prefill_device_id=prefill_dev,
-        decode_slots=dslots,
-        start_s=float(arr[0]),
-        end_s=float(finish.max()),
-        device_busy_s=list(core.busy_s),
-        device_energy_pj=list(core.energy_pj),
-        batches=core.batches,
-        prefill_batches=core.prefill_batches,
-        decode_batches=core.decode_batches,
-        size_triggered_batches=core.size_triggered,
-        timeout_triggered_batches=core.timeout_triggered,
-        total_tokens=int(olen.sum()),
-        deadline_s=(None if table.deadline_s is None else table.deadline_s[order]),
+        _prebuild_vectors(
+            core, request["spec_idx"], request["valid_len"], olen, threads
+        )
+    core.run_arrivals(
+        request["request_id"],
+        request["arrival_s"],
+        request["spec_idx"],
+        request["valid_len"],
+        olen,
+        0,
+        request["deadline_s"],
     )
-
-
-def _completed_chunk(specs, recs) -> DecodeCompletedChunk:
-    n = len(recs)
-    cols = {
-        "request_id": (np.int64, _RID),
-        "arrival_s": (np.float64, _ARR),
-        "spec_idx": (np.int64, _SPEC),
-        "valid_len": (np.int64, _VLEN),
-        "output_len": (np.int64, _OLEN),
-        "prefill_batched_s": (np.float64, _PFB),
-        "prefill_start_s": (np.float64, _PFS),
-        "first_token_s": (np.float64, _FT),
-        "finish_s": (np.float64, _FIN),
-        "prefill_batch_size": (np.int64, _PFSZ),
-        "prefill_device_id": (np.int64, _PFD),
-        "decode_slots": (np.int64, _DSLOT),
-    }
-    arrays = {}
-    for name, (dtype, at) in cols.items():
-        col = np.empty(n, dtype=dtype)
-        for i, rec in enumerate(recs):
-            col[i] = rec[at]
-        arrays[name] = col
-    return DecodeCompletedChunk(specs=specs, **arrays)
+    core.finalize()
+    return _core_result(core, request, faults, recorder)
 
 
 def simulate_decode_stream(
@@ -1161,27 +1050,30 @@ def simulate_decode_stream(
     max_batch_size: int = 8,
     max_wait_s: float = 2e-3,
     setup_cycles: int = DEFAULT_SETUP_CYCLES,
-    sink: Optional[Callable[[DecodeCompletedChunk], None]] = None,
+    sink: Optional[Callable[[CompletedChunk], None]] = None,
     threads: int = 1,
     faults=None,
     retry=None,
-) -> "DecodeStreamedResult | FaultStreamedResult":
+) -> StreamedServingResult:
     """Out-of-core generative simulation over a chunked request stream.
 
     The generative twin of :func:`~repro.serving.engine.
-    simulate_stream`: consumes generative ``RequestTable`` chunks in
-    arrival order, holds only the event-loop frontier (open queues,
-    in-flight step batches, device folds) plus one chunk, and retires
-    completed requests through ``sink`` as
-    :class:`DecodeCompletedChunk` columns in completion order.  Every
-    emitted value and aggregate is bitwise equal to the whole-table
+    simulate_stream`: consumes ``RequestTable`` chunks in arrival
+    order, holds only the event-loop frontier (open queues, in-flight
+    step batches, device folds) plus one chunk, and retires completed
+    requests through ``sink`` as :class:`~repro.serving.engine.
+    CompletedChunk` columns in completion order.  Every emitted value
+    and total is bitwise equal to the whole-table
     :func:`simulate_decode_table` run of the concatenated stream, at
-    any chunk size.
+    any chunk size -- with or without a ``faults`` schedule, which
+    adds the ``attempts`` column and the fault totals.
 
     Chunks must be non-overlapping and ordered (each chunk's earliest
     (arrival, id) lexicographically follows the previous chunk's
-    latest) and share one spec list; request-id uniqueness across
-    chunks is the caller's contract, as in the prefill driver.
+    latest), share one spec list, and either all carry an
+    ``output_len`` column or all lack one.  Request-id uniqueness
+    across chunks is the caller's contract, as in the prefill driver,
+    except under a schedule, where the driver checks it.
 
     ``threads > 1`` builds each chunk's per-queue cost vectors across a
     thread pool before feeding the chunk's arrivals (vectors extend
@@ -1190,41 +1082,53 @@ def simulate_decode_stream(
     every thread count.
     """
     _validate_knobs(num_devices, max_batch_size, max_wait_s, threads)
-    if faults is not None:
-        from repro.serving.faults import simulate_faulty_stream
-
-        return simulate_faulty_stream(
-            chunks,
-            cost_model,
-            faults,
-            retry=retry,
-            num_devices=num_devices,
-            max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
-            setup_cycles=setup_cycles,
-            sink=sink,
-        )
-    if retry is not None:
-        raise ValueError("a retry policy requires a fault schedule")
+    retry = _fault_hook(faults, retry, num_devices)
     core: Optional[_DecodeCore] = None
     specs: Optional[List] = None
+    generative = False
+    columns: tuple = ()
+    seen_ids: Optional[set] = None if faults is None else set()
     start_s = 0.0
+    end_s = -np.inf
     row_base = 0
+    completed = 0
+    total_tokens = 0
+    dropped_by_reason = _count_drops(())
     prev_arrival = -np.inf
     prev_id = -1
 
     def _drain() -> None:
-        if core.completed:
-            chunk_out = _completed_chunk(specs, core.completed)
-            core.completed.clear()
+        nonlocal end_s, completed, total_tokens
+        recs = core.completed
+        if recs:
+            cols = {
+                name: np.array([rec[slot] for rec in recs], dtype=dtype)
+                for name, dtype, slot in columns
+            }
+            if faults is not None:
+                cols["attempts"] = np.array(
+                    [rec[_FLS] + 1 for rec in recs], dtype=np.int64
+                )
+            end_s = max(end_s, float(cols["finish_s"].max()))
+            completed += len(recs)
+            total_tokens += int(cols["output_len"].sum()) if generative else len(recs)
+            recs.clear()
             if sink is not None:
-                sink(chunk_out)
+                sink(CompletedChunk(specs=specs, **cols))
+        if core.dropped:
+            _count_drops(core.dropped, dropped_by_reason)
+            end_s = max(end_s, max(at for _, _, at in core.dropped))
+            core.dropped.clear()
 
     for chunk in chunks:
         if len(chunk) == 0:
             continue
         if specs is None:
             specs = list(chunk.specs)
+            generative = chunk.output_len is not None
+            columns = _REQUEST_COLUMNS + _OUTCOME_COLUMNS
+            if generative:
+                columns += (("output_len", np.int64, _OLEN),) + _GENERATIVE_COLUMNS
             core = _DecodeCore(
                 specs,
                 cost_model,
@@ -1232,9 +1136,13 @@ def simulate_decode_stream(
                 max_batch_size,
                 max_wait_s,
                 setup_cycles,
+                faults=faults,
+                retry=retry,
             )
         elif list(chunk.specs) != specs:
             raise ValueError("chunks must share one spec list")
+        if (chunk.output_len is not None) != generative:
+            raise ValueError(_MIXED_CHUNKS)
         order = np.lexsort((chunk.request_id, chunk.arrival_s))
         rid = chunk.request_id[order]
         arr = chunk.arrival_s[order]
@@ -1244,26 +1152,41 @@ def simulate_decode_stream(
             raise ValueError("chunks must be ordered by (arrival_s, request_id)")
         if has_duplicate_ids(rid):
             raise ValueError("duplicate request id in chunk")
+        if seen_ids is not None:
+            seen_ids.update(rid.tolist())
+            if len(seen_ids) != row_base + len(chunk):
+                raise ValueError("duplicate request id across chunks")
         prev_arrival, prev_id = float(arr[-1]), int(rid[-1])
-        if chunk.output_len is None:
-            olen = np.ones(len(chunk), dtype=np.int64)
-        else:
+        if generative:
             olen = chunk.output_len[order]
+        else:
+            olen = np.ones(len(chunk), dtype=np.int64)
         spec_col = chunk.spec_idx[order]
         vlen_col = chunk.valid_len[order]
         if threads > 1:
             _prebuild_vectors(core, spec_col, vlen_col, olen, threads)
-        core.run_arrivals(rid, arr, spec_col, vlen_col, olen, row_base)
+        core.run_arrivals(
+            rid,
+            arr,
+            spec_col,
+            vlen_col,
+            olen,
+            row_base,
+            None if chunk.deadline_s is None else chunk.deadline_s[order],
+        )
         row_base += len(chunk)
         _drain()
     if core is None:
         raise ValueError("request stream must not be empty")
     core.finalize()
     _drain()
-    return DecodeStreamedResult(
-        completed=row_base,
+    fault_totals: dict = {}
+    if faults is not None:
+        fault_totals = _fault_totals(core, faults, start_s, end_s, dropped_by_reason)
+    return StreamedServingResult(
+        completed=completed,
         start_s=start_s,
-        end_s=float(core.end_s),
+        end_s=end_s,
         device_busy_s=list(core.busy_s),
         device_energy_pj=list(core.energy_pj),
         batches=core.batches,
@@ -1271,5 +1194,6 @@ def simulate_decode_stream(
         decode_batches=core.decode_batches,
         size_triggered_batches=core.size_triggered,
         timeout_triggered_batches=core.timeout_triggered,
-        total_tokens=core.steps_in,
+        total_tokens=total_tokens,
+        **fault_totals,
     )

@@ -33,80 +33,208 @@ The equivalence contract: for any stream, knobs, and device count,
 floating-point expressions are evaluated in the same order, only
 batched.  ``tests/test_serving_engine.py`` pins this across arrival
 patterns, execution modes, seeds, device counts, and wait bounds.
+
+Every columnar run, whatever its traffic shape (prefill, generative,
+or under a fault schedule) and whichever engine ran it, comes back as
+one of three types, one per role:
+
+* :class:`ColumnarServingResult` -- a whole-table run: per-request
+  columns plus the run totals;
+* :class:`CompletedChunk` -- the requests one streamed flush retired;
+* :class:`StreamedServingResult` -- a streamed run's totals.
+
+Generative traffic adds the ``output_len`` / ``first_token_s`` /
+``decode_slots`` columns, fault mode the ``attempts`` and drop columns
+and the fault totals; the other columns and their names are shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.obs.trace import TraceRecorder
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
-from repro.serving.requests import RequestRecord, RequestTable, has_duplicate_ids
-from repro.serving.scheduler import ServingResult
+from repro.serving.faults import DROP_REASON_NAMES, DroppedRecord
+from repro.serving.requests import (
+    Request,
+    RequestRecord,
+    RequestTable,
+    has_duplicate_ids,
+)
+from repro.serving.scheduler import DecodeRecord, GenerativeResult, ServingResult
+
+#: Raised by both stream drivers: a ``RequestTable`` either has an
+#: ``output_len`` column or not, so a mixed stream has no whole-table run
+#: to be equal to.
+_MIXED_CHUNKS = "chunks must all carry an output_len column, or all lack one"
 
 
-@dataclass
-class ColumnarServingResult:
-    """Everything one fast-path run produced, as per-request columns.
+@dataclass(kw_only=True)
+class StreamedServingResult:
+    """Run totals of one columnar simulation, for every traffic shape.
 
-    Row ``i`` of every column describes request ``i`` of ``table``
-    (sorted by arrival, ties by request id -- the reference loop's
-    record order).  :meth:`to_result` materializes the object-based
-    :class:`~repro.serving.scheduler.ServingResult` for equivalence
-    tests; analysis paths should stay columnar via
-    :func:`~repro.serving.metrics.summarize`.
+    A chunked run returns only these (its per-request columns left
+    through the ``sink`` as :class:`CompletedChunk` batches); a
+    whole-table :class:`ColumnarServingResult` carries them beside its
+    columns.  Every field is bitwise equal between the two drivers.
+    A prefill run counts each batch as a prefill batch and each request
+    as one token.  The fault totals keep their zero defaults without a
+    fault schedule, which ``device_downtime_s is None`` marks.
     """
 
-    table: RequestTable
-    batched_s: np.ndarray
-    service_start_s: np.ndarray
-    finish_s: np.ndarray
-    batch_size: np.ndarray
-    device_id: np.ndarray
+    completed: int
     start_s: float
     end_s: float
     device_busy_s: List[float]
     device_energy_pj: List[float]
     batches: int
+    prefill_batches: int
+    decode_batches: int
     size_triggered_batches: int
     timeout_triggered_batches: int
+    #: Tokens generated by the completed requests.
+    total_tokens: int
+    dropped: int = 0
+    #: Dropped requests per reason name ('retries', 'deadline',
+    #: 'stranded').
+    dropped_by_reason: Dict[str, int] = field(default_factory=dict)
+    retries: int = 0
+    failed_batches: int = 0
+    wasted_energy_pj: float = 0.0
+    #: Per-device outage seconds within [start_s, end_s].
+    device_downtime_s: Optional[List[float]] = None
 
     @property
     def duration_s(self) -> float:
         return max(self.end_s - self.start_s, 0.0)
 
     @property
-    def completed(self) -> int:
-        return len(self.table)
+    def offered(self) -> int:
+        return self.completed + self.dropped
+
+    @property
+    def faulted(self) -> bool:
+        """Whether a fault schedule was in force."""
+        return self.device_downtime_s is not None
+
+
+@dataclass(kw_only=True)
+class CompletedChunk:
+    """Per-request columns of finished requests, for every traffic shape.
+
+    A chunked driver hands one to its ``sink`` per flush -- row order
+    within a chunk is free, the values are bitwise equal to the
+    whole-table run's -- and :class:`ColumnarServingResult` extends it
+    over a whole table.  For generative traffic the outcome columns
+    describe the prefill step (its batch's seal, start, size and
+    device), and ``finish_s`` is the last token.
+    """
+
+    specs: List
+    request_id: np.ndarray
+    arrival_s: np.ndarray
+    spec_idx: np.ndarray
+    valid_len: np.ndarray
+    batched_s: np.ndarray
+    service_start_s: np.ndarray
+    finish_s: np.ndarray
+    batch_size: np.ndarray
+    device_id: np.ndarray
+    #: Generative traffic only.
+    output_len: Optional[np.ndarray] = None
+    first_token_s: Optional[np.ndarray] = None
+    #: Summed decode batch occupancy per request.
+    decode_slots: Optional[np.ndarray] = None
+    #: Fault mode only: dispatch attempts (lost ones plus the success).
+    attempts: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return int(self.request_id.size)
+
+    @property
+    def generative(self) -> bool:
+        return self.output_len is not None
 
     @property
     def latency_s(self) -> np.ndarray:
         """End-to-end latency column: arrival to completion."""
-        return self.finish_s - self.table.arrival_s
+        return self.finish_s - self.arrival_s
 
     @property
     def queue_wait_s(self) -> np.ndarray:
-        """Arrival to service start (batching + dispatch queueing)."""
-        return self.service_start_s - self.table.arrival_s
+        """Arrival to (prefill) service start."""
+        return self.service_start_s - self.arrival_s
 
-    def to_result(self) -> ServingResult:
-        """Materialize per-request records (the reference loop's shape)."""
-        records = [
-            RequestRecord(
-                request=request,
-                batched_s=float(self.batched_s[i]),
-                service_start_s=float(self.service_start_s[i]),
-                finish_s=float(self.finish_s[i]),
-                batch_size=int(self.batch_size[i]),
-                device_id=int(self.device_id[i]),
-            )
-            for i, request in enumerate(self.table.to_requests())
-        ]
-        return ServingResult(
-            records=records,
+    @property
+    def ttft_s(self) -> np.ndarray:
+        """Time-to-first-token column: arrival to prefill finish."""
+        return self.first_token_s - self.arrival_s
+
+    @property
+    def tbt_s(self) -> np.ndarray:
+        """Mean time between tokens per request (NaN when 1 token)."""
+        steps = (self.output_len - 1).astype(np.float64)
+        return np.divide(
+            self.finish_s - self.first_token_s,
+            steps,
+            out=np.full(steps.shape, np.nan),
+            where=steps > 0,
+        )
+
+
+@dataclass(kw_only=True)
+class ColumnarServingResult(CompletedChunk, StreamedServingResult):
+    """Everything one whole-table run produced, as per-request columns.
+
+    Row ``i`` of every column describes request ``i`` of the input
+    table sorted by (arrival, id) -- the reference loop's record order.
+    Under a fault schedule the rows cover every offered request:
+    ``drop_reason`` is 0 on completed rows, and dropped rows carry NaN
+    times, batch size 0 and device -1.  :meth:`to_result` materializes
+    the reference loop's result for equivalence tests; analysis paths
+    stay columnar via :func:`~repro.serving.metrics.summarize`.
+    """
+
+    #: Per-request deadline, seconds after arrival (``inf`` = none).
+    deadline_s: Optional[np.ndarray] = None
+    #: Fault mode only: drop-reason code per row (0 = completed; see
+    #: :data:`~repro.serving.faults.DROP_REASON_NAMES`).
+    drop_reason: Optional[np.ndarray] = None
+    dropped_s: Optional[np.ndarray] = None
+    #: Row indices of dropped requests in drop-event order (the
+    #: reference result's ``dropped`` list order).
+    drop_order: Optional[np.ndarray] = None
+    #: (request id, retry instant, attempt number, model name) per
+    #: scheduled retry.
+    retry_events: Optional[list] = None
+
+    def _request_at(self, row) -> Request:
+        out = self.output_len
+        dl = self.deadline_s
+        return Request(
+            request_id=int(self.request_id[row]),
+            arrival_s=float(self.arrival_s[row]),
+            spec=self.specs[int(self.spec_idx[row])],
+            valid_len=int(self.valid_len[row]),
+            output_len=1 if out is None else int(out[row]),
+            deadline_s=(
+                None if dl is None or not np.isfinite(dl[row]) else float(dl[row])
+            ),
+        )
+
+    def to_result(self) -> ServingResult | GenerativeResult:
+        """Materialize the reference loop's result (tests, small runs).
+
+        Generative tables give a :class:`~repro.serving.scheduler.
+        GenerativeResult`, the others a :class:`~repro.serving.
+        scheduler.ServingResult`; a fault-mode run also rebuilds its
+        drop records and fault totals.
+        """
+        common = dict(
             start_s=self.start_s,
             end_s=self.end_s,
             device_busy_s=list(self.device_busy_s),
@@ -115,6 +243,103 @@ class ColumnarServingResult:
             size_triggered_batches=self.size_triggered_batches,
             timeout_triggered_batches=self.timeout_triggered_batches,
         )
+        rows = range(len(self))
+        attempts = [1] * len(self)
+        if self.faulted:
+            rows = np.flatnonzero(self.drop_reason == 0)
+            attempts = self.attempts.tolist()
+            common.update(
+                retries=self.retries,
+                failed_batches=self.failed_batches,
+                wasted_energy_pj=self.wasted_energy_pj,
+                dropped=[
+                    DroppedRecord(
+                        request=self._request_at(row),
+                        reason=DROP_REASON_NAMES[int(self.drop_reason[row])],
+                        dropped_s=float(self.dropped_s[row]),
+                        attempts=attempts[row],
+                    )
+                    for row in self.drop_order
+                ],
+                device_downtime_s=list(self.device_downtime_s),
+                retry_events=list(self.retry_events),
+            )
+        if self.generative:
+            return GenerativeResult(
+                records=[
+                    DecodeRecord(
+                        request=self._request_at(i),
+                        prefill_batched_s=float(self.batched_s[i]),
+                        prefill_start_s=float(self.service_start_s[i]),
+                        first_token_s=float(self.first_token_s[i]),
+                        finish_s=float(self.finish_s[i]),
+                        prefill_batch_size=int(self.batch_size[i]),
+                        prefill_device_id=int(self.device_id[i]),
+                        decode_slots=int(self.decode_slots[i]),
+                        attempts=attempts[i],
+                    )
+                    for i in rows
+                ],
+                prefill_batches=self.prefill_batches,
+                decode_batches=self.decode_batches,
+                total_tokens=self.total_tokens,
+                **common,
+            )
+        return ServingResult(
+            records=[
+                RequestRecord(
+                    request=self._request_at(i),
+                    batched_s=float(self.batched_s[i]),
+                    service_start_s=float(self.service_start_s[i]),
+                    finish_s=float(self.finish_s[i]),
+                    batch_size=int(self.batch_size[i]),
+                    device_id=int(self.device_id[i]),
+                    attempts=attempts[i],
+                )
+                for i in rows
+            ],
+            **common,
+        )
+
+
+#: Per-shape names of the three types, kept so that every public name
+#: of :mod:`repro.serving` still resolves.
+DecodeColumnarResult = FaultColumnarResult = ColumnarServingResult
+DecodeCompletedChunk = FaultCompletedChunk = CompletedChunk
+DecodeStreamedResult = FaultStreamedResult = StreamedServingResult
+
+
+def _record_spans(recorder: TraceRecorder, result: ColumnarServingResult) -> None:
+    """Emit the sampled completed requests' lifecycle spans, in row order.
+
+    Post hoc over the finished columns, so tracing cannot perturb a
+    computed value.  The sampled set keys on request id only, so the
+    spans match the reference loop's (and any other run of this
+    stream) exactly.
+    """
+    rows = np.flatnonzero(recorder.config.mask(result.request_id))
+    if result.dropped:
+        rows = rows[result.drop_reason[rows] == 0]
+    for i in rows.tolist():
+        model = result.specs[int(result.spec_idx[i])].name
+        recorder.add_request(
+            request_id=int(result.request_id[i]),
+            model=model,
+            arrival_s=float(result.arrival_s[i]),
+            batched_s=float(result.batched_s[i]),
+            service_start_s=float(result.service_start_s[i]),
+            finish_s=float(result.finish_s[i]),
+            device_id=int(result.device_id[i]),
+            batch_size=int(result.batch_size[i]),
+        )
+        if result.generative:
+            recorder.add_decode_phase(
+                request_id=int(result.request_id[i]),
+                model=model,
+                first_token_s=float(result.first_token_s[i]),
+                finish_s=float(result.finish_s[i]),
+                tokens=int(result.output_len[i]) - 1,
+            )
 
 
 def _form_batches(
@@ -397,14 +622,8 @@ def simulate_table(
     faults=None,
     retry=None,
     _formed: Optional[dict] = None,
-) -> "ColumnarServingResult | DecodeColumnarResult":
+) -> ColumnarServingResult:
     """Run one deployment over a columnar stream; the fast path.
-
-    Generative tables (an ``output_len`` column present) route to the
-    event-driven decode engine and return a
-    :class:`~repro.serving.decode.DecodeColumnarResult` instead --
-    same knobs, same bitwise-vs-reference contract, per-token
-    lifecycle columns.
 
     Identical knobs and semantics to building ``num_devices``
     :class:`~repro.serving.devices.SprintDevice` plus a
@@ -415,6 +634,15 @@ def simulate_table(
     single-use reference simulator, this function carries no run state
     and may be called repeatedly.
 
+    Generative tables (an ``output_len`` column present) and runs with
+    a ``faults`` schedule (a :class:`~repro.serving.faults.
+    FaultSchedule`; ``retry`` customizes its :class:`~repro.serving.
+    faults.RetryPolicy`) route to the event-driven decode engine,
+    :func:`~repro.serving.decode.simulate_decode_table` -- same knobs,
+    same bitwise-vs-reference contract, and the same result type with
+    the generative or fault columns filled.  Fault-free prefill tables
+    run the batch-granular engine below.
+
     ``recorder`` opts into sim-time tracing: the sampled requests'
     lifecycle spans are emitted from the finished columns after the
     simulation proper, so tracing cannot perturb a single computed
@@ -422,52 +650,23 @@ def simulate_table(
     the emitted spans bitwise match the reference loop's).
 
     ``threads`` parallelises only the decode engine's per-queue
-    cost-vector prebuild, so it matters for generative tables alone; a
+    cost-vector prebuild, so it matters for the routed runs alone; a
     prefill run forms its batches serially in a few vectorised passes
     per queue, and its results are the same at every thread count.
     ``_formed`` is the process-shard injection point
     (:func:`repro.runtime.pool.simulate_table_sharded`): a dict of
     queue id -> precomputed phase-1 parts for the canonically sorted
     table.
-
-    ``faults`` (a :class:`~repro.serving.faults.FaultSchedule`) routes
-    to fault mode on the decode engine's event core
-    (:func:`~repro.serving.faults.simulate_faulty_table`) and returns a
-    :class:`~repro.serving.faults.FaultColumnarResult`; ``retry``
-    customizes its :class:`~repro.serving.faults.RetryPolicy`.  With
-    ``faults=None`` the no-fault fast path below runs untouched.
     """
-    if faults is not None:
-        from repro.serving.faults import simulate_faulty_table
+    from repro.serving.decode import _validate_knobs, simulate_decode_table
 
+    if faults is not None or table.output_len is not None:
+        # Generative decode-step readiness depends on device timing, and
+        # a fault schedule decides batch fates at dispatch, so batch
+        # formation cannot be precomputed: the event-driven core runs.
         if _formed is not None:
             raise ValueError(
-                "sharded batch formation does not apply under fault injection"
-            )
-        return simulate_faulty_table(
-            table,
-            cost_model,
-            faults,
-            retry=retry,
-            num_devices=num_devices,
-            max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
-            setup_cycles=setup_cycles,
-            recorder=recorder,
-        )
-    if retry is not None:
-        raise ValueError("a retry policy requires a fault schedule")
-    if table.output_len is not None:
-        # Generative traffic: decode-step readiness depends on device
-        # timing, so batch formation cannot be precomputed -- route to
-        # the event-driven columnar decode engine.  ``threads``
-        # parallelizes its phase 1 (per-queue cost-vector
-        # construction); the event loop itself stays sequential.
-        from repro.serving.decode import simulate_decode_table
-
-        if _formed is not None:
-            raise ValueError(
-                "sharded batch formation does not apply to generative tables"
+                "sharded batch formation applies to fault-free prefill tables only"
             )
         return simulate_decode_table(
             table,
@@ -478,33 +677,24 @@ def simulate_table(
             setup_cycles=setup_cycles,
             recorder=recorder,
             threads=threads,
+            faults=faults,
+            retry=retry,
         )
+    if retry is not None:
+        raise ValueError("a retry policy requires a fault schedule")
     if len(table) == 0:
         raise ValueError("request stream must not be empty")
-    if num_devices < 1:
-        raise ValueError("at least one device required")
-    if max_batch_size < 1:
-        raise ValueError("max_batch_size must be positive")
-    if max_wait_s < 0:
-        raise ValueError("max_wait_s must be non-negative")
-    if threads < 1:
-        raise ValueError("threads must be positive")
+    _validate_knobs(num_devices, max_batch_size, max_wait_s, threads)
     if has_duplicate_ids(table.request_id):
         raise ValueError("duplicate request id in stream")
 
     order = np.lexsort((table.request_id, table.arrival_s))
-    table = RequestTable(
-        specs=table.specs,
-        request_id=table.request_id[order],
-        arrival_s=table.arrival_s[order],
-        spec_idx=table.spec_idx[order],
-        valid_len=table.valid_len[order],
-        deadline_s=(
-            None if table.deadline_s is None else table.deadline_s[order]
-        ),
-    )
+    request_id = table.request_id[order]
+    arrival_s = table.arrival_s[order]
+    spec_idx = table.spec_idx[order]
+    valid_len = table.valid_len[order]
     n = len(table)
-    last_arrival_s = float(table.arrival_s[n - 1])
+    last_arrival_s = float(arrival_s[n - 1])
     frequency_hz = cost_model.config.frequency_ghz * 1e9
 
     # ------------------------------------------------------------------
@@ -514,15 +704,15 @@ def simulate_table(
     # repeats a model), and those requests share one queue.
     # ------------------------------------------------------------------
     queue_specs, queue_of_spec = _queue_map(table.specs)
-    rows_list = _group_rows(table.spec_idx, queue_of_spec, len(queue_specs))
+    rows_list = _group_rows(spec_idx, queue_of_spec, len(queue_specs))
     active = [qid for qid in range(len(queue_specs)) if rows_list[qid].size]
 
     def _one_queue(qid: int):
         rows = rows_list[qid]
         return _form_queue(
-            table.arrival_s[rows],
-            table.request_id[rows],
-            table.valid_len[rows],
+            arrival_s[rows],
+            request_id[rows],
+            valid_len[rows],
             queue_specs[qid],
             cost_model,
             max_batch_size,
@@ -597,104 +787,38 @@ def simulate_table(
         device_col[rows] = np.repeat(batch_device[lo:hi], counts)
 
     size_triggered = int(np.count_nonzero(size_sealed))
-    if recorder is not None:
-        # Post-hoc span emission over the finished columns: the sampled
-        # set keys on request id only, so it matches the reference
-        # loop's (and any other run of this stream) exactly.
-        for i in np.flatnonzero(recorder.config.mask(table.request_id)):
-            i = int(i)
-            recorder.add_request(
-                request_id=int(table.request_id[i]),
-                model=table.specs[int(table.spec_idx[i])].name,
-                arrival_s=float(table.arrival_s[i]),
-                batched_s=float(batched_col[i]),
-                service_start_s=float(start_col[i]),
-                finish_s=float(finish_col[i]),
-                device_id=int(device_col[i]),
-                batch_size=int(size_col[i]),
-            )
-    return ColumnarServingResult(
-        table=table,
+    result = ColumnarServingResult(
+        specs=table.specs,
+        request_id=request_id,
+        arrival_s=arrival_s,
+        spec_idx=spec_idx,
+        valid_len=valid_len,
+        deadline_s=None if table.deadline_s is None else table.deadline_s[order],
         batched_s=batched_col,
         service_start_s=start_col,
         finish_s=finish_col,
         batch_size=size_col,
         device_id=device_col,
-        start_s=float(table.arrival_s[0]),
+        completed=n,
+        start_s=float(arrival_s[0]),
         end_s=float(np.max(batch_finish)),
         device_busy_s=busy_s,
         device_energy_pj=energy_by_device,
         batches=int(num_batches),
+        prefill_batches=int(num_batches),
+        decode_batches=0,
         size_triggered_batches=size_triggered,
         timeout_triggered_batches=int(num_batches) - size_triggered,
+        total_tokens=n,
     )
+    if recorder is not None:
+        _record_spans(recorder, result)
+    return result
 
 
 # ----------------------------------------------------------------------
 # Out-of-core chunked driver.
 # ----------------------------------------------------------------------
-
-
-@dataclass
-class CompletedChunk:
-    """Outcome columns for the requests retired by one stream flush.
-
-    Same per-request columns a :class:`ColumnarServingResult` carries,
-    but only for the requests whose batches dispatched in this flush,
-    in batch-grouped order (row order within a chunk is free; the
-    values are bitwise equal to the whole-table run's).  The chunked
-    driver hands these forward and drops them -- downstream consumers
-    (:func:`repro.serving.metrics.summarize_stream`) fold them into
-    fixed-size sketches.
-    """
-
-    specs: List
-    request_id: np.ndarray
-    arrival_s: np.ndarray
-    spec_idx: np.ndarray
-    valid_len: np.ndarray
-    batched_s: np.ndarray
-    service_start_s: np.ndarray
-    finish_s: np.ndarray
-    batch_size: np.ndarray
-    device_id: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.request_id.size)
-
-    @property
-    def latency_s(self) -> np.ndarray:
-        """End-to-end latency column: arrival to completion."""
-        return self.finish_s - self.arrival_s
-
-    @property
-    def queue_wait_s(self) -> np.ndarray:
-        """Arrival to service start (batching + dispatch queueing)."""
-        return self.service_start_s - self.arrival_s
-
-
-@dataclass
-class StreamedServingResult:
-    """Run-level aggregates of a chunked out-of-core simulation.
-
-    Everything a whole-table :class:`ColumnarServingResult` reports
-    except the per-request columns themselves, which streamed through
-    the ``sink`` as :class:`CompletedChunk` batches.  Every field is
-    bitwise equal to the whole-table run's.
-    """
-
-    completed: int
-    start_s: float
-    end_s: float
-    device_busy_s: List[float]
-    device_energy_pj: List[float]
-    batches: int
-    size_triggered_batches: int
-    timeout_triggered_batches: int
-
-    @property
-    def duration_s(self) -> float:
-        return max(self.end_s - self.start_s, 0.0)
 
 
 #: Column layout of a per-queue batch "part": batch-level arrays first
@@ -830,20 +954,8 @@ def simulate_stream(
     sink: Optional[Callable[[CompletedChunk], None]] = None,
     faults=None,
     retry=None,
-) -> "StreamedServingResult | DecodeStreamedResult":
+) -> StreamedServingResult:
     """Out-of-core serving simulation over a chunked request stream.
-
-    Generative streams (first non-empty chunk carries an
-    ``output_len`` column) route to the event-driven decode engine:
-    ``sink`` then receives :class:`~repro.serving.decode.
-    DecodeCompletedChunk` columns and the call returns a
-    :class:`~repro.serving.decode.DecodeStreamedResult`.
-
-    With a ``faults`` schedule the run routes to the fault-injection
-    engine (:func:`repro.serving.faults.simulate_faulty_stream`):
-    ``sink`` then receives :class:`~repro.serving.faults.
-    FaultCompletedChunk` columns and the call returns a
-    :class:`~repro.serving.faults.FaultStreamedResult`.
 
     Consumes ``RequestTable`` chunks in arrival order (e.g. from
     :class:`repro.serving.stream.RequestStream`), carrying only the
@@ -852,6 +964,12 @@ def simulate_stream(
     running busy/energy folds.  Completed requests leave immediately
     as :class:`CompletedChunk` columns through ``sink`` -- peak memory
     is one chunk plus the frontier, independent of stream length.
+
+    Generative streams (the first non-empty chunk carries an
+    ``output_len`` column) and runs with a ``faults`` schedule route to
+    the decode engine's chunked driver,
+    :func:`~repro.serving.decode.simulate_decode_stream`, whose chunks
+    and totals fill the generative or fault columns of the same types.
 
     The equivalence contract matches :func:`simulate_table`: for the
     same concatenated stream and knobs, every per-request column value,
@@ -862,48 +980,23 @@ def simulate_stream(
 
     Chunks must be non-overlapping and ordered: each chunk's earliest
     (arrival, id) must lexicographically follow the previous chunk's
-    latest, and all chunks must share one spec list.  Request-id
+    latest, all chunks must share one spec list, and either every
+    chunk has an ``output_len`` column or none has.  Request-id
     uniqueness is enforced within a chunk; across chunks it is the
     caller's contract (checking it globally would break the O(1)
     memory bound).
     """
-    if num_devices < 1:
-        raise ValueError("at least one device required")
-    if max_batch_size < 1:
-        raise ValueError("max_batch_size must be positive")
-    if max_wait_s < 0:
-        raise ValueError("max_wait_s must be non-negative")
-    if threads < 1:
-        raise ValueError("threads must be positive")
-    if faults is not None:
-        from repro.serving.faults import simulate_faulty_stream
-
-        return simulate_faulty_stream(
-            chunks,
-            cost_model,
-            faults,
-            retry=retry,
-            num_devices=num_devices,
-            max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
-            setup_cycles=setup_cycles,
-            sink=sink,
-        )
-    if retry is not None:
-        raise ValueError("a retry policy requires a fault schedule")
+    from repro.serving.decode import _validate_knobs, simulate_decode_stream
 
     # Peek the first non-empty chunk to route generative streams.
     iterator = iter(chunks)
     first = next(iterator, None)
     while first is not None and len(first) == 0:
         first = next(iterator, None)
-    if first is not None and first.output_len is not None:
-        from itertools import chain as _chain
-
-        from repro.serving.decode import simulate_decode_stream
-
+    chunks = iter(()) if first is None else chain([first], iterator)
+    if faults is not None or (first is not None and first.output_len is not None):
         return simulate_decode_stream(
-            _chain([first], iterator),
+            chunks,
             cost_model,
             num_devices=num_devices,
             max_batch_size=max_batch_size,
@@ -911,13 +1004,12 @@ def simulate_stream(
             setup_cycles=setup_cycles,
             sink=sink,
             threads=threads,
+            faults=faults,
+            retry=retry,
         )
-    if first is not None:
-        from itertools import chain as _chain
-
-        chunks = _chain([first], iterator)
-    else:
-        chunks = iter(())
+    if retry is not None:
+        raise ValueError("a retry policy requires a fault schedule")
+    _validate_knobs(num_devices, max_batch_size, max_wait_s, threads)
     frequency_hz = cost_model.config.frequency_ghz * 1e9
 
     specs: Optional[List] = None
@@ -989,6 +1081,8 @@ def simulate_stream(
     for chunk in chunks:
         if len(chunk) == 0:
             continue
+        if chunk.output_len is not None:
+            raise ValueError(_MIXED_CHUNKS)
         order = np.lexsort((chunk.request_id, chunk.arrival_s))
         arrival = chunk.arrival_s[order]
         request_id = chunk.request_id[order]
@@ -1044,6 +1138,9 @@ def simulate_stream(
         device_busy_s=busy_s,
         device_energy_pj=energy_by_device,
         batches=batches_total,
+        prefill_batches=batches_total,
+        decode_batches=0,
         size_triggered_batches=size_triggered_total,
         timeout_triggered_batches=batches_total - size_triggered_total,
+        total_tokens=completed_total,
     )

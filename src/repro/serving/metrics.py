@@ -6,12 +6,14 @@ the table rows the serving experiments lead with.
 
 :func:`summarize` folds either representation of a run -- the
 reference loop's object-based :class:`~repro.serving.scheduler.
-ServingResult` or the fast engine's :class:`~repro.serving.engine.
-ColumnarServingResult` -- into the same :class:`ServingReport`.  The
-columnar path computes latency/wait/violation statistics directly from
-the result's columns (no per-request objects); both paths evaluate the
-same floating-point expressions over the same values in the same
-order, so an equivalent run summarizes to an identical report.
+ServingResult` / :class:`~repro.serving.scheduler.GenerativeResult`
+or the columnar engines' :class:`~repro.serving.engine.
+ColumnarServingResult` (prefill, generative, or fault-mode alike) --
+into the same :class:`ServingReport`.  The columnar path computes
+latency/wait/violation statistics directly from the result's columns
+(no per-request objects); both paths evaluate the same floating-point
+expressions over the same values in the same order, so an equivalent
+run summarizes to an identical report.
 
 ``summarize(..., exact=False)`` swaps the percentile computation onto
 :class:`~repro.obs.streaming.StreamingHistogram` sketches -- the
@@ -30,11 +32,10 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from repro.obs.streaming import StreamingHistogram
-from repro.serving.decode import DecodeColumnarResult
+from repro.obs.streaming import Counter, StreamingHistogram
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
 from repro.serving.engine import ColumnarServingResult, simulate_stream
-from repro.serving.faults import DROP_REASON_NAMES, FaultColumnarResult
+from repro.serving.faults import DROP_REASON_NAMES
 from repro.serving.requests import RequestTable
 from repro.serving.scheduler import GenerativeResult, ServingResult
 
@@ -243,13 +244,7 @@ class ServingReport:
 
 
 def summarize(
-    result: Union[
-        ServingResult,
-        ColumnarServingResult,
-        GenerativeResult,
-        DecodeColumnarResult,
-        FaultColumnarResult,
-    ],
+    result: Union[ServingResult, GenerativeResult, ColumnarServingResult],
     config: str,
     mode: str,
     pattern: str,
@@ -275,167 +270,102 @@ def summarize(
     (total token steps over step batches).  TBT percentiles cover the
     multi-token requests (single-token requests have no decode gaps).
 
-    Fault-mode results (:class:`~repro.serving.faults.
-    FaultColumnarResult`, or a reference result whose run had a fault
-    schedule) also fill the degraded-fleet fields: drops by reason,
+    Fault-mode results (a run with a fault schedule, columnar or
+    reference) also fill the degraded-fleet fields: drops by reason,
     retry counts, lost-batch energy, availability, and the latency
     population of retried completions.  ``requests`` / ``throughput``
     then cover *completed* requests only (goodput); compare against
     :attr:`ServingReport.offered_requests` for the loss.
     """
-    ttfts = tbts = None
-    tokens = 0
-    step_mean_batch = None
-    retried_lat = None
-    if isinstance(result, FaultColumnarResult):
-        mask = result.completed
-        latencies = result.latency_s
-        waits = result.queue_wait_s
-        if result.generative:
-            ttfts = result.ttft_s
-            tbts = result.tbt_s
-            tokens = result.total_tokens
-            sizes = None
-            step_mean_batch = (
-                result.total_tokens / result.batches if result.batches else 0.0
-            )
+    ttfts = tbts = sizes = attempts = None
+    if isinstance(result, ColumnarServingResult):
+        # Array-native: every population is a vector op over the
+        # result's columns.  Dropped rows (fault mode) are masked out
+        # only when there are some, so a full run copies nothing.
+        keep = result.drop_reason == 0 if result.dropped else slice(None)
+        generative = result.generative
+        faulted = result.faulted
+        latencies = result.latency_s[keep]
+        waits = result.queue_wait_s[keep]
+        if generative:
+            ttfts = result.ttft_s[keep]
+            tbts = result.tbt_s[keep]
         else:
-            sizes = result.batch_size[mask]
-        retried_lat = latencies[result.attempts[mask] >= 2]
-    elif isinstance(result, DecodeColumnarResult):
-        latencies = result.latency_s
-        waits = result.queue_wait_s
-        ttfts = result.ttft_s
-        tbts = result.tbt_s[np.isfinite(result.tbt_s)]
-        tokens = result.total_tokens
-        sizes = None
-        step_mean_batch = (
-            result.total_tokens / result.batches if result.batches else 0.0
-        )
-    elif isinstance(result, GenerativeResult):
-        latencies = np.array(
-            [rec.latency_s for rec in result.records], dtype=np.float64
-        )
-        waits = np.array([rec.queue_wait_s for rec in result.records], dtype=np.float64)
-        ttfts = np.array([rec.ttft_s for rec in result.records], dtype=np.float64)
-        tbts = np.array([rec.tbt_s for rec in result.records], dtype=np.float64)
-        tbts = tbts[np.isfinite(tbts)]
-        tokens = result.total_tokens
-        sizes = None
-        step_mean_batch = (
-            result.total_tokens / result.batches if result.batches else 0.0
-        )
-    elif isinstance(result, ColumnarServingResult):
-        # Array-native: latency/wait columns are single vector ops over
-        # the struct-of-arrays result -- no per-request objects.
-        latencies = result.latency_s
-        waits = result.queue_wait_s
-        sizes = result.batch_size
+            sizes = result.batch_size[keep]
+        if faulted:
+            attempts = result.attempts[keep]
+            dropped_by_reason = dict(result.dropped_by_reason)
     else:
-        latencies = np.array(
-            [rec.latency_s for rec in result.records], dtype=np.float64
-        )
-        waits = np.array([rec.queue_wait_s for rec in result.records], dtype=np.float64)
-        sizes = np.array([rec.batch_size for rec in result.records], dtype=np.int64)
+        records = result.records
+        generative = isinstance(result, GenerativeResult)
+        # A reference result's ``device_downtime_s`` is non-empty
+        # exactly on fault runs.
+        faulted = bool(result.device_downtime_s)
+        latencies = np.array([rec.latency_s for rec in records], dtype=np.float64)
+        waits = np.array([rec.queue_wait_s for rec in records], dtype=np.float64)
+        if generative:
+            ttfts = np.array([rec.ttft_s for rec in records], dtype=np.float64)
+            tbts = np.array([rec.tbt_s for rec in records], dtype=np.float64)
+        else:
+            sizes = np.array([rec.batch_size for rec in records], dtype=np.int64)
+        if faulted:
+            attempts = np.array([rec.attempts for rec in records], dtype=np.int64)
+            dropped_by_reason = dict.fromkeys(DROP_REASON_NAMES.values(), 0)
+            for dropped in result.dropped:
+                dropped_by_reason[dropped.reason] += 1
+    if generative:
+        tbts = tbts[np.isfinite(tbts)]
+        mean_batch = result.total_tokens / result.batches if result.batches else 0.0
+    else:
+        mean_batch = float(np.mean(sizes)) if sizes.size else 0.0
     duration = result.duration_s
     span = duration if duration > 0 else float("inf")
     busy = np.asarray(result.device_busy_s, dtype=np.float64)
     utilization = float(np.mean(busy / span)) if busy.size else 0.0
-    violations = (int(np.count_nonzero(latencies > sla_s)) if sla_s is not None else 0)
+    violations = int(np.count_nonzero(latencies > sla_s)) if sla_s is not None else 0
 
-    # Fault accounting: the columnar fault result carries columns; the
-    # reference results carry it on their records/dropped lists (their
-    # ``device_downtime_s`` is non-empty exactly on fault runs).
-    n_completed = result.completed
+    def _stats(samples) -> LatencyStats:
+        if exact:
+            return LatencyStats.from_samples(samples)
+        sketch = StreamingHistogram()
+        sketch.add_many(samples)
+        return LatencyStats.from_sketch(sketch)
+
     fault_kwargs: dict = {}
-    if isinstance(result, FaultColumnarResult):
-        n_completed = result.completed_count
-        by_reason = {name: 0 for name in DROP_REASON_NAMES.values()}
-        for row in result.drop_order:
-            by_reason[DROP_REASON_NAMES[int(result.drop_reason[row])]] += 1
-        fault_kwargs = dict(
-            dropped_requests=result.dropped_count,
-            dropped_by_reason=by_reason,
-            retries=result.retries,
-            retried_completed=int(retried_lat.size),
-            failed_batches=result.failed_batches,
-            wasted_energy_uj=result.wasted_energy_pj / 1e6,
-        )
-    elif getattr(result, "device_downtime_s", None):
-        retried_lat = np.array(
-            [rec.latency_s for rec in result.records if rec.attempts >= 2],
-            dtype=np.float64,
-        )
-        by_reason = {name: 0 for name in DROP_REASON_NAMES.values()}
-        for dropped in result.dropped:
-            by_reason[dropped.reason] += 1
-        fault_kwargs = dict(
-            dropped_requests=len(result.dropped),
-            dropped_by_reason=by_reason,
-            retries=result.retries,
-            retried_completed=int(retried_lat.size),
-            failed_batches=result.failed_batches,
-            wasted_energy_uj=result.wasted_energy_pj / 1e6,
-        )
-    if fault_kwargs:
+    if faulted:
+        retried_lat = latencies[attempts >= 2]
         downtime = np.asarray(result.device_downtime_s, dtype=np.float64)
-        fault_kwargs["faulted"] = True
-        fault_kwargs["availability"] = (
-            float(1.0 - np.mean(downtime / span)) if downtime.size else 1.0
+        fault_kwargs = dict(
+            faulted=True,
+            dropped_requests=sum(dropped_by_reason.values()),
+            dropped_by_reason=dropped_by_reason,
+            retries=result.retries,
+            retried_completed=int(retried_lat.size),
+            failed_batches=result.failed_batches,
+            wasted_energy_uj=result.wasted_energy_pj / 1e6,
+            availability=(
+                float(1.0 - np.mean(downtime / span)) if downtime.size else 1.0
+            ),
+            retried_latency=_stats(retried_lat),
         )
-
-    ttft_stats = tbt_stats = None
-    retried_stats = None
-    if exact:
-        latency_stats = LatencyStats.from_samples(latencies)
-        wait_stats = LatencyStats.from_samples(waits)
-        if ttfts is not None:
-            ttft_stats = LatencyStats.from_samples(ttfts)
-            tbt_stats = LatencyStats.from_samples(tbts)
-        if fault_kwargs:
-            retried_stats = LatencyStats.from_samples(retried_lat)
-    else:
-        latency_sketch = StreamingHistogram()
-        latency_sketch.add_many(latencies)
-        wait_sketch = StreamingHistogram()
-        wait_sketch.add_many(waits)
-        latency_stats = LatencyStats.from_sketch(latency_sketch)
-        wait_stats = LatencyStats.from_sketch(wait_sketch)
-        if ttfts is not None:
-            ttft_sketch = StreamingHistogram()
-            ttft_sketch.add_many(ttfts)
-            tbt_sketch = StreamingHistogram()
-            tbt_sketch.add_many(tbts)
-            ttft_stats = LatencyStats.from_sketch(ttft_sketch)
-            tbt_stats = LatencyStats.from_sketch(tbt_sketch)
-        if fault_kwargs:
-            retried_sketch = StreamingHistogram()
-            retried_sketch.add_many(retried_lat)
-            retried_stats = LatencyStats.from_sketch(retried_sketch)
-    if fault_kwargs:
-        fault_kwargs["retried_latency"] = retried_stats
     return ServingReport(
         config=config,
         mode=mode,
         pattern=pattern,
         offered_rps=offered_rps,
-        requests=n_completed,
+        requests=result.completed,
         duration_s=duration,
-        latency=latency_stats,
-        queue_wait=wait_stats,
-        throughput_rps=n_completed / span,
+        latency=_stats(latencies),
+        queue_wait=_stats(waits),
+        throughput_rps=result.completed / span,
         utilization=utilization,
-        mean_batch_size=(
-            step_mean_batch
-            if step_mean_batch is not None
-            else float(np.mean(sizes)) if sizes.size else 0.0
-        ),
+        mean_batch_size=mean_batch,
         energy_uj=float(sum(result.device_energy_pj)) / 1e6,
         sla_s=sla_s,
         sla_violations=violations,
-        ttft=ttft_stats,
-        tbt=tbt_stats,
-        total_tokens=tokens,
+        ttft=_stats(ttfts) if generative else None,
+        tbt=_stats(tbts) if generative else None,
+        total_tokens=result.total_tokens if generative else 0,
         **fault_kwargs,
     )
 
@@ -478,15 +408,14 @@ def summarize_stream(
     same way (TBT over multi-token requests), so the decode-phase tail
     percentiles also come out of O(1) memory.
 
-    A ``faults`` schedule routes the run through the fault-injection
-    engine; the report then carries the degraded-fleet fields and a
-    retried-completion latency sketch built by merging one small
+    A ``faults`` schedule runs the decode engine's stream driver with
+    its fault hook; the report then carries the degraded-fleet fields
+    and a retried-completion latency sketch built by merging one small
     per-chunk sketch per flush (most are empty -- the merge is a
-    no-op on them).
+    no-op on them).  Every chunk is one :class:`~repro.serving.engine.
+    CompletedChunk`; its ``generative`` flag and ``attempts`` column
+    pick the folds.
     """
-    from repro.obs.streaming import Counter
-    from repro.serving.faults import FaultCompletedChunk
-
     latency_sketch = StreamingHistogram()
     wait_sketch = StreamingHistogram()
     ttft_sketch = StreamingHistogram()
@@ -502,8 +431,7 @@ def summarize_stream(
         latencies = completed.latency_s
         latency_sketch.add_many(latencies)
         wait_sketch.add_many(completed.queue_wait_s)
-        if isinstance(completed, FaultCompletedChunk):
-            is_generative = completed.generative
+        if completed.attempts is not None:
             retried = completed.attempts >= 2
             # Per-chunk sketch merged in: chunks with zero retried
             # completions merge an empty sketch (and inc the counter
@@ -512,9 +440,7 @@ def summarize_stream(
             local.add_many(latencies[retried])
             retried_sketch.merge(local)
             retried_counter.inc(int(np.count_nonzero(retried)))
-        else:
-            is_generative = hasattr(completed, "ttft_s")
-        if is_generative:
+        if completed.generative:
             generative = True
             ttft_sketch.add_many(completed.ttft_s)
             tbt = completed.tbt_s
@@ -542,11 +468,11 @@ def summarize_stream(
     span = duration if duration > 0 else float("inf")
     busy = np.asarray(result.device_busy_s, dtype=np.float64)
     if generative:
-        mean_batch = (result.total_tokens / result.batches if result.batches else 0.0)
+        mean_batch = result.total_tokens / result.batches if result.batches else 0.0
     else:
-        mean_batch = (batch_size_sum / result.completed if result.completed else 0.0)
+        mean_batch = batch_size_sum / result.completed if result.completed else 0.0
     fault_kwargs: dict = {}
-    if faults is not None:
+    if result.faulted:
         downtime = np.asarray(result.device_downtime_s, dtype=np.float64)
         fault_kwargs = dict(
             faulted=True,

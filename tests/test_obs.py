@@ -401,11 +401,11 @@ class TestTracing:
             for e in payload["traceEvents"]
             if e["ph"] == "X" and e["name"] == "queue"
         }
-        for i, rid in enumerate(result.table.request_id):
+        for i, rid in enumerate(result.request_id):
             span = queue[int(rid)]
-            assert span["ts"] == float(result.table.arrival_s[i]) * 1e6
+            assert span["ts"] == float(result.arrival_s[i]) * 1e6
             assert span["dur"] == pytest.approx(
-                (result.batched_s[i] - result.table.arrival_s[i]) * 1e6
+                (result.batched_s[i] - result.arrival_s[i]) * 1e6
             )
 
 

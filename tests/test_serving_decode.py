@@ -196,13 +196,13 @@ class TestDegeneration:
         gen_fast = simulate_decode_table(table, cost_model, num_devices=2)
         assert np.array_equal(legacy_fast.finish_s, gen_fast.finish_s)
         assert np.array_equal(
-            legacy_fast.batched_s, gen_fast.prefill_batched_s
+            legacy_fast.batched_s, gen_fast.batched_s
         )
         assert np.array_equal(
-            legacy_fast.service_start_s, gen_fast.prefill_start_s
+            legacy_fast.service_start_s, gen_fast.service_start_s
         )
         assert np.array_equal(
-            legacy_fast.device_id, gen_fast.prefill_device_id
+            legacy_fast.device_id, gen_fast.device_id
         )
         assert legacy_fast.device_busy_s == gen_fast.device_busy_s
 
@@ -236,9 +236,9 @@ class TestChunkedDecodeStream:
         def sink(c):
             for name in (
                 "request_id", "arrival_s", "spec_idx", "valid_len",
-                "output_len", "prefill_batched_s", "prefill_start_s",
-                "first_token_s", "finish_s", "prefill_batch_size",
-                "prefill_device_id", "decode_slots",
+                "output_len", "batched_s", "service_start_s",
+                "first_token_s", "finish_s", "batch_size",
+                "device_id", "decode_slots",
             ):
                 got.setdefault(name, []).append(getattr(c, name))
 
@@ -286,9 +286,9 @@ class TestPerTokenMetrics:
         res = simulate_decode_table(table, cost_model, num_devices=2)
         # Lifecycle ordering: arrival <= sealed <= started < first
         # token <= finish, per request.
-        assert np.all(res.prefill_batched_s >= res.arrival_s)
-        assert np.all(res.prefill_start_s >= res.prefill_batched_s)
-        assert np.all(res.first_token_s > res.prefill_start_s)
+        assert np.all(res.batched_s >= res.arrival_s)
+        assert np.all(res.service_start_s >= res.batched_s)
+        assert np.all(res.first_token_s > res.service_start_s)
         assert np.all(res.finish_s >= res.first_token_s)
         assert np.all(res.ttft_s > 0)
         assert np.all(res.latency_s >= res.ttft_s)
@@ -550,8 +550,8 @@ class TestGoldenDecodeStreams:
         res = simulate_decode_table(table, cost_model, num_devices=2)
         digest = hashlib.sha256()
         for col in (
-            "prefill_batched_s", "prefill_start_s", "first_token_s",
-            "finish_s", "prefill_batch_size", "prefill_device_id",
+            "batched_s", "service_start_s", "first_token_s",
+            "finish_s", "batch_size", "device_id",
             "decode_slots",
         ):
             digest.update(getattr(res, col).tobytes())
@@ -568,8 +568,8 @@ class TestDecodeParallelEquivalence:
     output at any worker count."""
 
     COLS = (
-        "prefill_batched_s", "prefill_start_s", "first_token_s",
-        "finish_s", "prefill_batch_size", "prefill_device_id",
+        "batched_s", "service_start_s", "first_token_s",
+        "finish_s", "batch_size", "device_id",
         "decode_slots",
     )
 

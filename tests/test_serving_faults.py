@@ -12,6 +12,8 @@ across engines, and the no-faults guarantee: an empty schedule changes
 nothing, and the fault-free fast path is never perturbed.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from repro.serving import (
     simulate_decode_table,
     simulate_faulty_stream,
     simulate_faulty_table,
+    simulate_stream,
     simulate_table,
     summarize,
     summarize_stream,
@@ -391,6 +394,56 @@ class TestFaultProperty:
             table, cost_model, faults, retry, num_devices, max_wait_s, max_batch_size
         )
 
+    @given(
+        case=fault_cases(),
+        chunk_size=st.integers(1, 80),
+        max_batch_size=st.integers(1, 8),
+        max_wait_s=st.sampled_from((0.0, 2e-3)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_stream_equals_table(
+        self, cost_model, case, chunk_size, max_batch_size, max_wait_s
+    ):
+        table, faults, retry, num_devices = case
+        kwargs = dict(
+            faults=faults,
+            retry=retry,
+            num_devices=num_devices,
+            max_batch_size=max_batch_size,
+            max_wait_s=max_wait_s,
+        )
+        whole = simulate_table(table, cost_model, **kwargs)
+        chunks = [
+            table.slice(lo, min(lo + chunk_size, len(table)))
+            for lo in range(0, len(table), chunk_size)
+        ]
+        collected = []
+        streamed = simulate_stream(
+            chunks, cost_model, sink=collected.append, **kwargs
+        )
+        for field in dataclasses.fields(streamed):
+            name = field.name
+            assert getattr(streamed, name) == getattr(whole, name), name
+        # The sink's rows, in (arrival, id) order, are the completed rows.
+        names = [
+            "request_id", "arrival_s", "spec_idx", "valid_len", "batched_s",
+            "service_start_s", "finish_s", "batch_size", "device_id", "attempts",
+        ]
+        if whole.generative:
+            names += ["output_len", "first_token_s", "decode_slots"]
+        cols = {
+            name: np.concatenate(
+                [getattr(c, name) for c in collected] or [np.empty(0)]
+            )
+            for name in names
+        }
+        order = np.lexsort((cols["request_id"], cols["arrival_s"]))
+        done = whole.drop_reason == 0
+        for name in names:
+            assert np.array_equal(
+                cols[name][order], getattr(whole, name)[done]
+            ), name
+
 
 # ----------------------------------------------------------------------
 # conservation properties: every fault run, any schedule
@@ -503,8 +556,8 @@ class TestFaultStream:
             sink=collected.append,
         )
         assert streamed.offered == len(table)
-        assert streamed.completed == int(whole.completed_count)
-        assert streamed.dropped == int(whole.dropped_count)
+        assert streamed.completed == int(whole.completed)
+        assert streamed.dropped == int(whole.dropped)
         assert streamed.start_s == whole.start_s
         assert streamed.end_s == whole.end_s
         assert streamed.device_busy_s == list(whole.device_busy_s)
@@ -519,9 +572,9 @@ class TestFaultStream:
         # the same attempts column the table run recorded.
         ids = np.concatenate([c.request_id for c in collected])
         attempts = np.concatenate([c.attempts for c in collected])
-        mask = whole.completed
+        mask = whole.drop_reason == 0
         by_id = dict(zip(ids.tolist(), attempts.tolist()))
-        table_ids = whole.table.request_id[mask]
+        table_ids = whole.request_id[mask]
         assert sorted(ids.tolist()) == sorted(table_ids.tolist())
         for rid, att in zip(table_ids, whole.attempts[mask]):
             assert by_id[int(rid)] == int(att)

@@ -26,8 +26,10 @@ from repro.obs.streaming import StreamingHistogram
 from repro.runtime.pool import simulate_table_sharded
 from repro.serving import (
     BurstyProcess,
+    FaultSchedule,
     PoissonProcess,
     RequestStream,
+    RequestTable,
     TraceProcess,
     generate_request_table,
     shared_cost_model,
@@ -97,10 +99,10 @@ def assert_stream_matches_table(chunks, table, cost, **kwargs):
     whole = simulate_table(table, cost, **kwargs)
     result, cols = run_stream(chunks, cost, **kwargs)
     assert result.completed == whole.completed
-    assert np.array_equal(cols["request_id"], whole.table.request_id)
-    assert np.array_equal(cols["arrival_s"], whole.table.arrival_s)
-    assert np.array_equal(cols["spec_idx"], whole.table.spec_idx)
-    assert np.array_equal(cols["valid_len"], whole.table.valid_len)
+    assert np.array_equal(cols["request_id"], whole.request_id)
+    assert np.array_equal(cols["arrival_s"], whole.arrival_s)
+    assert np.array_equal(cols["spec_idx"], whole.spec_idx)
+    assert np.array_equal(cols["valid_len"], whole.valid_len)
     assert np.array_equal(cols["batched_s"], whole.batched_s)
     assert np.array_equal(cols["service_start_s"], whole.service_start_s)
     assert np.array_equal(cols["finish_s"], whole.finish_s)
@@ -238,6 +240,29 @@ class TestStreamDriverBitwise:
     def test_rejects_empty_stream(self, cost_model):
         with pytest.raises(ValueError):
             simulate_stream([], cost_model)
+
+    @pytest.mark.parametrize("generative_first", (False, True))
+    @pytest.mark.parametrize("faulted", (False, True))
+    def test_rejects_mixed_chunk_shapes(self, generative_first, faulted, cost_model):
+        # A table has an output_len column or not, so a stream mixing
+        # the two has no whole-table run to equal: whichever driver the
+        # first chunk picks must refuse the other shape.
+        table = generate_request_table(
+            PoissonProcess(100.0), "BERT-B", count=100, seed=0, mean_output_tokens=8.0
+        )
+        chunks = table_chunks(table, 50)
+        stripped = 1 if generative_first else 0
+        prefill = chunks[stripped]
+        chunks[stripped] = RequestTable(
+            specs=prefill.specs,
+            request_id=prefill.request_id,
+            arrival_s=prefill.arrival_s,
+            spec_idx=prefill.spec_idx,
+            valid_len=prefill.valid_len,
+        )
+        faults = FaultSchedule.none(1) if faulted else None
+        with pytest.raises(ValueError, match="all carry an output_len column"):
+            simulate_stream(chunks, cost_model, faults=faults)
 
 
 # ----------------------------------------------------------------------
