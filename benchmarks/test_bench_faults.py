@@ -4,17 +4,20 @@ The acceptance bar for fault injection: on a 200k-request Poisson
 stream, ``simulate_table`` called with ``faults=None`` (the default
 every existing caller hits) must stay within 10% of the direct
 fast-path call -- threading the fault machinery through the engines
-cannot slow the no-fault path.  The measured ratio is appended to
-``benchmarks/BENCH_faults.json``, alongside an informational timing of
-fault mode running an *empty* schedule on the decode engine's event
-core (bitwise-equal results; allowed to be slower since that core is
-event-driven and steps one batch at a time).
+cannot slow the no-fault path.  The same alternating loop times fault
+mode on an *empty* schedule, which runs the batch engine's
+outage-aware dispatch (bitwise-equal results), and holds it within 3x
+of the direct path: a prefill table that fell back to the decode
+engine's event core would read ~20x.  Both ratios are appended to
+``benchmarks/BENCH_faults.json``; the empty-schedule seconds keep
+their historical key, ``empty_schedule_fault_core_s``.
 
-The strict gate (and the JSON append) only arm under
+The strict gates (and the JSON append) only arm under
 ``SPRINT_BENCH_GATE`` -- tier-1 collects this file too, and a loaded
 shared runner must not fail correctness CI on a timing fluctuation.
-Ungated runs use a relaxed sanity ceiling, further relaxed on starved
-(<2 CPU) containers where the host timeshares everything.
+Ungated runs use a relaxed sanity ceiling on the ``faults=None`` path,
+further relaxed on starved (<2 CPU) containers where the host
+timeshares everything.
 """
 
 import json
@@ -41,6 +44,8 @@ BENCH_JSON = os.path.join(os.path.dirname(__file__), "BENCH_faults.json")
 GATE_ARMED = bool(os.environ.get("SPRINT_BENCH_GATE"))
 #: Gated ceiling: faults=None path <= 1.10x the direct fast path.
 GATE_CEILING = 1.10
+#: Gated ceiling: fault mode on an empty schedule <= 3x the direct path.
+EMPTY_SCHEDULE_CEILING = 3.0
 CPUS = os.cpu_count() or 1
 #: Outside the gated job (or on a starved timeshared container), still
 #: catch a pathological slowdown in the no-fault path.
@@ -73,24 +78,21 @@ def test_bench_no_fault_overhead(stream):
     routed = simulate_table(table, cost, faults=None)
     assert routed.finish_s.tobytes() == direct.finish_s.tobytes()
 
-    direct_s = routed_s = float("inf")
+    empty_schedule = FaultSchedule.none(1)
+    direct_s = routed_s = empty_s = float("inf")
     for _ in range(REPEATS):
-        # Alternate so drifting machine load penalises both alike.
+        # Alternate so drifting machine load penalises every path alike.
         start = time.perf_counter()
         simulate_table(table, cost)
         direct_s = min(direct_s, time.perf_counter() - start)
         start = time.perf_counter()
         simulate_table(table, cost, faults=None)
         routed_s = min(routed_s, time.perf_counter() - start)
+        start = time.perf_counter()
+        empty = simulate_faulty_table(table, cost, empty_schedule)
+        empty_s = min(empty_s, time.perf_counter() - start)
     overhead = routed_s / direct_s
-
-    # Informational: fault mode on an empty schedule, which runs the
-    # event-driven decode core one step at a time (exact same records).
-    # Not gated -- it trades columnar batch granularity for per-event
-    # fault checks by design.
-    start = time.perf_counter()
-    empty = simulate_faulty_table(table, cost, FaultSchedule.none(1))
-    fault_core_s = time.perf_counter() - start
+    empty_ratio = empty_s / direct_s
     assert empty.completed == NUM_REQUESTS
 
     if GATE_ARMED:
@@ -103,7 +105,8 @@ def test_bench_no_fault_overhead(stream):
             "direct_s": round(direct_s, 4),
             "faults_none_s": round(routed_s, 4),
             "overhead": round(overhead, 3),
-            "empty_schedule_fault_core_s": round(fault_core_s, 4),
+            "empty_schedule_fault_core_s": round(empty_s, 4),
+            "empty_schedule_ratio": round(empty_ratio, 3),
             "recorded_unix": int(time.time()),
         }
         history = []
@@ -120,3 +123,9 @@ def test_bench_no_fault_overhead(stream):
         f"faults=None serving path is {overhead:.2f}x the direct fast "
         f"path ({routed_s:.3f}s vs {direct_s:.3f}s; ceiling {ceiling}x)"
     )
+    if GATE_ARMED:
+        assert empty_ratio <= EMPTY_SCHEDULE_CEILING, (
+            f"fault mode on an empty schedule is {empty_ratio:.2f}x the "
+            f"direct path ({empty_s:.3f}s vs {direct_s:.3f}s; ceiling "
+            f"{EMPTY_SCHEDULE_CEILING}x)"
+        )

@@ -54,10 +54,12 @@ batch, affected requests re-enter their queue under a
 once their per-request deadline passes, and :func:`summarize` /
 :func:`summarize_stream` report availability, goodput, retries, and
 wasted energy.  ``simulate_table`` / ``simulate_stream`` take
-``faults=`` / ``retry=``, run the decode engine's drivers with the
-schedule as their fault hook, and stay bitwise-equal to the
-fault-threaded reference loop; with no schedule the fast paths are
-untouched.
+``faults=`` / ``retry=`` and stay bitwise-equal to the fault-threaded
+reference loop: a prefill table keeps the batch engine, whose dispatch
+then skips down devices and re-forms only the batches a retry
+touches, while generative tables and chunked streams run the decode
+engine's drivers with the schedule as their fault hook.  With no
+schedule the fast paths are untouched.
 
 Every columnar run returns one of three types, one per role, whatever
 its traffic shape: :class:`ColumnarServingResult` (a whole table),

@@ -39,8 +39,12 @@ Both drivers take the fault hook (:mod:`repro.serving.faults`): given a
 :class:`~repro.serving.faults.RetryPolicy` (``retry=``), the core
 dispatches only to devices that are up, loses batches whose device
 fails mid-service, and retries or drops their members -- one step at a
-time, with macro-stepping off.  Prefill tables run as the
-``output_len == 1`` degenerate case.
+time, with macro-stepping off.  Under a schedule a prefill *table*
+routes to the batch engine (:func:`~repro.serving.engine.
+simulate_table`), whose batch formation depends on arrivals and
+retries only; prefill *chunks* of the stream driver run here as the
+``output_len == 1`` degenerate case, and the fault tests diff the two
+engines on them.
 
 Results come back as the serving layer's three columnar types
 (:mod:`repro.serving.engine`): :class:`~repro.serving.engine.
@@ -70,15 +74,18 @@ from repro.serving.engine import (
     StreamedServingResult,
     _queue_map,
     _record_spans,
+    simulate_table,
 )
 from repro.serving.faults import (
     DROP_DEADLINE,
-    DROP_REASON_NAMES,
     DROP_RETRIES,
     DROP_STRANDED,
     FaultSchedule,
     RetryPolicy,
+    _count_drops,
     _emit_fault_trace,
+    _fault_columns,
+    _fault_totals,
 )
 from repro.serving.requests import RequestTable, has_duplicate_ids
 
@@ -870,24 +877,13 @@ def _core_result(
     if faults is None:
         end_s = float(finish.max())
     else:
-        drops = core.dropped
-        drop_order = np.array([rec[_ROW] for rec, _, _ in drops], dtype=np.int64)
+        dropped = [rec for rec, _, _ in core.dropped]
+        drops = [(rec[_ROW], reason, at) for rec, reason, at in core.dropped]
         attempts = np.zeros(n, dtype=np.int64)
         attempts[rows] = [rec[_FLS] + 1 for rec in recs]
-        attempts[drop_order] = [rec[_FLS] for rec, _, _ in drops]
-        drop_reason = np.zeros(n, dtype=np.int8)
-        drop_reason[drop_order] = [reason for _, reason, _ in drops]
-        dropped_s = np.full(n, np.nan)
-        dropped_s[drop_order] = [at for _, _, at in drops]
-        # Each row either finished or dropped: fmax skips the other NaN.
-        end_s = float(np.fmax(finish, dropped_s).max())
-        fault_columns = dict(
-            attempts=attempts,
-            drop_reason=drop_reason,
-            dropped_s=dropped_s,
-            drop_order=drop_order,
-            retry_events=list(core.retry_events),
-            **_fault_totals(core, faults, start_s, end_s, _count_drops(drops)),
+        attempts[[rec[_ROW] for rec in dropped]] = [rec[_FLS] for rec in dropped]
+        fault_columns, end_s = _fault_columns(
+            core, faults, drops, attempts, finish, start_s, core.retry_events
         )
     result = ColumnarServingResult(
         **request,
@@ -912,35 +908,6 @@ def _core_result(
                 recorder, faults, core.num_devices, start_s, end_s, core.retry_events
             )
     return result
-
-
-def _fault_totals(
-    core: _DecodeCore,
-    faults: FaultSchedule,
-    start_s: float,
-    end_s: float,
-    dropped_by_reason: Dict[str, int],
-) -> dict:
-    """A finished fault-mode core's totals, given its drop counts."""
-    return dict(
-        dropped=sum(dropped_by_reason.values()),
-        dropped_by_reason=dropped_by_reason,
-        retries=core.retries,
-        failed_batches=core.failed_batches,
-        wasted_energy_pj=core.wasted_energy_pj,
-        device_downtime_s=[
-            faults.downtime_within(d, start_s, end_s) for d in range(core.num_devices)
-        ],
-    )
-
-
-def _count_drops(drops, by_reason: Optional[Dict[str, int]] = None) -> Dict[str, int]:
-    """Drop counts per reason name, added onto ``by_reason`` if given."""
-    if by_reason is None:
-        by_reason = dict.fromkeys(DROP_REASON_NAMES.values(), 0)
-    for _, reason, _ in drops:
-        by_reason[DROP_REASON_NAMES[reason]] += 1
-    return by_reason
 
 
 def simulate_decode_table(
@@ -975,7 +942,10 @@ def simulate_decode_table(
     members under ``retry`` (default :class:`~repro.serving.faults.
     RetryPolicy`).  The result then covers every offered request and
     carries the drop columns and fault totals; it stays bitwise equal
-    to the fault-threaded reference loop.
+    to the fault-threaded reference loop.  A prefill table under a
+    schedule runs on the batch engine instead
+    (:func:`~repro.serving.engine.simulate_table`), with the same
+    result.
 
     ``recorder`` emits the sampled requests' lifecycle spans post-hoc
     from the finished columns (prefill batching/dispatch, decode phase,
@@ -993,6 +963,21 @@ def simulate_decode_table(
     retry = _fault_hook(faults, retry, num_devices)
     if faults is not None and _vectors is not None:
         raise ValueError("sharded cost vectors do not apply under fault injection")
+    if faults is not None and table.output_len is None:
+        # Prefill batch formation depends on arrivals and retries only:
+        # the batch engine takes the schedule.
+        return simulate_table(
+            table,
+            cost_model,
+            num_devices=num_devices,
+            max_batch_size=max_batch_size,
+            max_wait_s=max_wait_s,
+            setup_cycles=setup_cycles,
+            recorder=recorder,
+            threads=threads,
+            faults=faults,
+            retry=retry,
+        )
     if has_duplicate_ids(table.request_id):
         raise ValueError("duplicate request id in stream")
 

@@ -27,12 +27,20 @@ batch granularity over a struct-of-arrays
    :func:`~repro.serving.metrics.summarize` consumes the result's
    columns directly.
 
+Faults hook into step 2.  Under a fault schedule a prefill table keeps
+its vectorised batch chains, and :class:`_FaultDispatch` dispatches
+them only to devices that are up, loses the batches whose device fails
+mid-service, retries or drops their members, and re-forms only the
+few batches a retry touches.  Generative tables, and every stream
+under a schedule, run the decode engine (:mod:`repro.serving.decode`).
+
 The equivalence contract: for any stream, knobs, and device count,
 :func:`simulate_table` produces per-request records **exactly equal**
 (bitwise, not approximately) to the reference loop's -- the same
 floating-point expressions are evaluated in the same order, only
 batched.  ``tests/test_serving_engine.py`` pins this across arrival
-patterns, execution modes, seeds, device counts, and wait bounds.
+patterns, execution modes, seeds, device counts, and wait bounds, and
+``tests/test_serving_faults.py`` under fault schedules.
 
 Every columnar run, whatever its traffic shape (prefill, generative,
 or under a fault schedule) and whichever engine ran it, comes back as
@@ -50,7 +58,9 @@ and the fault totals; the other columns and their names are shared.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -58,7 +68,15 @@ import numpy as np
 
 from repro.obs.trace import TraceRecorder
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
-from repro.serving.faults import DROP_REASON_NAMES, DroppedRecord
+from repro.serving.faults import (
+    DROP_DEADLINE,
+    DROP_REASON_NAMES,
+    DROP_RETRIES,
+    DROP_STRANDED,
+    DroppedRecord,
+    _emit_fault_trace,
+    _fault_columns,
+)
 from repro.serving.requests import (
     Request,
     RequestRecord,
@@ -610,6 +628,473 @@ def _dispatch(
     return batch_start, batch_finish, batch_device
 
 
+# Reference event priorities (:class:`~repro.serving.events.EventKind`)
+# of the events that seal batches; seal keys order on them.
+_ARRIVAL = 1
+_TIMEOUT = 2
+_RETRY = 5
+
+
+class _Reform:
+    """One queue's scalar batcher while retries re-form its batches:
+    the first chain batch it replaces, the next arrival to admit (an
+    index into the queue's rows), the open batch's rows in admission
+    order, its oldest member's ready instant, the key of the event that
+    opened it (the reference batcher's queue order), and the retries
+    scheduled into the queue but not yet admitted."""
+
+    __slots__ = ("first", "pos", "members", "ready", "created", "retries")
+
+    def __init__(self, first: int, pos: int):
+        self.first = first
+        self.pos = pos
+        self.members: List[int] = []
+        self.ready = 0.0
+        self.created: tuple = ()
+        self.retries = 0
+
+
+class _FaultDispatch:
+    """Phase 2 under a fault schedule: outage-aware dispatch with retries.
+
+    Dispatches phase 1's arrival-only batch chains in the global seal
+    order, like :func:`_dispatch`, under two more rules:
+
+    * **Availability.**  A batch sealed at ``s`` starts at the earliest
+      instant at or after ``max(s, free_at[d])`` at which device ``d``
+      is up, over all devices, ties to the lowest index.  Each such
+      instant is a seal, completion or recovery event of the reference
+      loop, so this is its event-time dispatch.  ``free_at`` holds
+      *effective* free times, with the outages that start while a
+      device idles or that kill its batch folded in, so the hot loop
+      reads one more value: ``nda``, the earliest outage start not
+      folded in.  A fault-free choice that starts and finishes before
+      it is exact; the rest are placed exactly.
+    * **Loss.**  A batch whose device's next outage starts before it
+      finishes is lost at that instant, with the decode core's float
+      expressions; each member then retries or drops under the policy.
+
+    A retry re-joins its queue, so from the queue's first undispatched
+    chain batch on a scalar batcher (:class:`_Reform`) applies the
+    reference rules to the merged arrivals and retries, until the queue
+    sits on a chain batch start again with no retry pending.  While any
+    retry is pending the next batch is the one with the smallest seal
+    key -- (instant, event priority, event key, phase within the event,
+    opening event) -- over the chains and the re-formed queues, which
+    is the reference's seal order.  This is causal: a retry lands after
+    its lost batch started, so a loss is known before any batch it can
+    change is next, and so is the pending-retry count that decides the
+    end-of-stream flush.  Per-request fault state is kept only for the
+    rows that were lost.
+    """
+
+    def __init__(self, faults, retry, num_devices, max_batch_size, max_wait_s):
+        self.traces = faults.traces
+        self.retry = retry
+        self.num_devices = num_devices
+        self.max_batch_size = max_batch_size
+        self.max_wait_s = max_wait_s
+        self.free_at = [0.0] * num_devices
+        self.busy_s = [0.0] * num_devices
+        self.energy_by_device = [0.0] * num_devices
+        self.ptr = [0] * num_devices
+        self._absorb(0.0)
+        self.dispatched = self.extra_batches = self.extra_size_triggered = 0
+        self.retries = self.failed_batches = 0
+        self.wasted_energy_pj = 0.0
+        self.failures: Dict[int, int] = {}
+        #: ((failure instant, dispatch index, member), row, reason, instant)
+        self.drops: list = []
+        self.retry_events: list = []
+        #: (retry instant, priority, (failure instant, dispatch index,
+        #: member), row): the reference's RETRY order.
+        self.heap: list = []
+        self.reform: Dict[int, _Reform] = {}
+        #: (rows, sealed, start, finish, device) of re-formed batches run.
+        self.reformed: list = []
+
+    def run(self, request, queues, batches, price, queue_of_row):
+        """Dispatch every batch; returns chain ``(start, finish, device)``.
+
+        ``request`` holds the sorted request columns, ``queues`` one
+        ``(spec, rows, chain starts)`` per active queue, ``batches`` the
+        chain columns in queue order, ``price(spec, rows)`` a re-formed
+        batch's (service, energy) and ``queue_of_row`` a row's queue.
+        """
+        self.arrival_s, self.request_id, self.deadline_s = request
+        if self.deadline_s is None:
+            self.deadline_s = np.broadcast_to(np.inf, self.arrival_s.shape)
+        self.specs, self.rows, self.chain_start = (list(c) for c in zip(*queues))
+        self.offsets = np.cumsum([0] + [starts.size for starts in self.chain_start])
+        self.member_start = np.concatenate(self.chain_start)
+        self.price = price
+        self.queue_of_row = queue_of_row
+        sealed, by_size, counts, service, energy, tie_arrival, tie_id = batches
+        self.sealed_s, self.size_sealed, self.member_count = sealed, by_size, counts
+        self.service_s, self.energy_pj = service, energy
+        nb = sealed.size
+        self.order = np.lexsort((tie_id, tie_arrival, ~by_size, sealed))
+        self.rank = np.empty(nb, dtype=np.int64)
+        self.rank[self.order] = np.arange(nb)
+        self.superseded = np.zeros(nb, dtype=bool)
+        self.batch_start = np.empty(nb, dtype=np.float64)
+        self.batch_finish = np.empty(nb, dtype=np.float64)
+        self.batch_device = np.empty(nb, dtype=np.int64)
+        n = self.arrival_s.size
+        self.t_last = float(self.arrival_s[n - 1])
+        #: The end-of-stream flush at the last arrival (a seal key less
+        #: its opening event), and whether it happens: None until a
+        #: batch it would seal is next.
+        self.eos_key = (self.t_last, _ARRIVAL, n - 1, 2)
+        self.eos: Optional[bool] = None
+        p = 0
+        while p < nb or self.heap or self.reform:
+            p = self._merge(self._hot(p))
+        return self.batch_start, self.batch_finish, self.batch_device
+
+    def _hot(self, p: int) -> int:
+        """Chain batches in global order from position ``p``, block-wise,
+        until a retry is pending; returns the next position."""
+        order = self.order
+        nb = order.size
+        free_at = self.free_at
+        busy_s = self.busy_s
+        energy_by_device = self.energy_by_device
+        # The next loss may be a few batches away: blocks grow from
+        # small, so a resumed run converts little that it abandons.
+        block = 256
+        while p < nb and not self.heap:
+            hi = min(p + block, nb)
+            block = min(2 * block, _DISPATCH_BLOCK)
+            kept = np.flatnonzero(~self.superseded[order[p:hi]])
+            idx = order[p:hi][kept]
+            service_block = self.service_s[idx]
+            starts: List[float] = []
+            devices: List[int] = []
+            base = self.dispatched
+            nda = self.nda
+            for s, service, energy in zip(
+                self.sealed_s[idx].tolist(),
+                service_block.tolist(),
+                self.energy_pj[idx].tolist(),
+            ):
+                earliest = min(free_at)
+                if earliest > s:
+                    start = earliest
+                    device = free_at.index(earliest)
+                else:
+                    start = s
+                    for device, free in enumerate(free_at):
+                        if free <= s:
+                            break
+                finish = start + service
+                if finish > nda or start >= nda:
+                    # Near an outage: place exactly, maybe lose it.
+                    j = len(starts)
+                    self.dispatched = base + j
+                    out = self._run_batch(
+                        s,
+                        service,
+                        energy,
+                        self._chain_rows(int(idx[j])),
+                        p + int(kept[j]) + 1,
+                    )
+                    nda = self.nda
+                    start, _, device = out or (np.nan, 0.0, -1)
+                    starts.append(start)
+                    devices.append(device)
+                    if self.heap:
+                        break
+                    continue
+                free_at[device] = finish
+                busy_s[device] += service
+                energy_by_device[device] += energy
+                starts.append(start)
+                devices.append(device)
+            m = len(starts)
+            done = idx[:m]
+            block_start = np.asarray(starts, dtype=np.float64)
+            self.batch_start[done] = block_start
+            self.batch_finish[done] = block_start + service_block[:m]
+            self.batch_device[done] = devices
+            self.dispatched = base + m
+            p = hi if m == idx.size else p + int(kept[m - 1]) + 1
+        return p
+
+    def _merge(self, p: int) -> int:
+        """Dispatch in seal-key order while any retry is pending."""
+        order = self.order
+        nb = order.size
+        w = self.max_wait_s
+        chain = -1
+        chain_key: tuple = ()
+        while self.heap or self.reform:
+            while p < nb and self.superseded[order[p]]:
+                p += 1
+            events = []
+            if p < nb:
+                b = int(order[p])
+                if b != chain:
+                    chain, chain_key = b, self._chain_key(b)
+                events.append((chain_key, "chain", -1))
+            for qid, st in self.reform.items():
+                if st.pos < self.rows[qid].size:
+                    r = int(self.rows[qid][st.pos])
+                    key = (float(self.arrival_s[r]), _ARRIVAL, r)
+                    events.append((key, "arrival", qid))
+                if st.members and w > 0:
+                    key = (st.ready + w, _TIMEOUT, 0, 0, st.created)
+                    events.append((key, "timeout", qid))
+                if st.members and self.eos is not False and st.created < self.eos_key:
+                    events.append((self.eos_key + (st.created,), "eos", qid))
+            if self.heap:
+                events.append((self.heap[0][:3], "retry", -1))
+            best, kind, q = min(events, key=lambda event: event[0])
+            if kind == "chain":
+                qid = int(np.searchsorted(self.offsets, chain, side="right")) - 1
+                if qid in self.reform:
+                    # Re-formation covers this queue's rows from here on.
+                    self.superseded[chain] = True
+                elif chain_key[:4] == self.eos_key and not self._eos_allowed():
+                    # A retry was pending at the last arrival, so this
+                    # tail batch stays open past it: re-form it.
+                    self._reform_queue(qid, p)
+                else:
+                    p += 1
+                    out = self._run_batch(
+                        float(self.sealed_s[chain]),
+                        float(self.service_s[chain]),
+                        float(self.energy_pj[chain]),
+                        self._chain_rows(chain),
+                        p,
+                    )
+                    if out is not None:
+                        self.batch_start[chain] = out[0]
+                        self.batch_finish[chain] = out[1]
+                        self.batch_device[chain] = out[2]
+            elif kind == "arrival":
+                st = self.reform[q]
+                st.pos += 1
+                self._admit(q, st, best[2], best[0], best, p)
+            elif kind == "timeout":
+                self._seal(q, self.reform[q], best[0], False, p)
+            elif kind == "eos":
+                if self._eos_allowed():
+                    self._seal(q, self.reform[q], self.t_last, False, p)
+            else:
+                at, _, key, row = heappop(self.heap)
+                q = self.queue_of_row(row)
+                st = self.reform[q]
+                st.retries -= 1
+                self._admit(q, st, row, at, (at, _RETRY, key), p)
+                if at >= self.t_last and all(e[2][0] > at for e in self.heap):
+                    # No retry pending after the last arrival: every open
+                    # queue flushes, in creation order.
+                    open_queues = sorted(
+                        (st.created, qid)
+                        for qid, st in self.reform.items()
+                        if st.members
+                    )
+                    for _, qid in open_queues:
+                        self._seal(qid, self.reform[qid], at, False, p)
+        return p
+
+    # ------------------------------------------------------------------
+    def _chain_rows(self, b: int) -> List[int]:
+        q = int(np.searchsorted(self.offsets, b, side="right")) - 1
+        lo = int(self.member_start[b])
+        return self.rows[q][lo : lo + int(self.member_count[b])].tolist()
+
+    def _chain_key(self, b: int) -> tuple:
+        """Seal key of chain batch ``b`` (see the class docstring)."""
+        q = int(np.searchsorted(self.offsets, b, side="right")) - 1
+        rows = self.rows[q]
+        lo = int(self.member_start[b])
+        sealed = float(self.sealed_s[b])
+        if self.size_sealed[b]:
+            return (sealed, _ARRIVAL, int(rows[lo + int(self.member_count[b]) - 1]), 0)
+        r = int(rows[lo])
+        if self.max_wait_s == 0:
+            return (sealed, _ARRIVAL, r, 1)
+        created = (float(self.arrival_s[r]), _ARRIVAL, r)
+        if sealed == self.t_last:
+            return self.eos_key + (created,)
+        return (sealed, _TIMEOUT, 0, 0, created)
+
+    def _eos_allowed(self) -> bool:
+        """Whether the last arrival flushes: no retry pending across it."""
+        if self.eos is None:
+            self.eos = all(e[2][0] >= self.t_last for e in self.heap)
+        return self.eos
+
+    def _absorb(self, x: float) -> None:
+        """Raise each device's free time to its first up instant at or
+        after ``x``, the start of the batch just placed, then refresh
+        ``nda``.
+
+        Later batches start at or after ``x`` (dispatch is FIFO), so the
+        earlier instants can no longer matter.
+        """
+        nda = float("inf")
+        for d, trace in enumerate(self.traces):
+            downs, ups = trace.down_s, trace.up_s
+            k = self.ptr[d]
+            t = self.free_at[d] = max(self.free_at[d], x)
+            while k < len(downs) and ups[k] <= t:
+                k += 1
+            if k < len(downs) and downs[k] <= t:
+                self.free_at[d] = ups[k]
+                k += 1
+            self.ptr[d] = k
+            if k < len(downs) and downs[k] < nda:
+                nda = downs[k]
+        self.nda = nda
+
+    def _place(self, sealed: float) -> Tuple[float, int]:
+        """Exact start and device of the next batch; device -1 when the
+        fleet never comes back."""
+        best = float("inf")
+        device = -1
+        for d, free in enumerate(self.free_at):
+            t = free if free > sealed else sealed
+            trace = self.traces[d]
+            k = bisect_right(trace.down_s, t) - 1
+            if k >= 0 and t < trace.up_s[k]:
+                t = trace.up_s[k]
+            if t < best:
+                best, device = t, d
+        if device >= 0:
+            self._absorb(best)
+        return best, device
+
+    def _run_batch(self, sealed, service, energy, rows, cursor):
+        """Place one batch exactly; ``(start, finish, device)`` or None
+        when it is lost or stranded."""
+        start, device = self._place(sealed)
+        dispatched = self.dispatched
+        self.dispatched += 1
+        if device < 0:
+            # Stranded: dropped after every loss, in seal order.
+            for m, row in enumerate(rows):
+                key = (np.inf, dispatched, m)
+                self.drops.append((key, row, DROP_STRANDED, sealed))
+            return None
+        finish = start + service
+        fail = self.traces[device].next_down_after(start)
+        if fail < finish:
+            self._lose(rows, start, device, fail, service, energy, dispatched, cursor)
+            return None
+        self.free_at[device] = finish
+        self.busy_s[device] += service
+        self.energy_by_device[device] += energy
+        return start, finish, device
+
+    def _lose(self, rows, start, device, fail, service, energy, dispatched, cursor):
+        """The device dies mid-batch: account the loss (the decode core's
+        float expressions), then retry or drop each member."""
+        lost = fail - start
+        trace = self.traces[device]
+        k = bisect_right(trace.down_s, start)
+        self.free_at[device] = trace.up_s[k]
+        self.ptr[device] = k + 1
+        self._absorb(start)
+        self.busy_s[device] += lost
+        self.wasted_energy_pj += energy * (lost / service)
+        self.failed_batches += 1
+        retry = self.retry
+        for m, row in enumerate(rows):
+            f = self.failures.get(row, 0) + 1
+            self.failures[row] = f
+            key = (fail, dispatched, m)
+            if f >= retry.max_attempts:
+                self.drops.append((key, row, DROP_RETRIES, fail))
+                continue
+            retry_at = fail + retry.backoff_s(f)
+            if retry_at > float(self.arrival_s[row]) + float(self.deadline_s[row]):
+                self.drops.append((key, row, DROP_DEADLINE, fail))
+                continue
+            q = self.queue_of_row(row)
+            self.retries += 1
+            self.retry_events.append(
+                (key, (int(self.request_id[row]), retry_at, f + 1, self.specs[q].name))
+            )
+            heappush(self.heap, (retry_at, _RETRY, key, row))
+            self._reform_queue(q, cursor).retries += 1
+
+    def _reform_queue(self, q: int, cursor: int) -> _Reform:
+        """The queue's scalar batcher, started at its first chain batch
+        at or after global position ``cursor`` if it has none yet."""
+        st = self.reform.get(q)
+        if st is None:
+            lo, hi = int(self.offsets[q]), int(self.offsets[q + 1])
+            first = int(np.searchsorted(self.rank[lo:hi], cursor))
+            while lo + first < hi and self.superseded[lo + first]:
+                first += 1
+            starts = self.chain_start[q]
+            pos = int(starts[first]) if first < starts.size else self.rows[q].size
+            st = self.reform[q] = _Reform(first, pos)
+        return st
+
+    def _admit(self, q, st: _Reform, row: int, now: float, created, cursor) -> None:
+        if not st.members:
+            st.ready = now
+            st.created = created
+        st.members.append(row)
+        if len(st.members) >= self.max_batch_size:
+            self._seal(q, st, now, True, cursor)
+        elif self.max_wait_s == 0:
+            self._seal(q, st, now, False, cursor)
+
+    def _seal(self, q, st: _Reform, now: float, by_size: bool, cursor) -> None:
+        rows = st.members
+        st.members = []
+        self.extra_batches += 1
+        self.extra_size_triggered += by_size
+        service, energy = self.price(self.specs[q], rows)
+        out = self._run_batch(now, service, energy, rows, cursor)
+        if out is not None:
+            self.reformed.append((rows, now) + out)
+        if st.members or st.retries:
+            return
+        # Hand back to the chain once the queue sits on a chain batch
+        # start (one the end-of-stream rule still seals as formed).
+        starts = self.chain_start[q]
+        j = int(np.searchsorted(starts, st.pos))
+        lo = int(self.offsets[q])
+        if st.pos < self.rows[q].size:
+            if j == starts.size or starts[j] != st.pos:
+                return
+            if self.eos is False and self._chain_key(lo + j)[:4] == self.eos_key:
+                return
+        self.superseded[lo + st.first : lo + j] = True
+        del self.reform[q]
+
+    # ------------------------------------------------------------------
+    def fault_columns(self, outcome: dict, faults, start_s: float):
+        """Overlay the re-formed batches and the drops on the scattered
+        outcome columns; returns the fault columns and the end instant."""
+        for rows, sealed, start, finish, device in self.reformed:
+            outcome["batched_s"][rows] = sealed
+            outcome["service_start_s"][rows] = start
+            outcome["finish_s"][rows] = finish
+            outcome["batch_size"][rows] = len(rows)
+            outcome["device_id"][rows] = device
+        attempts = np.ones(self.arrival_s.size, dtype=np.int64)
+        for row, failures in self.failures.items():
+            attempts[row] += failures
+        drops = [(row, reason, at) for _, row, reason, at in sorted(self.drops)]
+        dropped = [row for row, _, _ in drops]
+        attempts[dropped] -= 1
+        for name in ("batched_s", "service_start_s", "finish_s"):
+            outcome[name][dropped] = np.nan
+        outcome["batch_size"][dropped] = 0
+        outcome["device_id"][dropped] = -1
+        retry_events = [event for _, event in sorted(self.retry_events)]
+        return _fault_columns(
+            self, faults, drops, attempts, outcome["finish_s"], start_s, retry_events
+        )
+
+
 def simulate_table(
     table: RequestTable,
     cost_model: ServiceCostModel,
@@ -634,14 +1119,18 @@ def simulate_table(
     single-use reference simulator, this function carries no run state
     and may be called repeatedly.
 
-    Generative tables (an ``output_len`` column present) and runs with
-    a ``faults`` schedule (a :class:`~repro.serving.faults.
+    Generative tables (an ``output_len`` column present) route to the
+    event-driven decode engine, :func:`~repro.serving.decode.
+    simulate_decode_table` -- same knobs, same bitwise-vs-reference
+    contract, and the same result type with the generative columns
+    filled.  Prefill tables run the batch-granular engine below, with
+    or without a ``faults`` schedule (a :class:`~repro.serving.faults.
     FaultSchedule`; ``retry`` customizes its :class:`~repro.serving.
-    faults.RetryPolicy`) route to the event-driven decode engine,
-    :func:`~repro.serving.decode.simulate_decode_table` -- same knobs,
-    same bitwise-vs-reference contract, and the same result type with
-    the generative or fault columns filled.  Fault-free prefill tables
-    run the batch-granular engine below.
+    faults.RetryPolicy`, default ``RetryPolicy()``).  Under a schedule
+    phase 2 is :class:`_FaultDispatch`: the same chains dispatched only
+    to devices that are up, lost batches' members retried or dropped,
+    and only the batches a retry touches re-formed; the result then
+    covers every offered request with the fault columns filled.
 
     ``recorder`` opts into sim-time tracing: the sampled requests'
     lifecycle spans are emitted from the finished columns after the
@@ -650,7 +1139,7 @@ def simulate_table(
     the emitted spans bitwise match the reference loop's).
 
     ``threads`` parallelises only the decode engine's per-queue
-    cost-vector prebuild, so it matters for the routed runs alone; a
+    cost-vector prebuild, so it matters for generative runs alone; a
     prefill run forms its batches serially in a few vectorised passes
     per queue, and its results are the same at every thread count.
     ``_formed`` is the process-shard injection point
@@ -658,16 +1147,20 @@ def simulate_table(
     queue id -> precomputed phase-1 parts for the canonically sorted
     table.
     """
-    from repro.serving.decode import _validate_knobs, simulate_decode_table
+    from repro.serving.decode import (
+        _fault_hook,
+        _validate_knobs,
+        simulate_decode_table,
+    )
 
-    if faults is not None or table.output_len is not None:
-        # Generative decode-step readiness depends on device timing, and
-        # a fault schedule decides batch fates at dispatch, so batch
-        # formation cannot be precomputed: the event-driven core runs.
-        if _formed is not None:
-            raise ValueError(
-                "sharded batch formation applies to fault-free prefill tables only"
-            )
+    if _formed is not None and (faults is not None or table.output_len is not None):
+        raise ValueError(
+            "sharded batch formation applies to fault-free prefill tables only"
+        )
+    if table.output_len is not None:
+        # Generative decode-step readiness depends on device timing, so
+        # batch formation cannot be precomputed: the event-driven core
+        # runs.
         return simulate_decode_table(
             table,
             cost_model,
@@ -680,11 +1173,12 @@ def simulate_table(
             faults=faults,
             retry=retry,
         )
-    if retry is not None:
+    if faults is None and retry is not None:
         raise ValueError("a retry policy requires a fault schedule")
     if len(table) == 0:
         raise ValueError("request stream must not be empty")
     _validate_knobs(num_devices, max_batch_size, max_wait_s, threads)
+    retry = _fault_hook(faults, retry, num_devices)
     if has_duplicate_ids(table.request_id):
         raise ValueError("duplicate request id in stream")
 
@@ -753,55 +1247,94 @@ def simulate_table(
     # ------------------------------------------------------------------
     # Phase 2: k-server FIFO dispatch over batches in global seal order.
     # ------------------------------------------------------------------
-    free_at = [0.0] * num_devices
-    busy_s = [0.0] * num_devices
-    energy_by_device = [0.0] * num_devices
-    batch_start, batch_finish, batch_device = _dispatch(
-        sealed_s,
-        service_s,
-        energy_pj,
-        size_sealed,
-        tie_arrival,
-        tie_id,
-        free_at,
-        busy_s,
-        energy_by_device,
-    )
+    deadline_s = None if table.deadline_s is None else table.deadline_s[order]
+    if faults is None:
+        busy_s = [0.0] * num_devices
+        energy_by_device = [0.0] * num_devices
+        batch_start, batch_finish, batch_device = _dispatch(
+            sealed_s,
+            service_s,
+            energy_pj,
+            size_sealed,
+            tie_arrival,
+            tie_id,
+            [0.0] * num_devices,
+            busy_s,
+            energy_by_device,
+        )
+    else:
+        queue_pos = np.full(len(queue_specs), -1, dtype=np.int64)
+        queue_pos[active] = np.arange(len(active))
+        spec_queue = queue_pos[queue_of_spec]
+
+        def price(spec, rows: List[int]) -> Tuple[float, float]:
+            # _form_queue's expressions, for one re-formed batch.
+            cost = cost_model.sample_cost(spec, int(valid_len[rows].max()))
+            size = len(rows)
+            service = (setup_cycles + cost.cycles * size) / frequency_hz
+            return service, cost.energy_pj * size
+
+        fault = _FaultDispatch(faults, retry, num_devices, max_batch_size, max_wait_s)
+        batches = (sealed_s, size_sealed, member_count, service_s, energy_pj)
+        batch_start, batch_finish, batch_device = fault.run(
+            (arrival_s, request_id, deadline_s),
+            [
+                (queue_specs[qid], rows, f[0])
+                for qid, rows, f in zip(active, model_rows, form_columns)
+            ],
+            batches + (tie_arrival, tie_id),
+            price,
+            lambda row: int(spec_queue[spec_idx[row]]),
+        )
+        busy_s = fault.busy_s
+        energy_by_device = fault.energy_by_device
 
     # ------------------------------------------------------------------
     # Phase 3: scatter per-batch outcomes back to per-request columns.
     # A model's batches tile its sorted rows in formation order, so one
     # repeat() per model covers every member.
     # ------------------------------------------------------------------
-    batched_col = np.empty(n, dtype=np.float64)
-    start_col = np.empty(n, dtype=np.float64)
-    finish_col = np.empty(n, dtype=np.float64)
-    size_col = np.empty(n, dtype=np.int64)
-    device_col = np.empty(n, dtype=np.int64)
+    outcome = dict(
+        batched_s=np.empty(n, dtype=np.float64),
+        service_start_s=np.empty(n, dtype=np.float64),
+        finish_s=np.empty(n, dtype=np.float64),
+        batch_size=np.empty(n, dtype=np.int64),
+        device_id=np.empty(n, dtype=np.int64),
+    )
     for rows, (lo, hi) in zip(model_rows, model_slices):
         counts = member_count[lo:hi]
-        batched_col[rows] = np.repeat(sealed_s[lo:hi], counts)
-        start_col[rows] = np.repeat(batch_start[lo:hi], counts)
-        finish_col[rows] = np.repeat(batch_finish[lo:hi], counts)
-        size_col[rows] = np.repeat(member_count[lo:hi], counts)
-        device_col[rows] = np.repeat(batch_device[lo:hi], counts)
+        outcome["batched_s"][rows] = np.repeat(sealed_s[lo:hi], counts)
+        outcome["service_start_s"][rows] = np.repeat(batch_start[lo:hi], counts)
+        outcome["finish_s"][rows] = np.repeat(batch_finish[lo:hi], counts)
+        outcome["batch_size"][rows] = np.repeat(member_count[lo:hi], counts)
+        outcome["device_id"][rows] = np.repeat(batch_device[lo:hi], counts)
 
+    start_s = float(arrival_s[0])
     size_triggered = int(np.count_nonzero(size_sealed))
+    fault_columns: dict = {}
+    if faults is None:
+        end_s = float(np.max(batch_finish))
+    else:
+        fault_columns, end_s = fault.fault_columns(outcome, faults, start_s)
+        # Re-formed batches replace the chain batches they supersede.
+        kept = ~fault.superseded
+        num_batches = int(np.count_nonzero(kept)) + fault.extra_batches
+        size_triggered = (
+            int(np.count_nonzero(size_sealed & kept)) + fault.extra_size_triggered
+        )
+    completed = n - fault_columns.get("dropped", 0)
     result = ColumnarServingResult(
         specs=table.specs,
         request_id=request_id,
         arrival_s=arrival_s,
         spec_idx=spec_idx,
         valid_len=valid_len,
-        deadline_s=None if table.deadline_s is None else table.deadline_s[order],
-        batched_s=batched_col,
-        service_start_s=start_col,
-        finish_s=finish_col,
-        batch_size=size_col,
-        device_id=device_col,
-        completed=n,
-        start_s=float(arrival_s[0]),
-        end_s=float(np.max(batch_finish)),
+        deadline_s=deadline_s,
+        **outcome,
+        **fault_columns,
+        completed=completed,
+        start_s=start_s,
+        end_s=end_s,
         device_busy_s=busy_s,
         device_energy_pj=energy_by_device,
         batches=int(num_batches),
@@ -809,10 +1342,14 @@ def simulate_table(
         decode_batches=0,
         size_triggered_batches=size_triggered,
         timeout_triggered_batches=int(num_batches) - size_triggered,
-        total_tokens=n,
+        total_tokens=completed,
     )
     if recorder is not None:
         _record_spans(recorder, result)
+        if faults is not None:
+            _emit_fault_trace(
+                recorder, faults, num_devices, start_s, end_s, result.retry_events
+            )
     return result
 
 
@@ -970,6 +1507,9 @@ def simulate_stream(
     the decode engine's chunked driver,
     :func:`~repro.serving.decode.simulate_decode_stream`, whose chunks
     and totals fill the generative or fault columns of the same types.
+    Prefill chunks under a schedule run there too, as one-token
+    requests, while :func:`simulate_table` runs a prefill table under a
+    schedule on the batch engine; the fault tests diff the two.
 
     The equivalence contract matches :func:`simulate_table`: for the
     same concatenated stream and knobs, every per-request column value,

@@ -29,15 +29,19 @@ Failure semantics
 
 Both serving paths understand fault schedules: the per-request
 reference loop (:mod:`repro.serving.scheduler`) defines the semantics,
-and the columnar fast path is the decode engine's event core
-(:class:`repro.serving.decode._DecodeCore`) with the schedule and retry
-policy as its fault hook -- the ``faults=`` / ``retry=`` knobs of every
-``simulate_*`` driver.  It is pinned bitwise-equal under every schedule
-(and equal to the no-fault engines when the schedule is empty).  Fault
-runs come back as the one set of columnar result types
-(:mod:`repro.serving.engine`) with their fault columns and totals
-filled.  This module holds the schedule and policy types, the drop
-records and reason codes, the fault trace helper, and two thin
+and the columnar engines take the schedule and retry policy as a fault
+hook -- the ``faults=`` / ``retry=`` knobs of every ``simulate_*``
+driver.  A prefill table runs on the batch engine
+(:func:`repro.serving.engine.simulate_table`), whose outage-aware
+dispatch re-forms only the batches a retry touches; generative tables
+and every chunked stream run on the decode engine's event core
+(:class:`repro.serving.decode._DecodeCore`).  Both are pinned
+bitwise-equal to the reference under every schedule (and equal to the
+no-fault engines when the schedule is empty).  Fault runs come back as
+the one set of columnar result types (:mod:`repro.serving.engine`)
+with their fault columns and totals filled.  This module holds the
+schedule and policy types, the drop records and reason codes, the
+fault totals and trace helpers both engines share, and two thin
 wrappers kept for their names.  Conservation holds by construction:
 ``completed + dropped == offered``.
 """
@@ -46,7 +50,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -264,6 +268,71 @@ class DroppedRecord:
     attempts: int
 
 
+def _count_drops(drops, by_reason: Optional[Dict[str, int]] = None) -> Dict[str, int]:
+    """Drop counts per reason name over (row, reason code, instant) drops,
+    added onto ``by_reason`` if given."""
+    if by_reason is None:
+        by_reason = dict.fromkeys(DROP_REASON_NAMES.values(), 0)
+    for _, reason, _ in drops:
+        by_reason[DROP_REASON_NAMES[reason]] += 1
+    return by_reason
+
+
+def _fault_totals(
+    engine,
+    faults: FaultSchedule,
+    start_s: float,
+    end_s: float,
+    dropped_by_reason: Dict[str, int],
+) -> dict:
+    """A finished fault-mode run's totals, given its drop counts.
+
+    ``engine`` is either engine's finished fault state: it carries
+    ``retries``, ``failed_batches``, ``wasted_energy_pj`` and
+    ``num_devices``.
+    """
+    return dict(
+        dropped=sum(dropped_by_reason.values()),
+        dropped_by_reason=dropped_by_reason,
+        retries=engine.retries,
+        failed_batches=engine.failed_batches,
+        wasted_energy_pj=engine.wasted_energy_pj,
+        device_downtime_s=[
+            faults.downtime_within(d, start_s, end_s)
+            for d in range(engine.num_devices)
+        ],
+    )
+
+
+def _fault_columns(
+    engine, faults, drops, attempts, finish_s, start_s, retry_events
+) -> Tuple[dict, float]:
+    """A finished fault-mode table run's fault columns and totals, and its
+    end instant.
+
+    ``drops`` lists (row, reason code, instant) in drop order,
+    ``attempts`` holds every row's dispatch attempts (a dropped row's
+    lost ones), and ``engine`` is as for :func:`_fault_totals`.
+    """
+    n = attempts.size
+    drop_order = np.array([row for row, _, _ in drops], dtype=np.int64)
+    drop_reason = np.zeros(n, dtype=np.int8)
+    drop_reason[drop_order] = [reason for _, reason, _ in drops]
+    dropped_s = np.full(n, np.nan)
+    dropped_s[drop_order] = [at for _, _, at in drops]
+    # Each row either finished or dropped: fmax skips the other NaN.
+    end_s = float(np.fmax(finish_s, dropped_s).max())
+    columns = dict(
+        attempts=attempts,
+        drop_reason=drop_reason,
+        dropped_s=dropped_s,
+        drop_order=drop_order,
+        retry_events=list(retry_events),
+        **_fault_totals(engine, faults, start_s, end_s, _count_drops(drops)),
+    )
+    return columns, end_s
+
+
 def _emit_fault_trace(
     recorder: TraceRecorder,
     schedule: FaultSchedule,
@@ -300,14 +369,14 @@ def simulate_faulty_table(
     setup_cycles: int = DEFAULT_SETUP_CYCLES,
     recorder: Optional[TraceRecorder] = None,
 ) -> ColumnarServingResult:
-    """:func:`~repro.serving.decode.simulate_decode_table` under ``faults``.
+    """:func:`~repro.serving.engine.simulate_table` under ``faults``.
 
     Kept for its name; ``simulate_table(..., faults=, retry=)`` is the
     entry point.  ``retry=None`` means the default :class:`RetryPolicy`.
     """
-    from repro.serving.decode import simulate_decode_table
+    from repro.serving.engine import simulate_table
 
-    return simulate_decode_table(
+    return simulate_table(
         table,
         cost_model,
         num_devices=num_devices,

@@ -1,11 +1,14 @@
 """Fault-injection suite: equivalence, conservation, and validation.
 
 The fault layer's contract mirrors the engines' own: fault mode on the
-columnar decode core is *exactly* equal -- per-request records, drop
-records, retry events, device accounting -- to the fault-threaded
-reference event loops, across arrival patterns, seeds, fleet sizes,
-outage traces, and retry/deadline policies, on fixed grids and on
-hypothesis-drawn cases.  On top of that sit conservation
+columnar engines -- the batch engine for prefill tables, the decode
+core for generative tables and every chunked stream -- is *exactly*
+equal -- per-request records, drop records, retry events, device
+accounting -- to the fault-threaded reference event loops, across
+arrival patterns, seeds, fleet sizes, outage traces, and retry/deadline
+policies, on fixed grids and on hypothesis-drawn cases.  The
+stream-vs-table properties diff the two engines against each other on
+prefill draws.  On top of that sit conservation
 properties every fault run must satisfy (``completed + dropped ==
 total``, busy time bounded by uptime), byte-identity of fault traces
 across engines, and the no-faults guarantee: an empty schedule changes
@@ -108,7 +111,8 @@ def run_reference(table, cost, faults, retry, num_devices, max_wait_s,
 
 def assert_fault_runs_equal(table, cost, faults, retry, num_devices,
                             max_wait_s, max_batch_size=8):
-    """Run the fault core and the reference loop; everything must match."""
+    """Run the columnar engine and the reference loop; everything must
+    match."""
     fast = simulate_faulty_table(
         table,
         cost,
@@ -144,6 +148,42 @@ def assert_fault_runs_equal(table, cost, faults, retry, num_devices,
         assert fast.prefill_batches == ref.prefill_batches
         assert fast.decode_batches == ref.decode_batches
     return fast, ref
+
+
+def assert_stream_equals_table(table, cost, chunk_size, **kwargs):
+    """Chunk the table through ``simulate_stream``; every total must
+    equal the whole-table run's, and the sink's rows its completed rows.
+    Returns the whole-table result."""
+    whole = simulate_table(table, cost, **kwargs)
+    chunks = [
+        table.slice(lo, min(lo + chunk_size, len(table)))
+        for lo in range(0, len(table), chunk_size)
+    ]
+    collected = []
+    streamed = simulate_stream(chunks, cost, sink=collected.append, **kwargs)
+    for field in dataclasses.fields(streamed):
+        name = field.name
+        assert getattr(streamed, name) == getattr(whole, name), name
+    # The sink's rows, in (arrival, id) order, are the completed rows.
+    names = [
+        "request_id", "arrival_s", "spec_idx", "valid_len", "batched_s",
+        "service_start_s", "finish_s", "batch_size", "device_id", "attempts",
+    ]
+    if whole.generative:
+        names += ["output_len", "first_token_s", "decode_slots"]
+    cols = {
+        name: np.concatenate(
+            [getattr(c, name) for c in collected] or [np.empty(0)]
+        )
+        for name in names
+    }
+    order = np.lexsort((cols["request_id"], cols["arrival_s"]))
+    done = whole.drop_reason == 0
+    for name in names:
+        assert np.array_equal(
+            cols[name][order], getattr(whole, name)[done]
+        ), name
+    return whole
 
 
 # ----------------------------------------------------------------------
@@ -333,6 +373,36 @@ class TestFaultEquivalence:
         assert routed.to_result() == plain.to_result()
 
 
+class TestFaultRouting:
+    def test_prefill_fault_tables_skip_the_decode_core(self, cost_model, monkeypatch):
+        # Prefill tables run the batch engine under a schedule; only
+        # generative tables and the stream driver build the decode core.
+        from repro.serving import decode
+
+        class Built(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Built
+
+        prefill = generate_request_table(
+            PoissonProcess(120.0), "BERT-B", count=200, seed=0
+        )
+        generative = generate_request_table(
+            PoissonProcess(120.0), "BERT-B", count=50, seed=0, mean_output_tokens=4.0
+        )
+        faults = make_schedule("fixed", 2)
+        kwargs = dict(faults=faults, num_devices=2)
+        monkeypatch.setattr(decode, "_DecodeCore", refuse)
+        simulate_table(prefill, cost_model, **kwargs)
+        simulate_faulty_table(prefill, cost_model, faults, num_devices=2)
+        simulate_decode_table(prefill, cost_model, **kwargs)
+        with pytest.raises(Built):
+            simulate_table(generative, cost_model, **kwargs)
+        with pytest.raises(Built):
+            simulate_stream([prefill], cost_model, **kwargs)
+
+
 # ----------------------------------------------------------------------
 # property: drawn streams, fleets, schedules and policies
 # ----------------------------------------------------------------------
@@ -381,6 +451,77 @@ def fault_cases(draw):
     return table, faults, retry, num_devices
 
 
+#: Tail draws: outage edges on a 0.5 ms grid within 12 ms of the last
+#: arrival, so failures and retries straddle the end-of-stream flush.
+TAIL_GRID_S = 5e-4
+TAIL_SLOTS = 24
+#: End-of-stream paths the tail draws must reach.
+TAIL_PATHS = ("retried_completed", "pending_at_last", "flush_after_last")
+
+
+@st.composite
+def tail_fault_cases(draw):
+    """A prefill stream whose outages cluster around its last arrival,
+    on ``fault_cases``' gap, deadline and retry-policy axes."""
+    num_devices = draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.sampled_from(PROPERTY_GAPS_S), min_size=1, max_size=8))
+    table = generate_request_table(
+        TraceProcess(gaps),
+        {"BERT-B": 0.5, "ViT-B": 0.5},
+        count=draw(st.integers(1, 60)),
+        seed=draw(st.integers(0, 2**16)),
+        deadline_range_s=draw(st.sampled_from((None, (5e-3, 50e-3)))),
+    )
+    anchor = round(float(table.arrival_s.max()) / TAIL_GRID_S)
+    intervals = []
+    for _ in range(num_devices):
+        slots = draw(
+            st.lists(
+                st.integers(max(0, anchor - TAIL_SLOTS), anchor + TAIL_SLOTS),
+                unique=True,
+                max_size=12,
+            )
+        )
+        times = [TAIL_GRID_S * e for e in sorted(slots)] + [np.inf]
+        intervals.append([(times[k], times[k + 1]) for k in range(0, len(slots), 2)])
+    retry = RetryPolicy(
+        max_attempts=draw(st.integers(1, 4)),
+        backoff_base_s=draw(st.sampled_from((0.0, 1e-3, 2e-3))),
+        backoff_multiplier=draw(st.sampled_from((1.0, 2.0))),
+    )
+    return table, FaultSchedule.from_intervals(intervals), retry, num_devices
+
+
+def tail_paths(table, result, retry, max_batch_size, max_wait_s):
+    """Which of :data:`TAIL_PATHS` a fault run reached, read off its
+    result columns."""
+    last = float(table.arrival_s.max())
+    done = result.drop_reason == 0
+    reached = set()
+    if np.any(done & (result.attempts > 1)):
+        reached.add("retried_completed")
+    for request_id, at, attempt, _ in result.retry_events:
+        # Outage edges and arrivals sit >= 0.5 ms apart or on one grid
+        # point; the margin only absorbs the backoff's rounding.
+        failed = at - retry.backoff_s(attempt - 1)
+        if failed < last - 1e-9 and at >= last:
+            reached.add("pending_at_last")
+        row = int(np.flatnonzero(result.request_id == request_id)[0])
+        if (
+            max_wait_s > 0
+            and at >= last
+            and done[row]
+            and result.attempts[row] == attempt
+            and result.batched_s[row] == at
+            and result.batch_size[row] < max_batch_size
+        ):
+            # Admitted and sealed at its retry instant, neither by size
+            # nor by a timeout (which would have sealed before it
+            # joined): the end-of-stream flush at a retry.
+            reached.add("flush_after_last")
+    return reached
+
+
 class TestFaultProperty:
     @given(
         case=fault_cases(),
@@ -404,45 +545,59 @@ class TestFaultProperty:
     def test_stream_equals_table(
         self, cost_model, case, chunk_size, max_batch_size, max_wait_s
     ):
+        # Prefill draws compare the batch engine (table) with the decode
+        # core (stream); generative draws run the decode core in both.
         table, faults, retry, num_devices = case
-        kwargs = dict(
+        assert_stream_equals_table(
+            table,
+            cost_model,
+            chunk_size,
             faults=faults,
             retry=retry,
             num_devices=num_devices,
             max_batch_size=max_batch_size,
             max_wait_s=max_wait_s,
         )
-        whole = simulate_table(table, cost_model, **kwargs)
-        chunks = [
-            table.slice(lo, min(lo + chunk_size, len(table)))
-            for lo in range(0, len(table), chunk_size)
-        ]
-        collected = []
-        streamed = simulate_stream(
-            chunks, cost_model, sink=collected.append, **kwargs
+
+    def test_tail_draws_equal_reference_and_stream(self, cost_model):
+        """Outages around the last arrival: the batch engine equals the
+        reference loop and the decode core's stream driver, and the draws
+        reach the re-formation paths at the end of the stream."""
+        reached = dict.fromkeys(TAIL_PATHS, 0)
+
+        @given(
+            case=tail_fault_cases(),
+            chunk_size=st.integers(1, 60),
+            max_batch_size=st.integers(1, 8),
+            max_wait_s=st.sampled_from((0.0, 2e-3)),
         )
-        for field in dataclasses.fields(streamed):
-            name = field.name
-            assert getattr(streamed, name) == getattr(whole, name), name
-        # The sink's rows, in (arrival, id) order, are the completed rows.
-        names = [
-            "request_id", "arrival_s", "spec_idx", "valid_len", "batched_s",
-            "service_start_s", "finish_s", "batch_size", "device_id", "attempts",
-        ]
-        if whole.generative:
-            names += ["output_len", "first_token_s", "decode_slots"]
-        cols = {
-            name: np.concatenate(
-                [getattr(c, name) for c in collected] or [np.empty(0)]
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        def check(case, chunk_size, max_batch_size, max_wait_s):
+            table, faults, retry, num_devices = case
+            assert_fault_runs_equal(
+                table,
+                cost_model,
+                faults,
+                retry,
+                num_devices,
+                max_wait_s,
+                max_batch_size,
             )
-            for name in names
-        }
-        order = np.lexsort((cols["request_id"], cols["arrival_s"]))
-        done = whole.drop_reason == 0
-        for name in names:
-            assert np.array_equal(
-                cols[name][order], getattr(whole, name)[done]
-            ), name
+            whole = assert_stream_equals_table(
+                table,
+                cost_model,
+                chunk_size,
+                faults=faults,
+                retry=retry,
+                num_devices=num_devices,
+                max_batch_size=max_batch_size,
+                max_wait_s=max_wait_s,
+            )
+            for path in tail_paths(table, whole, retry, max_batch_size, max_wait_s):
+                reached[path] += 1
+
+        check()
+        assert all(reached.values()), reached
 
 
 # ----------------------------------------------------------------------
