@@ -9,8 +9,14 @@ the whole workload with array-level bookkeeping.
 
 The layering is:
 
-- :class:`BatchedWorkload` -- samples padded/stacked by sequence length
-  into one ``(B, S, S)`` keep-mask tensor;
+- :class:`BatchedWorkload` -- samples of one sequence length, their
+  keep rows bit-packed once into ``(B, S, ceil(S / 64))`` uint64 words.
+  Every per-query count the strategies read (unpruned keys, each
+  CORELET's interleave class, value fetches past the pinned keys) is a
+  popcount over those words, memoized on the batch; the system keeps
+  one batch per workload bucket, so the counts are shared by every
+  config and mode.  The bool ``(B, S, S)`` stack is unpacked only for
+  the reference paths (sequential-block ablation, ``slow_exact`` LRU);
 - :class:`BatchedKernel` -- the shared vectorized primitives (CORELET
   imbalance, pipeline cycles, SLD residency traffic, fetch latency);
 - :class:`DenseStrategy` / :class:`PruningOnlyStrategy` /
@@ -36,7 +42,7 @@ canonicalized semantics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -114,13 +120,35 @@ del _m, _mask, _r, _bit
 
 def _popcount(rows: np.ndarray) -> np.ndarray:
     """Set bits per packed row, as ``int64``."""
-    return np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+    return np.bitwise_count(rows).sum(axis=-1, dtype=np.int64)
+
+
+def _pack_rows(keep: np.ndarray) -> np.ndarray:
+    """Boolean ``(..., K)`` rows as ``(..., ceil(K / 64))`` uint64 words.
+
+    Bits follow ``np.packbits`` (big-endian within each byte, bytes in
+    key order); each row is zero-padded to whole 64-bit words, so key
+    ``k`` always lands in word ``k // 64`` whatever ``K`` is.
+    """
+    keys = keep.shape[-1]
+    packed = np.zeros(keep.shape[:-1] + (8 * -(-keys // 64),), dtype=np.uint8)
+    packed[..., : -(-keys // 8)] = np.packbits(keep, axis=-1)
+    return packed.view(np.uint64)
 
 
 def _sld_traffic_packed(
     keep: np.ndarray, capacity_vectors: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Bit-packed residency sweep (the fast path).
+    """Bit-packed residency sweep (the fast path) over a bool mask."""
+    return _sld_traffic_words(
+        _pack_rows(np.asarray(keep, dtype=bool)), capacity_vectors
+    )
+
+
+def _sld_traffic_words(
+    words: np.ndarray, capacity_vectors: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Bit-packed residency sweep over :func:`_pack_rows` words.
 
     The LRU-with-index-tie-break buffer admits a closed form: trimming
     the residency set to capacity at every step under the total order
@@ -144,15 +172,15 @@ def _sld_traffic_packed(
     whole words while they fit plus part of one straddling word, split
     through a 256-entry byte mask table, so any capacity resolves in
     O(log w*) packed passes.
+
+    Trailing zero words (keys past the mask's width, e.g. a padded
+    sample's columns) change no count, so a sample's rows can be swept
+    at the batch's word width.
     """
-    keep = np.asarray(keep, dtype=bool)
-    num_queries, num_keys = keep.shape
-    packed = np.zeros((num_queries, 8 * -(-num_keys // 64)), dtype=np.uint8)
-    packed[:, : -(-num_keys // 8)] = np.packbits(keep, axis=1)
-    words = packed.view(np.uint64)
+    num_queries = words.shape[0]
     fetches = _popcount(words)
     reuses = np.zeros(num_queries, dtype=np.int64)
-    if num_queries <= 1 or num_keys == 0 or capacity_vectors <= 0:
+    if num_queries <= 1 or words.shape[1] == 0 or capacity_vectors <= 0:
         return fetches, reuses
     row_ids = np.arange(num_queries, dtype=np.int64)
     # -- levels[j][r]: OR of rows [r, r + 2**j) of the history (every
@@ -244,12 +272,21 @@ def simulate_sld_traffic(
 # ----------------------------------------------------------------------
 @dataclass
 class BatchedWorkload:
-    """Samples of equal ``seq_len`` stacked into one mask tensor.
+    """Samples of equal ``seq_len``, their keep rows bit-packed once.
+
+    Every per-query statistic the strategies read is a count of kept
+    keys over some key subset, so it comes from :attr:`words` by
+    ``np.bitwise_count`` (:meth:`row_counts`) and is memoized here.
+    A :class:`~repro.core.system.SprintSystem` keeps one instance per
+    workload bucket, so the statistics are shared by every config and
+    mode that simulates the workload; only the SLD sweep, which depends
+    on the chip's capacity, runs per config.
 
     Attributes
     ----------
-    keep:
-        Boolean ``(B, S, S)``; padded rows/columns are ``False``.
+    words:
+        Read-only uint64 ``(B, S, ceil(S / 64))``: each query's keep row
+        packed by :func:`_pack_rows`; padded rows/columns are zero bits.
     valid_len:
         ``(B,)`` non-padded token counts.
     causal:
@@ -258,10 +295,13 @@ class BatchedWorkload:
         The shared model sequence length ``S``.
     """
 
-    keep: np.ndarray
+    words: np.ndarray
     valid_len: np.ndarray
     causal: np.ndarray
     seq_len: int
+    _counts: Dict[Tuple[int, int, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_samples(cls, samples: Sequence[WorkloadSample]) -> "BatchedWorkload":
@@ -272,15 +312,49 @@ class BatchedWorkload:
             raise ValueError(
                 f"samples must share seq_len; got {sorted(seq_lens)}"
             )
+        words = np.stack(
+            [_pack_rows(np.asarray(s.keep_mask, dtype=bool)) for s in samples]
+        )
+        words.flags.writeable = False
         return cls(
-            keep=np.stack([np.asarray(s.keep_mask, dtype=bool) for s in samples]),
+            words=words,
             valid_len=np.array([s.valid_len for s in samples], dtype=np.int64),
             causal=np.array([s.causal for s in samples], dtype=bool),
             seq_len=seq_lens.pop(),
         )
 
     def __len__(self) -> int:
-        return self.keep.shape[0]
+        return self.words.shape[0]
+
+    @property
+    def keep(self) -> np.ndarray:
+        """Boolean ``(B, S, S)`` keep masks, unpacked on every access.
+
+        Only the bool reference paths (the sequential-block ablation and
+        the ``slow_exact`` LRU loop) read it; it is never kept.
+        """
+        rows = self.words.view(np.uint8)
+        return np.unpackbits(rows, axis=-1, count=self.seq_len).view(bool)
+
+    def row_counts(self, keys: slice = slice(None)) -> np.ndarray:
+        """Per-query kept keys among ``range(S)[keys]``, ``(B, S)`` int64.
+
+        Equal to ``keep[:, :, keys].sum(axis=2)``: a popcount of the
+        packed rows under a word mask of the selected keys.  Memoized
+        per key selection and read-only.
+        """
+        span = keys.indices(self.seq_len)
+        counts = self._counts.get(span)
+        if counts is None:
+            words = self.words
+            if span != (0, self.seq_len, 1):
+                selected = np.zeros(self.seq_len, dtype=bool)
+                selected[keys] = True
+                words = words & _pack_rows(selected)
+            counts = _popcount(words)
+            counts.flags.writeable = False
+            self._counts[span] = counts
+        return counts
 
 
 # ----------------------------------------------------------------------
@@ -309,30 +383,33 @@ class BatchedKernel:
 
     # -- CORELET imbalance ---------------------------------------------
     def per_corelet_worst(
-        self, keep: np.ndarray, num_cols: np.ndarray = None
+        self, batch: BatchedWorkload, num_cols: np.ndarray = None
     ) -> np.ndarray:
         """Per-query worst-case unpruned tokens on any CORELET, ``(B, S)``.
 
-        ``num_cols`` gives each sample's mapped key count (its valid
-        length); it only matters for the sequential-block ablation,
-        where block boundaries depend on the mapped width.  Token
-        interleaving is width-agnostic because padded columns are all
-        ``False``.
+        Token interleaving sends key ``k`` to CORELET ``k % n``, so each
+        CORELET's load is one of the batch's memoized strided
+        :meth:`~BatchedWorkload.row_counts` (width-agnostic because
+        padded columns are all ``False``).  ``num_cols`` gives each
+        sample's mapped key count (its valid length); it only matters
+        for the sequential-block ablation, where block boundaries depend
+        on the mapped width and the counts come from the bool masks.
         """
         n = self.config.num_corelets
-        batch, _, keys = keep.shape
         if self.enable_interleaving:
-            counts = np.stack(
-                [keep[:, :, c::n].sum(axis=2) for c in range(n)], axis=2
-            )
-            return counts.max(axis=2)
+            worst = batch.row_counts(slice(0, None, n))
+            for c in range(1, n):
+                worst = np.maximum(worst, batch.row_counts(slice(c, None, n)))
+            return worst
+        keep = batch.keep
+        batch_size, _, keys = keep.shape
         widths = (
-            np.full(batch, keys, dtype=np.int64)
+            np.full(batch_size, keys, dtype=np.int64)
             if num_cols is None
             else np.asarray(num_cols, dtype=np.int64)
         )
         out = np.zeros(keep.shape[:2], dtype=np.int64)
-        for i in range(batch):
+        for i in range(batch_size):
             block = -(-int(widths[i]) // n)
             counts = np.stack(
                 [
@@ -370,18 +447,20 @@ class BatchedKernel:
 
         Queries beyond a sample's valid length contribute zeros.  The
         residency sweep runs per sample (its output depends on that
-        sample's full mask history) but is internally loop-free.
+        sample's full mask history) but is internally loop-free, over
+        the batch's packed rows; ``sld_slow_exact`` walks the bool masks
+        through the reference loop instead.
         """
         capacity = self.config.kv_capacity_vectors
-        fetches = np.zeros(batch.keep.shape[:2], dtype=np.int64)
+        fetches = np.zeros((len(batch), batch.seq_len), dtype=np.int64)
         reuses = np.zeros_like(fetches)
+        keep = batch.keep if self.sld_slow_exact else None
         for i in range(len(batch)):
             valid = int(batch.valid_len[i])
-            f, r = simulate_sld_traffic(
-                batch.keep[i, :valid, :valid],
-                capacity,
-                slow_exact=self.sld_slow_exact,
-            )
+            if keep is None:
+                f, r = _sld_traffic_words(batch.words[i, :valid], capacity)
+            else:
+                f, r = _sld_traffic_loop(keep[i, :valid, :valid], capacity)
             fetches[i, :valid] = f
             reuses[i, :valid] = r
         return fetches, reuses
@@ -394,6 +473,9 @@ class ModeStrategy:
     """One execution mode's batched event/cycle/energy accounting."""
 
     mode: ExecutionMode
+    #: Whether the mode reads the keep masks (the dense modes only read
+    #: lengths and causal flags).
+    reads_masks = True
 
     def simulate_batch(
         self, kernel: BatchedKernel, batch: BatchedWorkload
@@ -409,6 +491,8 @@ class DenseStrategy(ModeStrategy):
     causal flag, never on the mask contents, so identical samples share
     one report computation.
     """
+
+    reads_masks = False
 
     def __init__(self, mask_aware: bool):
         self.mask_aware = mask_aware
@@ -494,7 +578,6 @@ class PruningOnlyStrategy(ModeStrategy):
         self, kernel: BatchedKernel, batch: BatchedWorkload
     ) -> List[HeadReport]:
         cfg = kernel.config
-        keep = batch.keep
         s = batch.seq_len
         capacity = cfg.kv_capacity_vectors
         resident = min(capacity, s)
@@ -503,9 +586,9 @@ class PruningOnlyStrategy(ModeStrategy):
         key_fetches = s * streamed + resident
         query_fetches = s
         # Values fetch only when unpruned and outside the pinned region.
-        v_fetch_per_query = keep[:, :, resident:].sum(axis=2)
+        v_fetch_per_query = batch.row_counts(slice(resident, None))
         value_fetches = v_fetch_per_query.sum(axis=1) + resident
-        unpruned = keep.sum(axis=2)
+        unpruned = batch.row_counts()
         total_unpruned = unpruned.sum(axis=1)
         qk = s * s
         energy = EnergyModel(vector_bytes=cfg.vector_bytes)
@@ -520,7 +603,7 @@ class PruningOnlyStrategy(ModeStrategy):
         energy.count_v_mac_rows(total_unpruned)
         per_key = -(-cfg.head_dim // cfg.mac_taps)
         worst_qk = -(-s // cfg.num_corelets)
-        worst_v = kernel.per_corelet_worst(keep)
+        worst_v = kernel.per_corelet_worst(batch)
         softmax_tokens = -(-unpruned // cfg.num_corelets)
         softmax = softmax_tokens + -(-softmax_tokens // 2)
         compute = (
@@ -561,16 +644,15 @@ class SprintStrategy(ModeStrategy):
         self, kernel: BatchedKernel, batch: BatchedWorkload
     ) -> List[HeadReport]:
         cfg = kernel.config
-        keep = batch.keep
         valid = batch.valid_len
+        unpruned = batch.row_counts()
         if kernel.enable_sld:
             fetches, reuses = kernel.sld_traffic(batch)
         else:
             # Ablation: no locality reuse -- every unpruned vector is a
             # fresh fetch for every query.
-            fetches = keep.sum(axis=2)
+            fetches = unpruned
             reuses = np.zeros_like(fetches)
-        unpruned = keep.sum(axis=2)
         total_unpruned = unpruned.sum(axis=1)
         total_fetches = fetches.sum(axis=1)
         key_fetches = total_fetches
@@ -595,7 +677,7 @@ class SprintStrategy(ModeStrategy):
         energy.count_qk_dot_products(total_unpruned)
         energy.count_softmax_elements(total_unpruned)
         energy.count_v_mac_rows(total_unpruned)
-        worst = kernel.per_corelet_worst(keep, num_cols=valid)
+        worst = kernel.per_corelet_worst(batch, num_cols=valid)
         compute = kernel.pipeline_cycles(worst, unpruned)
         memory = kernel.fetch_cycles(2 * fetches) + kernel.timing.t_axth
         in_valid = (

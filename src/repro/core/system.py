@@ -22,17 +22,23 @@ The heavy lifting lives in :mod:`repro.core.batched`: workloads are
 simulated as one stacked batch through per-mode strategy classes, so
 sweeps, the multi-head roll-up, and the serving cost cache all share a
 single vectorized workload-level code path.  :meth:`SprintSystem.simulate_sample`
-is the same engine run on a batch of one.
+is the same engine run on a batch of one.  A :class:`Workload` keeps its
+packed batches between calls, so every config and mode that simulates
+it shares one set of row statistics.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.batched import (
     BatchedKernel,
     BatchedWorkload,
     ExecutionMode,
+    ModeStrategy,
+    _pack_rows,
     simulate_sld_traffic,
     strategy_for,
 )
@@ -48,6 +54,48 @@ __all__ = [
     "SprintSystem",
     "simulate_sld_traffic",
 ]
+
+
+#: Sample positions sharing one seq_len, and their batch.
+_Bucket = Tuple[List[int], BatchedWorkload]
+
+
+def _buckets(samples: Sequence[WorkloadSample]) -> List[_Bucket]:
+    """``samples`` grouped by seq_len (first-seen order) and batched."""
+    groups: Dict[int, List[int]] = {}
+    for i, sample in enumerate(samples):
+        groups.setdefault(sample.seq_len, []).append(i)
+    return [
+        (indices, BatchedWorkload.from_samples([samples[i] for i in indices]))
+        for indices in groups.values()
+    ]
+
+
+def _workload_buckets(workload: Workload, check_masks: bool) -> List[_Bucket]:
+    """``workload``'s buckets, memoized on it for every config and mode.
+
+    The memo records the samples it was built from and each one's
+    seq_len, valid length and causal flag, and is rebuilt when any of
+    them differ.  Callers that read the masks (``check_masks``) also
+    re-pack every mask and rebuild a bucket whose packed rows changed,
+    so a mask edited in place is never served stale statistics.
+    """
+    samples = list(workload.samples)
+    shape = [(id(s), s.seq_len, s.valid_len, s.causal) for s in samples]
+    if workload._batches is None or workload._batches[1] != shape:
+        # The memo holds its samples, so no other object can take
+        # their ids while it lives.
+        workload._batches = (samples, shape, _buckets(samples))
+    elif check_masks:
+        buckets = workload._batches[2]
+        for pos, (indices, batch) in enumerate(buckets):
+            members = [samples[i] for i in indices]
+            if not all(
+                np.array_equal(_pack_rows(np.asarray(s.keep_mask, dtype=bool)), rows)
+                for s, rows in zip(members, batch.words)
+            ):
+                buckets[pos] = (indices, BatchedWorkload.from_samples(members))
+    return workload._batches[2]
 
 
 class SprintSystem:
@@ -111,15 +159,7 @@ class SprintSystem:
         """
         strategy = strategy_for(mode)
         samples = list(samples)
-        buckets: Dict[int, List[int]] = {}
-        for i, sample in enumerate(samples):
-            buckets.setdefault(sample.seq_len, []).append(i)
-        reports: List[Optional[HeadReport]] = [None] * len(samples)
-        for indices in buckets.values():
-            batch = BatchedWorkload.from_samples([samples[i] for i in indices])
-            for i, report in zip(indices, strategy.simulate_batch(self.kernel, batch)):
-                reports[i] = report
-        return reports
+        return self._simulate_buckets(strategy, _buckets(samples), len(samples))
 
     def simulate_workload(
         self,
@@ -127,14 +167,30 @@ class SprintSystem:
         mode: ExecutionMode,
         model_name: str = "custom",
     ) -> SimulationReport:
-        """Simulate a whole workload in one batched pass."""
-        heads = self.simulate_heads(list(workload), mode)
+        """Simulate a whole workload in one batched pass.
+
+        The workload's packed batches and their row statistics are
+        memoized on it, so later calls under any config or mode reuse
+        them (see :func:`_workload_buckets`).
+        """
+        strategy = strategy_for(mode)
+        buckets = _workload_buckets(workload, check_masks=strategy.reads_masks)
+        heads = self._simulate_buckets(strategy, buckets, len(workload))
         return SimulationReport.from_heads(
             model=model_name,
             config=self.config.name,
             mode=mode.value,
             heads=heads,
         )
+
+    def _simulate_buckets(
+        self, strategy: ModeStrategy, buckets: List[_Bucket], count: int
+    ) -> List[HeadReport]:
+        reports: List[Optional[HeadReport]] = [None] * count
+        for indices, batch in buckets:
+            for i, report in zip(indices, strategy.simulate_batch(self.kernel, batch)):
+                reports[i] = report
+        return reports
 
     def simulate_modes(
         self,

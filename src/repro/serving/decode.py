@@ -415,8 +415,9 @@ class _DecodeCore:
         """Advance a decode batch through a run of membership-fixed steps.
 
         Preconditions (checked by the caller): this batch's DEVICE_DONE
-        just popped with the queues and the ready FIFO empty -- no
-        other members are pending, so until the next arrival
+        just popped with the ready FIFO empty -- any other pending
+        queue seals only at its deadline or on an arrival, both of
+        which bound the run, so until the next arrival
         (``limit``), the next foreign heap event, or a member's last
         token, every event is this batch's own reseal cycle and its
         membership is fixed.  The run advances as one plain-float
@@ -425,10 +426,18 @@ class _DecodeCore:
         context-indexed cost lists, so every finish instant and the
         busy/energy folds are bitwise the reference loop's
         one-event-at-a-time accumulation -- without touching the heap,
-        the queue dict, or the per-member records.  Returns False when
-        no full reseal fits before the bounds (the caller falls back
-        to the scalar handler).
+        the queue dict, or the per-member records.  Returns False (the
+        caller falls back to the scalar handler) when no full reseal
+        fits before the bounds, and also when:
+
+        - every device is busy at ``now``: a DONE sharing this instant
+          popped first and dispatched onto this batch's device;
+        - this DONE fires the end-of-stream flush while other queues
+          are pending: the flush seals them too, oldest first, so they
+          take the lower devices.
         """
+        if self.min_free_at > now:
+            return False
         recs = batch[1]
         size = len(recs)
         left, mx = batch[6], batch[7]
@@ -439,16 +448,16 @@ class _DecodeCore:
         # the step runs scalar.
         if queues and (qid, True) in queues:
             return False
+        # After arrivals end, the end-of-stream flush fires at this
+        # DONE when no OTHER batch still has rejoiners in flight (our
+        # own ``size`` members rejoin at each step and do not block
+        # it).  It seals every pending queue, oldest first, so with
+        # other queues pending the step runs scalar.
+        flush = self.arrivals_done and self.in_flight_rejoiners == size
+        if flush and queues:
+            return False
         by_size = size >= self.max_batch_size
-        # After arrivals end, the end-of-stream flush only seals a
-        # rejoin queue instantly when no OTHER batch still has pending
-        # rejoiners in flight (our own ``size`` members rejoin at each
-        # step and do not block it).
-        instant = (
-            by_size
-            or self.zero_wait
-            or (self.arrivals_done and self.in_flight_rejoiners == size)
-        )
+        instant = by_size or self.zero_wait or flush
         heap = self.heap
         # The next foreign heap event bounds the run strictly: at equal
         # instants it was pushed earlier, so it pops first and may

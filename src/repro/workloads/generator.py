@@ -10,7 +10,7 @@ same pruning rate for the locality comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, List, Optional
 
 import numpy as np
 
@@ -67,6 +67,11 @@ class Workload:
     seq_len: int = 0
     target_pruning_rate: float = 0.0
     padding_ratio: float = 0.0
+    #: The simulator's memo of the samples' bit-packed keep rows and row
+    #: statistics, shared by every config and mode that simulates this
+    #: workload (owned by :meth:`repro.core.system.SprintSystem.
+    #: simulate_workload`, which re-validates it on every call).
+    _batches: Any = field(default=None, init=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.samples)

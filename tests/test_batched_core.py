@@ -5,9 +5,13 @@ per-sample path: same counts, same cycles, same per-category energy.
 Golden reports captured from the per-sample simulator pin the absolute
 numbers; the remaining tests check internal consistency (batching vs
 singles, the packed SLD sweep and the LRU closed form vs the
-reference LRU loop, array vs scalar energy tallies).
+reference LRU loop, packed row statistics vs the bool reductions they
+replace, the per-workload memo vs fresh copies, array vs scalar energy
+tallies).
 """
 
+import copy
+import dataclasses
 import json
 import os
 
@@ -17,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.batched import (
+    BatchedKernel,
     BatchedWorkload,
     _sld_traffic_loop,
     _sld_traffic_packed,
@@ -28,10 +33,10 @@ from repro.core.configs import (
     S_SPRINT,
 )
 from repro.core.multihead import MultiHeadSimulator
-from repro.core.system import ExecutionMode, SprintSystem
+from repro.core.system import ExecutionMode, SprintSystem, _workload_buckets
 from repro.energy.model import EnergyModel
 from repro.models.zoo import get_model
-from repro.workloads.generator import generate_workload
+from repro.workloads.generator import Workload, WorkloadSample, generate_workload
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "data", "golden_system_reports.json"
@@ -263,6 +268,173 @@ class TestSldSweepImplementations:
         for impl in (_sld_traffic_loop, _sld_traffic_packed):
             fetches, reuses = impl(empty, 4)
             assert fetches.sum() == 0 and reuses.sum() == 0
+
+
+@st.composite
+def padded_samples(draw):
+    """1-3 samples of one drawn ``seq_len`` (mostly not a multiple of
+    64): padded to drawn valid lengths, causal or not, any density."""
+    seq_len = draw(st.integers(1, 200))
+    causal = draw(st.booleans())
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    samples = []
+    for _ in range(draw(st.integers(1, 3))):
+        valid = draw(st.integers(1, seq_len))
+        keep = np.zeros((seq_len, seq_len), dtype=bool)
+        keep[:valid, :valid] = rng.random((valid, valid)) < density
+        if causal:
+            keep &= np.tri(seq_len, dtype=bool)
+        samples.append(
+            WorkloadSample(
+                keep_mask=keep, valid_len=valid, seq_len=seq_len, causal=causal
+            )
+        )
+    return samples
+
+
+class TestPackedRowStatistics:
+    """Every statistic read off the packed rows equals the bool
+    reduction it replaced."""
+
+    @given(
+        samples=padded_samples(),
+        num_corelets=st.integers(1, 8),
+        resident=st.integers(0, 210),
+        cache_kb=st.integers(0, 25),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_statistics_equal_bool_reductions(
+        self, samples, num_corelets, resident, cache_kb
+    ):
+        keep = np.stack([s.keep_mask for s in samples])
+        batch = BatchedWorkload.from_samples(samples)
+        np.testing.assert_array_equal(batch.keep, keep)
+        np.testing.assert_array_equal(batch.row_counts(), keep.sum(axis=2))
+        np.testing.assert_array_equal(
+            batch.row_counts(slice(resident, None)),
+            keep[:, :, resident:].sum(axis=2),
+        )
+        config = dataclasses.replace(
+            S_SPRINT, num_corelets=num_corelets, onchip_cache_kb=cache_kb
+        )
+        classes = [keep[:, :, c::num_corelets].sum(axis=2) for c in range(num_corelets)]
+        np.testing.assert_array_equal(
+            BatchedKernel(config).per_corelet_worst(batch),
+            np.stack(classes, axis=2).max(axis=2),
+        )
+        # The packed sweep runs each sample at the batch's word width;
+        # the reference loop walks the sample's valid square.
+        packed = BatchedKernel(config).sld_traffic(batch)
+        loop = BatchedKernel(config, sld_slow_exact=True).sld_traffic(batch)
+        np.testing.assert_array_equal(packed[0], loop[0])
+        np.testing.assert_array_equal(packed[1], loop[1])
+
+
+def _mixed_workload():
+    """Two seq_len buckets: padded encoder samples and causal ones."""
+    padded = generate_workload(96, 0.7, padding_ratio=0.3, num_samples=2, seed=3)
+    causal = generate_workload(
+        80, 0.6, padding_ratio=0.2, num_samples=2, causal=True, seed=4
+    )
+    return Workload(samples=[padded.samples[0], causal.samples[0],
+                             padded.samples[1], causal.samples[1]])
+
+
+def _fresh(workload):
+    """An unsimulated copy: its own samples and no memo."""
+    return Workload(samples=copy.deepcopy(workload.samples))
+
+
+def _assert_same_report(a, b):
+    assert a.cycles == b.cycles
+    assert a.counts == b.counts
+    assert a.energy.pj == b.energy.pj
+
+
+class TestWorkloadMemo:
+    """``simulate_workload`` memoizes a workload's packed batches and row
+    statistics for every config and mode; the memo must never change a
+    report."""
+
+    def test_every_cell_equals_a_fresh_copy(self):
+        workload = _mixed_workload()
+        pristine = _fresh(workload)
+        for config in (S_SPRINT, M_SPRINT, L_SPRINT):
+            for enable_sld in (True, False):
+                for enable_interleaving in (True, False):
+                    for slow_exact in (False, True):
+                        system = SprintSystem(
+                            config,
+                            enable_sld=enable_sld,
+                            enable_interleaving=enable_interleaving,
+                            sld_slow_exact=slow_exact,
+                        )
+                        for mode in ExecutionMode:
+                            _assert_same_report(
+                                system.simulate_workload(workload, mode),
+                                system.simulate_workload(_fresh(pristine), mode),
+                            )
+
+    def test_changed_masks_are_not_served_stale(self):
+        workload = _mixed_workload()
+        spare = generate_workload(96, 0.5, padding_ratio=0.1, num_samples=1, seed=9)
+
+        def clear_rows_in_place(wl):
+            wl.samples[0].keep_mask[:40] = False
+
+        def flip_in_place(wl):
+            mask = wl.samples[1].keep_mask
+            mask[:, :20] = ~mask[:, :20] & np.tri(80, dtype=bool)[:, :20]
+
+        def reassign_mask(wl):
+            wl.samples[2].keep_mask = np.eye(96, dtype=bool)
+
+        def shorten(wl):
+            wl.samples[2].valid_len = 50
+
+        def replace_sample(wl):
+            wl.samples[0] = spare.samples[0]
+
+        def append_sample(wl):
+            wl.samples.append(copy.deepcopy(spare.samples[0]))
+
+        system = SprintSystem(M_SPRINT)
+        for edit in (
+            clear_rows_in_place, flip_in_place, reassign_mask, shorten,
+            replace_sample, append_sample,
+        ):
+            before = system.simulate_workload(workload, ExecutionMode.SPRINT)
+            for mode in ExecutionMode:
+                system.simulate_workload(workload, mode)
+            edit(workload)
+            for mode in ExecutionMode:
+                _assert_same_report(
+                    system.simulate_workload(workload, mode),
+                    system.simulate_workload(_fresh(workload), mode),
+                )
+            after = system.simulate_workload(workload, ExecutionMode.SPRINT)
+            assert after.counts != before.counts, edit.__name__
+
+    def test_memo_is_shared_and_read_only(self):
+        workload = _mixed_workload()
+        SprintSystem(S_SPRINT).simulate_workload(workload, ExecutionMode.SPRINT)
+        buckets = _workload_buckets(workload, check_masks=True)
+        SprintSystem(L_SPRINT).simulate_workload(
+            workload, ExecutionMode.PRUNING_ONLY
+        )
+        SprintSystem(M_SPRINT).simulate_workload(workload, ExecutionMode.BASELINE)
+        assert _workload_buckets(workload, check_masks=True) is buckets
+        for _, batch in buckets:
+            # The rows, then the counts: unpruned (S-SPRINT's single
+            # CORELET class), L-SPRINT's four classes, and its value
+            # fetches past the pinned keys.
+            arrays = [batch.words] + list(batch._counts.values())
+            assert len(arrays) == 7
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[(0,) * array.ndim] = 1
 
 
 class TestVectorizedEnergyTally:

@@ -23,13 +23,17 @@ Four contracts pinned here:
    whole-table report on decode traffic.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.configs import S_SPRINT
 from repro.core.system import ExecutionMode
+from repro.models.zoo import get_model
 from repro.serving import (
     BurstyProcess,
     ContinuousBatcher,
@@ -160,6 +164,114 @@ class TestDecodeEquivalence:
         assert np.array_equal(routed.finish_s, direct.finish_s)
         assert np.array_equal(routed.first_token_s, direct.first_token_s)
         assert routed.total_tokens == direct.total_tokens
+
+
+#: Property arrivals sit on a 2**-13 s grid (exact in binary), a few
+#: slots apart at most, so arrivals, timeouts and DONE events share
+#: instants.
+GRID_S = 2.0**-13
+PROPERTY_MODELS = ("BERT-B", "BERT-L")
+
+
+def decode_table(models, arrival_s, spec_idx, valid_len, output_len):
+    """A generative table from explicit columns, ids in arrival order."""
+    return RequestTable(
+        specs=[get_model(name) for name in models],
+        request_id=np.arange(len(arrival_s)),
+        arrival_s=arrival_s,
+        spec_idx=spec_idx,
+        valid_len=valid_len,
+        output_len=output_len,
+    )
+
+
+@st.composite
+def decode_cases(draw):
+    """1-8 requests of 1-2 models on tie-heavy grid arrivals."""
+    models = PROPERTY_MODELS[: draw(st.integers(1, 2))]
+    count = draw(st.integers(1, 8))
+    slots = sorted(draw(st.lists(st.integers(0, 24), min_size=count, max_size=count)))
+    ints = st.lists(st.integers(0, len(models) - 1), min_size=count, max_size=count)
+    return decode_table(
+        models,
+        [GRID_S * slot for slot in slots],
+        draw(ints),
+        draw(st.lists(st.sampled_from((16, 32)), min_size=count, max_size=count)),
+        draw(st.lists(st.integers(1, 10), min_size=count, max_size=count)),
+    )
+
+
+class TestDecodeProperty:
+    """The fault-free decode core, macro-stepping on, on drawn cases."""
+
+    @given(
+        table=decode_cases(),
+        num_devices=st.integers(1, 3),
+        max_batch_size=st.integers(1, 8),
+        max_wait_s=st.sampled_from((0.0, 2e-3)),
+        chunk_size=st.integers(1, 8),
+    )
+    @example(
+        # A DONE after the last arrival whose batch holds the only
+        # in-flight rejoiners fires the end-of-stream flush, which
+        # seals the other model's pending queue too.
+        table=decode_table(
+            PROPERTY_MODELS, [0.0, 1e-4], [0, 1], [32, 32], [10, 10]
+        ),
+        num_devices=2,
+        max_batch_size=8,
+        max_wait_s=2e-3,
+        chunk_size=1,
+    )
+    @example(
+        # Two DONEs at one instant: the first dispatches onto the
+        # second batch's device, so no device is free for its reseal.
+        table=decode_table(
+            PROPERTY_MODELS[:1],
+            [6 * GRID_S, 7 * GRID_S, 7 * GRID_S, 8 * GRID_S],
+            [0, 0, 0, 0],
+            [32, 32, 16, 32],
+            [6, 8, 4, 5],
+        ),
+        num_devices=3,
+        max_batch_size=6,
+        max_wait_s=0.0,
+        chunk_size=2,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_table_and_stream_equal_reference(
+        self, cost_model, table, num_devices, max_batch_size, max_wait_s,
+        chunk_size,
+    ):
+        knobs = dict(
+            num_devices=num_devices,
+            max_batch_size=max_batch_size,
+            max_wait_s=max_wait_s,
+        )
+        assert_generative_equal(table, cost_model, **knobs)
+        whole = simulate_decode_table(table, cost_model, **knobs)
+        chunks = [
+            table.slice(lo, min(lo + chunk_size, len(table)))
+            for lo in range(0, len(table), chunk_size)
+        ]
+        collected = []
+        streamed = simulate_decode_stream(
+            chunks, cost_model, sink=collected.append, **knobs
+        )
+        for field in dataclasses.fields(streamed):
+            name = field.name
+            assert getattr(streamed, name) == getattr(whole, name), name
+        rows = {
+            name: np.concatenate([getattr(c, name) for c in collected])
+            for name in (
+                "request_id", "batched_s", "service_start_s",
+                "first_token_s", "finish_s", "batch_size", "device_id",
+                "decode_slots",
+            )
+        }
+        order = np.argsort(rows["request_id"], kind="stable")
+        for name, col in rows.items():
+            assert np.array_equal(col[order], getattr(whole, name)), name
 
 
 class TestDegeneration:
