@@ -5,7 +5,7 @@ from repro.experiments import serving
 
 def test_bench_serving(benchmark):
     rows = benchmark(
-        serving.run, num_requests=100, loads=(20.0, 80.0)
+        serving.run, requests_per_point=100, loads=(20.0, 80.0)
     )
     headroom = serving.max_sla_load(rows)
     for pattern in serving.DEFAULT_PATTERNS:

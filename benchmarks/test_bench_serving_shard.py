@@ -55,7 +55,7 @@ from repro.experiments import registry, serving
 from repro.runtime import ExperimentPool
 
 jobs, num_requests, out_path = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
-registry.EXPERIMENTS["serving"] = ({"num_requests": num_requests}, serving)
+registry.EXPERIMENTS["serving"] = ({"requests_per_point": num_requests}, serving)
 outcome = ExperimentPool(jobs=jobs).run(["serving"], fast=True)["serving"]
 assert outcome.ok, outcome.error
 with open(out_path, "w") as fh:

@@ -56,7 +56,7 @@ def main() -> None:
     print()
 
     start = time.time()
-    rows = experiment.run(num_requests=num_requests)
+    rows = experiment.run(requests_per_point=num_requests)
     print(format_table(rows))
     print()
 

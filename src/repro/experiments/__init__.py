@@ -8,6 +8,7 @@ paper-vs-measured summary consumed by EXPERIMENTS.md.
 
 from repro.experiments import (
     ablations,
+    decode,
     fig1_memory_energy,
     fig2_heatmap,
     fig3_overlap,
@@ -19,6 +20,7 @@ from repro.experiments import (
     fig12_energy,
     fig13_breakdown,
     ffn_end_to_end,
+    resilience,
     sensitivity,
     serving,
     table3_comparison,
@@ -26,6 +28,7 @@ from repro.experiments import (
 
 __all__ = [
     "ablations",
+    "decode",
     "fig1_memory_energy",
     "fig2_heatmap",
     "fig3_overlap",
@@ -37,6 +40,7 @@ __all__ = [
     "fig12_energy",
     "fig13_breakdown",
     "ffn_end_to_end",
+    "resilience",
     "sensitivity",
     "serving",
     "table3_comparison",

@@ -25,10 +25,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from repro.core.configs import L_SPRINT, S_SPRINT, SprintConfig
 from repro.core.system import ExecutionMode, SprintSystem
+from repro.experiments.primed import Primed
 from repro.models.zoo import get_model
 from repro.workloads.generator import generate_workload
 
@@ -362,7 +363,9 @@ class AblationUnit:
 #: Rows installed by :func:`prime` (computed in a worker process or
 #: replayed from the unit cache); consulted by the studies before
 #: simulating a row locally.
-_PRIMED: Dict[Tuple, AblationRow] = {}
+_PRIMED = Primed()
+prime = _PRIMED.prime
+clear_primed = _PRIMED.clear_primed
 
 
 def plan(
@@ -402,15 +405,6 @@ def plan(
         for locality in localities
     )
     return units
-
-
-def prime(key: Tuple, row: AblationRow) -> None:
-    """Install an externally computed row (parallel-runtime hook)."""
-    _PRIMED[tuple(key)] = row
-
-
-def clear_primed() -> None:
-    _PRIMED.clear()
 
 
 def format_tables(

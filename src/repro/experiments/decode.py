@@ -12,10 +12,11 @@ interaction SPRINT's pruning targets: the per-token attention share
 grows with context, and pruning flattens exactly that term.
 
 The sweep is shardable from day one: every (mode, mean output length)
-point is an independent :class:`DecodeUnit` on the runtime's WorkUnit
-protocol (``plan``/``prime``/``clear_primed``), grouped by mode so a
-worker shard warms exactly one shared cost model.  Streams are seeded
-by a stable hash of (experiment seed, mean output length) -- never by
+point is an independent :class:`~repro.experiments.serving.
+ServingPoint` on the runtime's WorkUnit protocol
+(``plan``/``prime``/``clear_primed``), grouped by mode so a worker
+shard warms exactly one shared cost model.  Streams are seeded by a
+stable hash of (experiment seed, mean output length) -- never by
 worker identity -- so artifacts are byte-identical at every ``--jobs``
 value.
 
@@ -28,32 +29,20 @@ loop (``engine="reference"``).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Sequence
 
-from repro.core.configs import S_SPRINT, SprintConfig
 from repro.core.system import ExecutionMode
-from repro.obs import telemetry
-from repro.obs.trace import TraceConfig, TraceRecorder
-from repro.serving.arrivals import PoissonProcess, generate_request_table
-from repro.serving.batching import ContinuousBatcher
-from repro.serving.devices import (
-    ServiceCostModel,
-    SprintDevice,
-    shared_cost_model,
+from repro.experiments.primed import Primed
+from repro.experiments.serving import (
+    DEFAULT_MODES,
+    ServingPoint,
+    ServingStudy,
+    simulate_point,
 )
-from repro.serving.engine import simulate_table
-from repro.serving.metrics import ServingReport, summarize
-from repro.serving.scheduler import GenerativeServingSimulator
+from repro.serving.metrics import ServingReport
 
-DEFAULT_MODES = (
-    ExecutionMode.BASELINE,
-    ExecutionMode.PRUNING_ONLY,
-    ExecutionMode.SPRINT,
-)
 #: The decode-growth axis: mean output tokens per request, prefill-
 #: dominated (2) through decode-dominated (64).
 DEFAULT_MEAN_OUTPUT_LENS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -91,7 +80,8 @@ class DecodeRow:
     mean_step_batch: float
 
 
-class DecodeExperiment:
+@dataclass(frozen=True, kw_only=True)
+class DecodeExperiment(ServingStudy):
     """The iso-token-load decode sweep over execution modes.
 
     Parameters
@@ -106,65 +96,46 @@ class DecodeExperiment:
         ``"fast"`` (default) routes each point through the columnar
         decode engine; ``"reference"`` walks the per-request
         continuous-batching event loop.  Identical reports either way.
+        ``"stream"`` runs generative chunks out-of-core (see
+        :func:`~repro.experiments.serving.simulate_point`).
     """
 
-    def __init__(
-        self,
-        model: str = "BERT-B",
-        config: SprintConfig = S_SPRINT,
-        num_devices: int = 1,
-        max_batch_size: int = 8,
-        max_wait_ms: float = 2.0,
-        len_bucket: int = 32,
-        seed: int = 0,
-        engine: str = "fast",
-    ):
-        if engine not in ("fast", "reference"):
-            raise ValueError(f"unknown engine {engine!r}")
-        self.model = model
-        self.config = config
-        self.num_devices = num_devices
-        self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
-        self.len_bucket = len_bucket
-        self.seed = seed
-        self.engine = engine
+    study: ClassVar[str] = "decode"
+    num_devices: int = 1
+    max_wait_ms: float = 2.0
 
-    # ------------------------------------------------------------------
-    def _cost_model(self, mode: ExecutionMode) -> ServiceCostModel:
-        return shared_cost_model(
-            self.config, mode, len_bucket=self.len_bucket, seed=self.seed
-        )
-
-    def _unit(
+    def point(
         self,
         mode: ExecutionMode,
         mean_output_tokens: float,
         token_rate_rps: float,
         num_requests: int,
-    ) -> "DecodeUnit":
-        return DecodeUnit(
-            model=self.model,
-            config=self.config,
-            mode=mode.value,
-            mean_output_tokens=mean_output_tokens,
-            token_rate_rps=token_rate_rps,
+    ) -> ServingPoint:
+        """The work unit for one sweep point of this experiment."""
+        return self._point(
+            f"{mode.value}-{mean_output_tokens:g}tok",
+            mode,
+            pattern="poisson",
+            rate_rps=token_rate_rps / mean_output_tokens,
             num_requests=num_requests,
-            seed=self.seed,
+            stream_seed=stream_seed(self.seed, mean_output_tokens),
+            mean_output_tokens=mean_output_tokens,
             num_devices=self.num_devices,
-            max_batch_size=self.max_batch_size,
-            max_wait_ms=self.max_wait_ms,
-            len_bucket=self.len_bucket,
-            engine=self.engine,
         )
 
-    def _trace_recorder(self) -> Optional[TraceRecorder]:
-        tele = telemetry.get_telemetry()
-        if tele is None or tele.trace_dir is None:
-            return None
-        return TraceRecorder(
-            TraceConfig(head=tele.trace_head, stride=tele.trace_stride)
-        )
+    def points(
+        self,
+        mean_output_lens: Sequence[float] = DEFAULT_MEAN_OUTPUT_LENS,
+        modes: Sequence[ExecutionMode] = DEFAULT_MODES,
+        token_rate_rps: float = DEFAULT_TOKEN_RATE_RPS,
+        requests_per_point: int = DEFAULT_REQUESTS_PER_POINT,
+    ) -> List[ServingPoint]:
+        """The sweep's points, in row order."""
+        return [
+            self.point(mode, mean_out, token_rate_rps, requests_per_point)
+            for mode in modes
+            for mean_out in mean_output_lens
+        ]
 
     def simulate(
         self,
@@ -174,210 +145,53 @@ class DecodeExperiment:
         num_requests: int,
     ) -> ServingReport:
         """One point, summarized (columnar decode engine by default)."""
-        rate_rps = token_rate_rps / mean_output_tokens
-        process = PoissonProcess(rate_rps=rate_rps)
-        table = generate_request_table(
-            process,
-            self.model,
-            count=num_requests,
-            seed=stream_seed(self.seed, mean_output_tokens),
-            mean_output_tokens=mean_output_tokens,
-        )
-        cost = self._cost_model(mode)
-        # Warm every prefill bucket up front; decode buckets derive
-        # from the same cache entries (contexts stay within seq_len).
-        cost.prime(table.specs[0], table.valid_len)
-        recorder = self._trace_recorder()
-        if self.engine == "fast":
-            result = simulate_table(
-                table,
-                cost,
-                num_devices=self.num_devices,
-                max_batch_size=self.max_batch_size,
-                max_wait_s=self.max_wait_ms * 1e-3,
-                recorder=recorder,
-            )
-        else:
-            devices = [
-                SprintDevice(i, cost) for i in range(self.num_devices)
-            ]
-            batcher = ContinuousBatcher(
-                max_batch_size=self.max_batch_size,
-                max_wait_s=self.max_wait_ms * 1e-3,
-            )
-            result = GenerativeServingSimulator(
-                devices, batcher, recorder
-            ).run(table.to_requests())
-        if recorder is not None:
-            recorder.write(
-                Path(telemetry.get_telemetry().trace_dir)
-                / f"decode-{mode.value}-{mean_output_tokens:g}tok.json"
-            )
-        return summarize(
-            result,
-            config=self.config.name,
-            mode=mode.value,
-            pattern="poisson",
-            offered_rps=process.mean_rate_rps,
+        return simulate_point(
+            self.point(mode, mean_output_tokens, token_rate_rps, num_requests)
         )
 
     def run(
-        self,
-        mean_output_lens: Sequence[float] = DEFAULT_MEAN_OUTPUT_LENS,
-        modes: Sequence[ExecutionMode] = DEFAULT_MODES,
-        token_rate_rps: float = DEFAULT_TOKEN_RATE_RPS,
-        requests_per_point: int = DEFAULT_REQUESTS_PER_POINT,
+        self, token_rate_rps: float = DEFAULT_TOKEN_RATE_RPS, **grid
     ) -> List[DecodeRow]:
+        """One row per point of ``points(token_rate_rps, **grid)``."""
         rows: List[DecodeRow] = []
-        for mode in modes:
-            for mean_out in mean_output_lens:
-                key = self._unit(
-                    mode, mean_out, token_rate_rps, requests_per_point
-                ).key
-                report = _PRIMED.get(key)
-                if report is None:
-                    report = self.simulate(
-                        mode, mean_out, token_rate_rps, requests_per_point
-                    )
-                rows.append(
-                    DecodeRow(
-                        mode=mode.value,
-                        mean_output_tokens=mean_out,
-                        offered_rps=report.offered_rps,
-                        token_rate_rps=token_rate_rps,
-                        tokens_per_s=report.tokens_per_s,
-                        utilization=report.utilization,
-                        ttft_p50_ms=report.ttft.p50_s * 1e3,
-                        ttft_p99_ms=report.ttft.p99_s * 1e3,
-                        tbt_p50_ms=report.tbt.p50_s * 1e3,
-                        tbt_p99_ms=report.tbt.p99_s * 1e3,
-                        energy_uj_per_token=report.energy_uj_per_token,
-                        mean_step_batch=report.mean_batch_size,
-                    )
+        for point in self.points(token_rate_rps=token_rate_rps, **grid):
+            report = _PRIMED.result(point)
+            rows.append(
+                DecodeRow(
+                    mode=point.mode,
+                    mean_output_tokens=point.mean_output_tokens,
+                    offered_rps=report.offered_rps,
+                    token_rate_rps=token_rate_rps,
+                    tokens_per_s=report.tokens_per_s,
+                    utilization=report.utilization,
+                    ttft_p50_ms=report.ttft.p50_s * 1e3,
+                    ttft_p99_ms=report.ttft.p99_s * 1e3,
+                    tbt_p50_ms=report.tbt.p50_s * 1e3,
+                    tbt_p99_ms=report.tbt.p99_s * 1e3,
+                    energy_uj_per_token=report.energy_uj_per_token,
+                    mean_step_batch=report.mean_batch_size,
                 )
+            )
         return rows
 
 
-@dataclass(frozen=True)
-class DecodeUnit:
-    """One (mode, mean output length) point as a runtime WorkUnit."""
-
-    model: str
-    config: SprintConfig
-    mode: str
-    mean_output_tokens: float
-    token_rate_rps: float
-    num_requests: int
-    seed: int
-    num_devices: int
-    max_batch_size: int
-    max_wait_ms: float
-    len_bucket: int
-    engine: str = "fast"
-
-    @property
-    def key(self) -> Tuple:
-        return (
-            "decode",
-            self.model,
-            dataclasses.astuple(self.config),
-            self.mode,
-            self.mean_output_tokens,
-            self.token_rate_rps,
-            self.num_requests,
-            self.seed,
-            self.num_devices,
-            self.max_batch_size,
-            self.max_wait_ms,
-            self.len_bucket,
-            self.engine,
-        )
-
-    @property
-    def group(self) -> Tuple[str, str, str]:
-        # Group by mode: a worker shard warms one shared cost model.
-        return ("decode", self.config.name, self.mode)
-
-    def execute(self) -> ServingReport:
-        experiment = DecodeExperiment(
-            model=self.model,
-            config=self.config,
-            num_devices=self.num_devices,
-            max_batch_size=self.max_batch_size,
-            max_wait_ms=self.max_wait_ms,
-            len_bucket=self.len_bucket,
-            seed=self.seed,
-            engine=self.engine,
-        )
-        return experiment.simulate(
-            ExecutionMode(self.mode),
-            self.mean_output_tokens,
-            self.token_rate_rps,
-            self.num_requests,
-        )
+_PRIMED = Primed()
+prime = _PRIMED.prime
+clear_primed = _PRIMED.clear_primed
 
 
-_PRIMED: Dict[Tuple, ServingReport] = {}
-
-
-def plan(
-    model: str = "BERT-B",
-    config: SprintConfig = S_SPRINT,
-    mean_output_lens: Sequence[float] = DEFAULT_MEAN_OUTPUT_LENS,
-    modes: Sequence[ExecutionMode] = DEFAULT_MODES,
-    token_rate_rps: float = DEFAULT_TOKEN_RATE_RPS,
-    requests_per_point: int = DEFAULT_REQUESTS_PER_POINT,
-    seed: int = 0,
-    num_devices: int = 1,
-    max_batch_size: int = 8,
-    max_wait_ms: float = 2.0,
-    len_bucket: int = 32,
-    engine: str = "fast",
-) -> List[DecodeUnit]:
+def plan(**kwargs) -> List[ServingPoint]:
     """Work units a same-argument :func:`run` consumes (for sharding)."""
-    experiment = DecodeExperiment(
-        model=model, config=config, num_devices=num_devices,
-        max_batch_size=max_batch_size, max_wait_ms=max_wait_ms,
-        len_bucket=len_bucket, seed=seed, engine=engine,
-    )
-    return [
-        experiment._unit(mode, mean_out, token_rate_rps, requests_per_point)
-        for mode in modes
-        for mean_out in mean_output_lens
-    ]
-
-
-def prime(key: Tuple, report: ServingReport) -> None:
-    """Install an externally computed point (parallel-runtime hook)."""
-    _PRIMED[tuple(key)] = report
-
-
-def clear_primed() -> None:
-    _PRIMED.clear()
+    experiment, grid = DecodeExperiment.split(kwargs)
+    return experiment.points(**grid)
 
 
 # ----------------------------------------------------------------------
 # runner-compatible module-level API
 # ----------------------------------------------------------------------
-def run(
-    model: str = "BERT-B",
-    config: SprintConfig = S_SPRINT,
-    mean_output_lens: Sequence[float] = DEFAULT_MEAN_OUTPUT_LENS,
-    modes: Sequence[ExecutionMode] = DEFAULT_MODES,
-    token_rate_rps: float = DEFAULT_TOKEN_RATE_RPS,
-    requests_per_point: int = DEFAULT_REQUESTS_PER_POINT,
-    seed: int = 0,
-    **experiment_kwargs,
-) -> List[DecodeRow]:
-    experiment = DecodeExperiment(
-        model=model, config=config, seed=seed, **experiment_kwargs
-    )
-    return experiment.run(
-        mean_output_lens=mean_output_lens,
-        modes=modes,
-        token_rate_rps=token_rate_rps,
-        requests_per_point=requests_per_point,
-    )
+def run(**kwargs) -> List[DecodeRow]:
+    experiment, grid = DecodeExperiment.split(kwargs)
+    return experiment.run(**grid)
 
 
 def format_table(rows: Sequence[DecodeRow]) -> str:

@@ -17,7 +17,7 @@ model's *effective* seed (``seed + position``), exactly what a serial
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from repro.attention.policies import (
     RuntimePruningPolicy,
     SprintPolicy,
 )
+from repro.experiments.primed import Primed
 from repro.models.tasks import (
     evaluate_accuracy,
     evaluate_perplexity,
@@ -129,7 +130,9 @@ class Fig9Unit:
 
 #: Rows installed by :func:`prime` (computed in a worker process or
 #: replayed from the unit cache); consulted by :func:`run`.
-_PRIMED: Dict[Tuple, Fig9Row] = {}
+_PRIMED = Primed()
+prime = _PRIMED.prime
+clear_primed = _PRIMED.clear_primed
 
 
 def plan(
@@ -150,30 +153,18 @@ def plan(
     ]
 
 
-def prime(key: Tuple, row: Fig9Row) -> None:
-    """Install an externally computed row (parallel-runtime hook)."""
-    _PRIMED[tuple(key)] = row
-
-
-def clear_primed() -> None:
-    _PRIMED.clear()
-
-
 def run(
     models: Sequence[str] = DEFAULT_MODELS,
     num_samples: int = 32,
     seq_len: int = 96,
     seed: int = 17,
 ) -> List[Fig9Row]:
-    rows: List[Fig9Row] = []
-    for unit in plan(
-        models=models, num_samples=num_samples, seq_len=seq_len, seed=seed
-    ):
-        row = _PRIMED.get(unit.key)
-        if row is None:
-            row = unit.execute()
-        rows.append(row)
-    return rows
+    return [
+        _PRIMED.result(unit)
+        for unit in plan(
+            models=models, num_samples=num_samples, seq_len=seq_len, seed=seed
+        )
+    ]
 
 
 def average_degradation(rows: List[Fig9Row]) -> float:

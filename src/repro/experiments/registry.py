@@ -13,9 +13,11 @@ A module may additionally satisfy :class:`ShardableExperiment` — the
 optional WorkUnit surface (:mod:`repro.runtime.units`): ``plan``
 enumerates the independent simulation points behind a ``run``,
 ``prime`` installs an externally computed point, ``clear_primed``
-drops them.  The runtime shards any such experiment's units across
-worker processes; the grid-backed figures (fig10-13, ffn, table3), the
-serving sweep, and the sensitivity sweeps all opt in.
+drops them (one :class:`~repro.experiments.primed.Primed` store per
+module).  The runtime shards any such experiment's units across worker
+processes; the grid-backed figures (fig10-13, ffn, table3), fig9, the
+ablations, the sensitivity sweeps and the three serving studies
+(serving, decode, resilience) all opt in.
 """
 
 from __future__ import annotations

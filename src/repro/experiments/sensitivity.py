@@ -25,10 +25,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from repro.core.configs import S_SPRINT, SprintConfig
 from repro.core.system import ExecutionMode, SprintSystem
+from repro.experiments.primed import Primed
 from repro.workloads.generator import generate_workload
 
 DEFAULT_RATES = (0.3, 0.5, 0.65, 0.75, 0.85, 0.95)
@@ -221,7 +222,9 @@ class SensitivityUnit:
 #: Rows installed by :func:`prime` (computed in a worker process or
 #: replayed from the unit cache); consulted by the sweeps before
 #: simulating a row locally.
-_PRIMED: Dict[Tuple, SweepRow] = {}
+_PRIMED = Primed()
+prime = _PRIMED.prime
+clear_primed = _PRIMED.clear_primed
 
 
 def plan(
@@ -246,15 +249,6 @@ def plan(
         for s in seq_lens
     )
     return units
-
-
-def prime(key: Tuple, row: SweepRow) -> None:
-    """Install an externally computed row (parallel-runtime hook)."""
-    _PRIMED[tuple(key)] = row
-
-
-def clear_primed() -> None:
-    _PRIMED.clear()
 
 
 def format_tables(

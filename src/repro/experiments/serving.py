@@ -10,12 +10,12 @@ keeping p99 latency within the SLA -- SPRINT's pruning shortens service
 times, which compounds through queueing into disproportionate headroom.
 
 The sweep is shardable: every (pattern, mode, load) point is an
-independent :class:`ServingUnit` on the runtime's WorkUnit protocol
+independent :class:`ServingPoint` on the runtime's WorkUnit protocol
 (``plan``/``prime``/``clear_primed``), so ``sprint-experiments serving
 --jobs N`` spreads the points across worker processes.  Each point's
 request stream is seeded by a stable hash of (experiment seed, pattern)
 -- never by worker identity or enumeration order -- so artifacts are
-byte-identical for every ``--jobs`` value.  Units group by mode so a
+byte-identical for every ``--jobs`` value.  Points group by mode so a
 worker shard warms exactly one
 :func:`~repro.serving.devices.shared_cost_model`.
 
@@ -25,6 +25,13 @@ equal, record for record, to the per-request reference loop
 (``engine="reference"``) but batch-granular, which is what lets the
 full sweep default to ``requests_per_point=4000`` (~10x the historical
 traffic) at similar wall time.
+
+This module also holds the kernel all three serving studies share:
+``serving``, :mod:`~repro.experiments.decode` and
+:mod:`~repro.experiments.resilience` are grids of :class:`ServingPoint`
+built by a :class:`ServingStudy`, and :func:`simulate_point` runs any
+point -- request table or out-of-core stream, cost priming, the engine
+choice, the trace file and the summary.
 """
 
 from __future__ import annotations
@@ -33,12 +40,13 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.configs import S_SPRINT, SprintConfig
+from repro.core.system import ExecutionMode
+from repro.experiments.primed import Primed
 from repro.obs import telemetry
 from repro.obs.trace import TraceConfig, TraceRecorder
-from repro.core.system import ExecutionMode
 from repro.serving.arrivals import (
     ArrivalProcess,
     BurstyProcess,
@@ -46,12 +54,13 @@ from repro.serving.arrivals import (
     TraceProcess,
     generate_request_table,
 )
-from repro.serving.batching import DynamicBatcher
-from repro.serving.devices import ServiceCostModel, SprintDevice, shared_cost_model
+from repro.serving.batching import ContinuousBatcher
+from repro.serving.devices import SprintDevice, shared_cost_model
 from repro.serving.engine import simulate_table
+from repro.serving.faults import FaultSchedule, RetryPolicy
 from repro.serving.metrics import ServingReport, summarize, summarize_stream
+from repro.serving.scheduler import GenerativeServingSimulator, ServingSimulator
 from repro.serving.stream import RequestStream
-from repro.serving.scheduler import ServingSimulator
 
 DEFAULT_MODES = (
     ExecutionMode.BASELINE,
@@ -64,23 +73,22 @@ DEFAULT_LOADS = (10.0, 20.0, 40.0, 80.0, 160.0)
 #: ~10x the traffic the per-request loop used to walk, at similar wall
 #: time per point.
 DEFAULT_REQUESTS_PER_POINT = 4000
-
-
-def _resolve_count(
-    num_requests: Optional[int], requests_per_point: Optional[int]
-) -> int:
-    """One stream length from the legacy and the scale knob.
-
-    ``num_requests`` (the historical name) wins when given so existing
-    call sites keep meaning what they said; otherwise the sweep-scale
-    knob ``requests_per_point`` applies, defaulting to
-    :data:`DEFAULT_REQUESTS_PER_POINT`.
-    """
-    if num_requests is not None:
-        return num_requests
-    if requests_per_point is not None:
-        return requests_per_point
-    return DEFAULT_REQUESTS_PER_POINT
+#: Point engines: ``"fast"`` (columnar), ``"reference"`` (per-request
+#: event loop), ``"stream"`` (out-of-core chunks).
+ENGINES = ("fast", "reference", "stream")
+#: Named retry policies a faulted point's ``policy`` selects.  ``none``
+#: drops a request on its first lost batch; the others re-admit with
+#: exponential backoff up to the attempt budget.
+RETRY_POLICIES: Dict[str, RetryPolicy] = {
+    "none": RetryPolicy(max_attempts=1),
+    "bounded": RetryPolicy(max_attempts=3, backoff_base_s=1e-3),
+    "patient": RetryPolicy(max_attempts=6, backoff_base_s=1e-3),
+}
+#: Fault-schedule horizon as a multiple of the nominal stream span
+#: (count / load); outages starting past it are not materialized, so a
+#: heavily backlogged tail runs fault-free -- acceptable for a sweep
+#: whose traffic is sized to drain well inside the horizon.
+_HORIZON_SPANS = 4.0
 
 
 def stream_seed(seed: int, pattern: str) -> int:
@@ -143,7 +151,225 @@ def make_process(pattern: str, rate_rps: float) -> ArrivalProcess:
     raise KeyError(f"unknown arrival pattern {pattern!r}")
 
 
-class ServingExperiment:
+@dataclass(frozen=True)
+class ServingPoint:
+    """One serving-study point as a runtime WorkUnit.
+
+    Traffic is ``num_requests`` requests for ``model`` from ``pattern``
+    at ``rate_rps``, drawn under ``stream_seed`` (generative when
+    ``mean_output_tokens`` is set; ``deadline_range_s`` adds per-request
+    deadlines; ``sla_ms`` is the latency target the report counts
+    against).  The fleet is ``num_devices`` chips batching up to
+    ``max_batch_size`` requests within ``max_wait_ms``.  An ``mtbf_s``
+    runs the fleet under a seeded outage schedule with ``mttr_s``
+    repairs and the named retry ``policy``.  ``study`` and ``label``
+    name the point's trace file.
+
+    ``key`` is the fields themselves -- the config by *field values*,
+    so a modified config with an unchanged name never replays another
+    config's cached results -- so it both deduplicates identical points
+    and content-addresses the unit-granularity result cache.  Points
+    group by (study, config, mode, pattern, policy), so a worker shard
+    warms exactly one shared cost model.
+    """
+
+    study: str
+    label: str
+    model: str
+    config: SprintConfig
+    mode: str
+    engine: str
+    len_bucket: int
+    seed: int
+    pattern: str
+    rate_rps: float
+    num_requests: int
+    stream_seed: int
+    num_devices: int
+    max_batch_size: int
+    max_wait_ms: float
+    mean_output_tokens: Optional[float] = None
+    deadline_range_s: Optional[Tuple[float, float]] = None
+    sla_ms: Optional[float] = None
+    mtbf_s: Optional[float] = None
+    mttr_s: Optional[float] = None
+    policy: Optional[str] = None
+
+    @property
+    def key(self) -> Tuple:
+        return dataclasses.astuple(self)
+
+    @property
+    def group(self) -> Tuple:
+        return (self.study, self.config.name, self.mode, self.pattern, self.policy)
+
+    def execute(self) -> ServingReport:
+        return simulate_point(self)
+
+
+def _trace_recorder() -> Optional[TraceRecorder]:
+    """A recorder when the active telemetry asks for traces.
+
+    Tracing rides on the runner's ``--trace-out`` flag: the installed
+    :class:`~repro.obs.telemetry.RunTelemetry` carries the output
+    directory and the head/stride sampling knobs.  Worker processes
+    fork with the parent's telemetry, so sharded sweep points trace
+    exactly like serial ones.
+    """
+    tele = telemetry.get_telemetry()
+    if tele is None or tele.trace_dir is None:
+        return None
+    return TraceRecorder(TraceConfig(head=tele.trace_head, stride=tele.trace_stride))
+
+
+def simulate_point(point: ServingPoint) -> ServingReport:
+    """One point, summarized.
+
+    ``engine="fast"`` (the default) runs the point's request table
+    through :func:`~repro.serving.engine.simulate_table`: the columnar
+    batch engine, its outage-aware dispatch under faults, or the decode
+    engine for generative tables.  ``"reference"`` walks the
+    per-request event loop instead; both produce identical reports --
+    the reference exists to define the semantics and for equivalence
+    testing.  ``"stream"`` runs the same point out-of-core: a chunked
+    :class:`~repro.serving.stream.RequestStream` through
+    :func:`~repro.serving.metrics.summarize_stream`, holding one chunk
+    plus fixed-size sketches instead of the whole table -- identical
+    exact aggregates, sketch-bounded percentiles, no trace file and no
+    deadline column.
+    """
+    process = make_process(point.pattern, point.rate_rps)
+    # One memoized cost model per (config, mode), shared process-wide:
+    # the whole sweep, and every point a worker executes, warm the same
+    # buckets.
+    cost = shared_cost_model(
+        point.config, ExecutionMode(point.mode),
+        len_bucket=point.len_bucket, seed=point.seed,
+    )
+    faults = retry = None
+    if point.mtbf_s is not None:
+        # Seeded per device (not per fleet size): growing the fleet
+        # adds devices without re-rolling the existing ones' outages.
+        horizon_s = _HORIZON_SPANS * point.num_requests / point.rate_rps
+        faults = FaultSchedule.exponential(
+            point.num_devices, point.mtbf_s, point.mttr_s, horizon_s,
+            seed=point.seed,
+        )
+        retry = RETRY_POLICIES[point.policy]
+    max_wait_s = point.max_wait_ms * 1e-3
+    summary = dict(
+        config=point.config.name,
+        mode=point.mode,
+        pattern=point.pattern,
+        offered_rps=process.mean_rate_rps,
+        sla_s=None if point.sla_ms is None else point.sla_ms * 1e-3,
+    )
+    fleet = dict(
+        num_devices=point.num_devices,
+        max_batch_size=point.max_batch_size,
+        max_wait_s=max_wait_s,
+        faults=faults,
+        retry=retry,
+    )
+    if point.engine == "stream":
+        # Never materializes the whole table, so there is no table to
+        # prime from or trace (request traces would defeat the
+        # fixed-memory contract anyway).  The cost model warms its
+        # length buckets lazily per chunk.
+        stream = RequestStream(
+            process,
+            point.model,
+            count=point.num_requests,
+            seed=point.stream_seed,
+            mean_output_tokens=point.mean_output_tokens,
+        )
+        return summarize_stream(stream, cost, **summary, **fleet)
+    table = generate_request_table(
+        process,
+        point.model,
+        count=point.num_requests,
+        seed=point.stream_seed,
+        mean_output_tokens=point.mean_output_tokens,
+        deadline_range_s=point.deadline_range_s,
+    )
+    # Warm every length bucket the stream touches up front (one batched
+    # cycle-model pass per bucket, shared across points); decode
+    # buckets derive from the same entries (contexts stay in seq_len).
+    cost.prime(table.specs[0], table.valid_len)
+    recorder = _trace_recorder()
+    if point.engine == "fast":
+        result = simulate_table(table, cost, recorder=recorder, **fleet)
+    else:
+        devices = [SprintDevice(i, cost) for i in range(point.num_devices)]
+        batcher = ContinuousBatcher(
+            max_batch_size=point.max_batch_size, max_wait_s=max_wait_s
+        )
+        simulator = (
+            ServingSimulator
+            if point.mean_output_tokens is None
+            else GenerativeServingSimulator
+        )
+        result = simulator(
+            devices, batcher, recorder, faults=faults, retry=retry
+        ).run(table.to_requests())
+    if recorder is not None:
+        recorder.write(
+            Path(telemetry.get_telemetry().trace_dir)
+            / f"{point.study}-{point.label}.json"
+        )
+    return summarize(result, **summary)
+
+
+@dataclass(frozen=True, kw_only=True)
+class ServingStudy:
+    """The knobs every serving study shares, and its kwargs split.
+
+    A study is a grid of :class:`ServingPoint`: its ``points(**grid)``
+    enumerates them in row order and its ``run(**grid)`` turns them
+    into rows.  The module-level ``plan(**kwargs)`` and
+    ``run(**kwargs)`` both resolve their kwargs through :meth:`split`,
+    so ``run`` aggregates exactly ``plan``'s points by construction.
+    """
+
+    study: ClassVar[str]
+    model: str = "BERT-B"
+    config: SprintConfig = S_SPRINT
+    max_batch_size: int = 8
+    max_wait_ms: float = 10.0
+    len_bucket: int = 32
+    seed: int = 0
+    engine: str = "fast"
+
+    def __post_init__(self):
+        if self.engine not in ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r}")
+
+    @classmethod
+    def split(cls, kwargs: Dict[str, Any]) -> Tuple["ServingStudy", Dict[str, Any]]:
+        """``(cls(**the kwargs naming its fields), the grid kwargs)``."""
+        names = {f.name for f in dataclasses.fields(cls)}
+        study = cls(**{k: v for k, v in kwargs.items() if k in names})
+        return study, {k: v for k, v in kwargs.items() if k not in names}
+
+    def _point(self, label: str, mode: ExecutionMode, **fields) -> ServingPoint:
+        """A point carrying this study's shared knobs plus ``fields``."""
+        return ServingPoint(
+            study=self.study,
+            label=label,
+            model=self.model,
+            config=self.config,
+            mode=mode.value,
+            engine=self.engine,
+            len_bucket=self.len_bucket,
+            seed=self.seed,
+            max_batch_size=self.max_batch_size,
+            max_wait_ms=self.max_wait_ms,
+            **fields,
+        )
+
+
+@dataclass(frozen=True, kw_only=True)
+class ServingExperiment(ServingStudy):
     """The load-vs-tail-latency sweep over modes and arrival patterns.
 
     Parameters
@@ -156,89 +382,43 @@ class ServingExperiment:
     sla_ms:
         p99 latency target the headroom analysis ranks loads against.
     engine:
-        ``"fast"`` (default) simulates each point through the columnar
-        batch-granular engine; ``"reference"`` walks the per-request
-        event loop.  Both produce identical reports -- the reference
-        exists to define the semantics and for equivalence testing.
-        ``"stream"`` runs the same point out-of-core: a chunked
-        :class:`~repro.serving.stream.RequestStream` through
-        :func:`~repro.serving.metrics.summarize_stream`, holding one
-        chunk plus fixed-size sketches instead of the whole table --
-        identical exact aggregates, sketch-bounded percentiles.
+        ``"fast"``, ``"reference"`` or ``"stream"``; see
+        :func:`simulate_point`.
     """
 
-    def __init__(
-        self,
-        model: str = "BERT-B",
-        config: SprintConfig = S_SPRINT,
-        num_devices: int = 1,
-        max_batch_size: int = 8,
-        max_wait_ms: float = 10.0,
-        sla_ms: float = 150.0,
-        len_bucket: int = 32,
-        seed: int = 0,
-        engine: str = "fast",
-    ):
-        if engine not in ("fast", "reference", "stream"):
-            raise ValueError(f"unknown engine {engine!r}")
-        self.model = model
-        self.config = config
-        self.num_devices = num_devices
-        self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
-        self.sla_ms = sla_ms
-        self.len_bucket = len_bucket
-        self.seed = seed
-        self.engine = engine
+    study: ClassVar[str] = "serving"
+    num_devices: int = 1
+    sla_ms: float = 150.0
 
-    # ------------------------------------------------------------------
-    def _cost_model(self, mode: ExecutionMode) -> ServiceCostModel:
-        # One memoized cost model per mode, shared process-wide — the
-        # whole sweep, and every ServingUnit a worker executes, warm
-        # the same buckets.
-        return shared_cost_model(
-            self.config, mode, len_bucket=self.len_bucket, seed=self.seed
-        )
-
-    def _unit(
-        self,
-        pattern: str,
-        mode: ExecutionMode,
-        load: float,
-        num_requests: int,
-    ) -> "ServingUnit":
+    def point(
+        self, pattern: str, mode: ExecutionMode, load: float, num_requests: int
+    ) -> ServingPoint:
         """The work unit for one sweep point of this experiment."""
-        return ServingUnit(
-            model=self.model,
-            config=self.config,
+        return self._point(
+            f"{pattern}-{mode.value}-{load:g}rps",
+            mode,
             pattern=pattern,
-            mode=mode.value,
-            load=load,
+            rate_rps=load,
             num_requests=num_requests,
+            stream_seed=stream_seed(self.seed, pattern),
             sla_ms=self.sla_ms,
-            seed=self.seed,
             num_devices=self.num_devices,
-            max_batch_size=self.max_batch_size,
-            max_wait_ms=self.max_wait_ms,
-            len_bucket=self.len_bucket,
-            engine=self.engine,
         )
 
-    def _trace_recorder(self) -> Optional[TraceRecorder]:
-        """A recorder when the active telemetry asks for traces.
-
-        Tracing rides on the runner's ``--trace-out`` flag: the
-        installed :class:`~repro.obs.telemetry.RunTelemetry` carries
-        the output directory and the head/stride sampling knobs.
-        Worker processes fork with the parent's telemetry, so sharded
-        sweep points trace exactly like serial ones.
-        """
-        tele = telemetry.get_telemetry()
-        if tele is None or tele.trace_dir is None:
-            return None
-        return TraceRecorder(
-            TraceConfig(head=tele.trace_head, stride=tele.trace_stride)
-        )
+    def points(
+        self,
+        loads: Sequence[float] = DEFAULT_LOADS,
+        patterns: Sequence[str] = DEFAULT_PATTERNS,
+        modes: Sequence[ExecutionMode] = DEFAULT_MODES,
+        requests_per_point: int = DEFAULT_REQUESTS_PER_POINT,
+    ) -> List[ServingPoint]:
+        """The sweep's points, in row order."""
+        return [
+            self.point(pattern, mode, load, requests_per_point)
+            for pattern in patterns
+            for mode in modes
+            for load in loads
+        ]
 
     def simulate(
         self,
@@ -248,229 +428,42 @@ class ServingExperiment:
         num_requests: int,
     ) -> ServingReport:
         """One point, summarized (columnar fast path by default)."""
-        process = make_process(pattern, rate_rps)
-        if self.engine == "stream":
-            # Out-of-core path: never materializes the whole table, so
-            # there is no table to prime from or trace (request traces
-            # would defeat the fixed-memory contract anyway).  The
-            # cost model warms its length buckets lazily per chunk.
-            stream = RequestStream(
-                process,
-                self.model,
-                count=num_requests,
-                seed=stream_seed(self.seed, pattern),
-            )
-            return summarize_stream(
-                stream,
-                self._cost_model(mode),
-                config=self.config.name,
-                mode=mode.value,
-                pattern=pattern,
-                offered_rps=process.mean_rate_rps,
-                sla_s=self.sla_ms * 1e-3,
-                num_devices=self.num_devices,
-                max_batch_size=self.max_batch_size,
-                max_wait_s=self.max_wait_ms * 1e-3,
-            )
-        table = generate_request_table(
-            process,
-            self.model,
-            count=num_requests,
-            seed=stream_seed(self.seed, pattern),
-        )
-        cost = self._cost_model(mode)
-        # Warm every length bucket the stream touches up front (one
-        # batched cycle-model pass per bucket, shared across loads).
-        cost.prime(table.specs[0], table.valid_len)
-        recorder = self._trace_recorder()
-        if self.engine == "fast":
-            result = simulate_table(
-                table,
-                cost,
-                num_devices=self.num_devices,
-                max_batch_size=self.max_batch_size,
-                max_wait_s=self.max_wait_ms * 1e-3,
-                recorder=recorder,
-            )
-        else:
-            devices = [
-                SprintDevice(i, cost) for i in range(self.num_devices)
-            ]
-            batcher = DynamicBatcher(
-                max_batch_size=self.max_batch_size,
-                max_wait_s=self.max_wait_ms * 1e-3,
-            )
-            result = ServingSimulator(devices, batcher, recorder).run(
-                table.to_requests()
-            )
-        if recorder is not None:
-            recorder.write(
-                Path(telemetry.get_telemetry().trace_dir)
-                / f"serving-{pattern}-{mode.value}-{rate_rps:g}rps.json"
-            )
-        return summarize(
-            result,
-            config=self.config.name,
-            mode=mode.value,
-            pattern=pattern,
-            offered_rps=process.mean_rate_rps,
-            sla_s=self.sla_ms * 1e-3,
-        )
+        return simulate_point(self.point(pattern, mode, rate_rps, num_requests))
 
-    def run(
-        self,
-        loads: Sequence[float] = DEFAULT_LOADS,
-        patterns: Sequence[str] = DEFAULT_PATTERNS,
-        modes: Sequence[ExecutionMode] = DEFAULT_MODES,
-        num_requests: Optional[int] = None,
-        requests_per_point: Optional[int] = None,
-    ) -> List[ServingRow]:
-        count = _resolve_count(num_requests, requests_per_point)
+    def run(self, **grid) -> List[ServingRow]:
+        """One row per point of ``points(**grid)``."""
         rows: List[ServingRow] = []
-        for pattern in patterns:
-            for mode in modes:
-                for load in loads:
-                    # A point the runtime already computed (in a worker
-                    # or the unit cache) aggregates without re-running.
-                    key = self._unit(pattern, mode, load, count).key
-                    report = _PRIMED.get(key)
-                    if report is None:
-                        report = self.simulate(pattern, mode, load, count)
-                    rows.append(
-                        ServingRow(
-                            pattern=pattern,
-                            mode=mode.value,
-                            offered_rps=load,
-                            throughput_rps=report.throughput_rps,
-                            utilization=report.utilization,
-                            p50_ms=report.latency.p50_s * 1e3,
-                            p95_ms=report.latency.p95_s * 1e3,
-                            p99_ms=report.latency.p99_s * 1e3,
-                            sla_violation_rate=report.sla_violation_rate,
-                            mean_batch_size=report.mean_batch_size,
-                            meets_sla=report.meets_sla(),
-                        )
-                    )
+        for point in self.points(**grid):
+            # A point the runtime already computed (in a worker or the
+            # unit cache) aggregates without re-running.
+            report = _PRIMED.result(point)
+            rows.append(
+                ServingRow(
+                    pattern=point.pattern,
+                    mode=point.mode,
+                    offered_rps=point.rate_rps,
+                    throughput_rps=report.throughput_rps,
+                    utilization=report.utilization,
+                    p50_ms=report.latency.p50_s * 1e3,
+                    p95_ms=report.latency.p95_s * 1e3,
+                    p99_ms=report.latency.p99_s * 1e3,
+                    sla_violation_rate=report.sla_violation_rate,
+                    mean_batch_size=report.mean_batch_size,
+                    meets_sla=report.meets_sla(),
+                )
+            )
         return rows
 
 
-@dataclass(frozen=True)
-class ServingUnit:
-    """One (pattern, mode, load) sweep point as a runtime WorkUnit.
-
-    ``key`` embeds every parameter the point's report depends on, so
-    it both deduplicates identical points and content-addresses the
-    unit-granularity result cache.  Units group by mode so a worker
-    shard warms exactly one shared cost model.
-    """
-
-    model: str
-    config: SprintConfig
-    pattern: str
-    mode: str
-    load: float
-    num_requests: int
-    sla_ms: float
-    seed: int
-    num_devices: int
-    max_batch_size: int
-    max_wait_ms: float
-    len_bucket: int
-    engine: str = "fast"
-
-    @property
-    def key(self) -> Tuple:
-        # The config rides in by *field values*, not just its name: a
-        # modified config with an unchanged name must not replay
-        # another config's cached unit results.
-        return (
-            "serving",
-            self.model,
-            dataclasses.astuple(self.config),
-            self.pattern,
-            self.mode,
-            self.load,
-            self.num_requests,
-            self.sla_ms,
-            self.seed,
-            self.num_devices,
-            self.max_batch_size,
-            self.max_wait_ms,
-            self.len_bucket,
-            self.engine,
-        )
-
-    @property
-    def group(self) -> Tuple[str, str, str, str]:
-        return ("serving", self.config.name, self.mode, self.pattern)
-
-    def execute(self) -> ServingReport:
-        experiment = ServingExperiment(
-            model=self.model,
-            config=self.config,
-            num_devices=self.num_devices,
-            max_batch_size=self.max_batch_size,
-            max_wait_ms=self.max_wait_ms,
-            sla_ms=self.sla_ms,
-            len_bucket=self.len_bucket,
-            seed=self.seed,
-            engine=self.engine,
-        )
-        return experiment.simulate(
-            self.pattern, ExecutionMode(self.mode), self.load,
-            self.num_requests,
-        )
+_PRIMED = Primed()
+prime = _PRIMED.prime
+clear_primed = _PRIMED.clear_primed
 
 
-#: Reports installed by :func:`prime` (computed in a worker process or
-#: replayed from the unit cache); consulted by ``ServingExperiment.run``
-#: before simulating a point locally.
-_PRIMED: Dict[Tuple, ServingReport] = {}
-
-
-def plan(
-    model: str = "BERT-B",
-    config: SprintConfig = S_SPRINT,
-    loads: Sequence[float] = DEFAULT_LOADS,
-    patterns: Sequence[str] = DEFAULT_PATTERNS,
-    modes: Sequence[ExecutionMode] = DEFAULT_MODES,
-    num_requests: Optional[int] = None,
-    requests_per_point: Optional[int] = None,
-    sla_ms: float = 150.0,
-    seed: int = 0,
-    num_devices: int = 1,
-    max_batch_size: int = 8,
-    max_wait_ms: float = 10.0,
-    len_bucket: int = 32,
-    engine: str = "fast",
-) -> List[ServingUnit]:
-    """Work units a same-argument :func:`run` consumes (for sharding).
-
-    Mirrors :func:`run`'s signature (including the experiment kwargs it
-    forwards) so the runtime can plan exactly the points a serial run
-    would simulate.
-    """
-    count = _resolve_count(num_requests, requests_per_point)
-    experiment = ServingExperiment(
-        model=model, config=config, num_devices=num_devices,
-        max_batch_size=max_batch_size, max_wait_ms=max_wait_ms,
-        sla_ms=sla_ms, len_bucket=len_bucket, seed=seed, engine=engine,
-    )
-    return [
-        experiment._unit(pattern, mode, load, count)
-        for pattern in patterns
-        for mode in modes
-        for load in loads
-    ]
-
-
-def prime(key: Tuple, report: ServingReport) -> None:
-    """Install an externally computed point (parallel-runtime hook)."""
-    _PRIMED[tuple(key)] = report
-
-
-def clear_primed() -> None:
-    _PRIMED.clear()
+def plan(**kwargs) -> List[ServingPoint]:
+    """Work units a same-argument :func:`run` consumes (for sharding)."""
+    experiment, grid = ServingExperiment.split(kwargs)
+    return experiment.points(**grid)
 
 
 def max_sla_load(rows: Sequence[ServingRow]) -> Dict[Tuple[str, str], float]:
@@ -488,26 +481,9 @@ def max_sla_load(rows: Sequence[ServingRow]) -> Dict[Tuple[str, str], float]:
 # ----------------------------------------------------------------------
 # runner-compatible module-level API
 # ----------------------------------------------------------------------
-def run(
-    model: str = "BERT-B",
-    config: SprintConfig = S_SPRINT,
-    loads: Sequence[float] = DEFAULT_LOADS,
-    patterns: Sequence[str] = DEFAULT_PATTERNS,
-    modes: Sequence[ExecutionMode] = DEFAULT_MODES,
-    num_requests: Optional[int] = None,
-    requests_per_point: Optional[int] = None,
-    sla_ms: float = 150.0,
-    seed: int = 0,
-    **experiment_kwargs,
-) -> List[ServingRow]:
-    experiment = ServingExperiment(
-        model=model, config=config, sla_ms=sla_ms, seed=seed,
-        **experiment_kwargs,
-    )
-    return experiment.run(
-        loads=loads, patterns=patterns, modes=modes,
-        num_requests=num_requests, requests_per_point=requests_per_point,
-    )
+def run(**kwargs) -> List[ServingRow]:
+    experiment, grid = ServingExperiment.split(kwargs)
+    return experiment.run(**grid)
 
 
 def format_table(rows: Sequence[ServingRow]) -> str:

@@ -26,6 +26,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.core.configs import L_SPRINT, M_SPRINT, S_SPRINT, SprintConfig
 from repro.core.results import SimulationReport
 from repro.core.system import ExecutionMode, SprintSystem
+from repro.experiments.primed import Primed
 from repro.models.zoo import get_model
 from repro.workloads.generator import Workload, generate_workload
 
@@ -68,7 +69,9 @@ CellKey = Tuple[str, str, str, int, int]
 
 #: Reports installed by :func:`prime` (e.g. computed in a worker
 #: process and shipped back); consulted before the local memo.
-_PRIMED: Dict[CellKey, SimulationReport] = {}
+_PRIMED = Primed()
+prime = _PRIMED.prime
+clear_primed = _PRIMED.clear_primed
 
 
 def cells(
@@ -85,15 +88,6 @@ def cells(
         for config in configs
         for mode in modes
     ]
-
-
-def prime(key: CellKey, report: SimulationReport) -> None:
-    """Install an externally computed cell (parallel-runtime hook)."""
-    _PRIMED[tuple(key)] = report
-
-
-def clear_primed() -> None:
-    _PRIMED.clear()
 
 
 @dataclass(frozen=True)

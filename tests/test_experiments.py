@@ -5,6 +5,9 @@ the qualitative claims of the corresponding paper figure (who wins, in
 which direction, roughly by how much) -- not against absolute numbers.
 """
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from repro.experiments import (
     fig13_breakdown,
     table3_comparison,
 )
-from repro.experiments.runner import EXPERIMENTS, run_experiment
+from repro.experiments.runner import EXPERIMENTS, run_experiment, run_structured
 
 FAST_MODELS = ("BERT-B", "ViT-B", "GPT-2-L")
 FAST_CONFIGS = (S_SPRINT, M_SPRINT)
@@ -310,3 +313,31 @@ class TestRunner:
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
             run_experiment("fig99")
+
+
+#: sha256 of each serving study's ``--fast`` artifact: its JSON rows and
+#: its table.  A changed digest is a changed result: re-pin it only for a
+#: deliberate model or engine change.
+SERVING_STUDY_DIGESTS = {
+    "serving": (
+        "1710b5e9a847c0e987e37a8cb4c472fb84d7d3b2d49850e3d7cd2f586e0dda30",
+        "e39ff478e1338b6e18826917fe0a6b0079a122a69c16dd366d3a2d3f7ae77246",
+    ),
+    "decode": (
+        "159b62ab20f6ec1d274ae6191fadb1c5c088a1ab5af696e12445c31056c0d268",
+        "3cd6d6f90bbff66b6cff573cf0aa9b2e53f1656ce3b298bd7a525e531a67a1cd",
+    ),
+    "resilience": (
+        "023245f3918d17f10d0f49a13a9210739c0372153f554e664893b7db71a9d8fe",
+        "7a61e5a40770fe69086fcd3d9d062d73153c76545d6b87e9bedfa05d41a2d130",
+    ),
+}
+
+
+class TestServingStudiesPinned:
+    @pytest.mark.parametrize("name", sorted(SERVING_STUDY_DIGESTS))
+    def test_fast_artifact_digests(self, name):
+        artifact = run_structured(name, fast=True)
+        rows = hashlib.sha256(json.dumps(artifact.rows).encode()).hexdigest()
+        table = hashlib.sha256(artifact.table.encode()).hexdigest()
+        assert (rows, table) == SERVING_STUDY_DIGESTS[name]

@@ -358,7 +358,7 @@ class TestUnitCache:
         base_kwargs = {
             "loads": (20.0, 80.0),
             "patterns": ("poisson",),
-            "num_requests": 30,
+            "requests_per_point": 30,
         }
         monkeypatch.setitem(
             registry.EXPERIMENTS, "serving", (dict(base_kwargs), serving)
@@ -367,13 +367,13 @@ class TestUnitCache:
         assert cache.unit_misses == 6  # 3 modes x 2 loads
 
         simulated = []
-        original = serving.ServingExperiment.simulate
+        original = serving.simulate_point
 
-        def counting(self, pattern, mode, load, num_requests):
-            simulated.append((pattern, mode.value, load))
-            return original(self, pattern, mode, load, num_requests)
+        def counting(point):
+            simulated.append((point.pattern, point.mode, point.rate_rps))
+            return original(point)
 
-        monkeypatch.setattr(serving.ServingExperiment, "simulate", counting)
+        monkeypatch.setattr(serving, "simulate_point", counting)
         monkeypatch.setitem(
             registry.EXPERIMENTS,
             "serving",
@@ -384,7 +384,7 @@ class TestUnitCache:
         assert cache.unit_hits == 6
         assert {load for _, _, load in simulated} == {40.0}
         # The incremental artifact matches a cold run of the same kwargs.
-        monkeypatch.setattr(serving.ServingExperiment, "simulate", original)
+        monkeypatch.setattr(serving, "simulate_point", original)
         cold = ExperimentPool(jobs=1).run(["serving"], fast=True)["serving"]
         assert cold.artifact.to_json() == warm.artifact.to_json()
 

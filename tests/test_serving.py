@@ -388,7 +388,7 @@ class TestServingExperiment:
     def test_sprint_headroom_exceeds_baseline(self):
         experiment = ServingExperiment(seed=0)
         rows = experiment.run(
-            loads=(20.0, 80.0), num_requests=100,
+            loads=(20.0, 80.0), requests_per_point=100,
             modes=(ExecutionMode.BASELINE, ExecutionMode.SPRINT),
         )
         headroom = max_sla_load(rows)
@@ -401,7 +401,7 @@ class TestServingExperiment:
     def test_rows_cover_grid(self):
         experiment = ServingExperiment(seed=0)
         rows = experiment.run(
-            loads=(30.0,), patterns=("poisson",), num_requests=50,
+            loads=(30.0,), patterns=("poisson",), requests_per_point=50,
         )
         assert len(rows) == 3  # three default modes
         assert {r.mode for r in rows} == {
@@ -440,21 +440,21 @@ class TestServingExperiment:
         experiment = ServingExperiment(seed=0)
         unit = serving_experiment.plan(
             loads=(30.0,), patterns=("poisson",),
-            modes=(ExecutionMode.SPRINT,), num_requests=40,
+            modes=(ExecutionMode.SPRINT,), requests_per_point=40,
         )[0]
         real = unit.execute()
         serving_experiment.prime(unit.key, real)
         try:
             rows = experiment.run(
                 loads=(30.0,), patterns=("poisson",),
-                modes=(ExecutionMode.SPRINT,), num_requests=40,
+                modes=(ExecutionMode.SPRINT,), requests_per_point=40,
             )
         finally:
             serving_experiment.clear_primed()
         assert rows[0].p99_ms == pytest.approx(real.latency.p99_s * 1e3)
 
     def test_units_group_by_mode(self):
-        units = serving_experiment.plan(num_requests=10)
+        units = serving_experiment.plan(requests_per_point=10)
         groups = {}
         for unit in units:
             groups.setdefault(unit.group, set()).add(unit.mode)
@@ -467,7 +467,7 @@ class TestServingExperiment:
 
         kwargs = dict(
             loads=(30.0,), patterns=("poisson",),
-            modes=(ExecutionMode.SPRINT,), num_requests=10,
+            modes=(ExecutionMode.SPRINT,), requests_per_point=10,
         )
         stock = serving_experiment.plan(config=S_SPRINT, **kwargs)[0]
         modified = serving_experiment.plan(

@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.configs import S_SPRINT
 from repro.core.system import ExecutionMode
+from repro.experiments.decode import DecodeExperiment
 from repro.experiments.serving import ServingExperiment
 from repro.obs.streaming import StreamingHistogram
 from repro.runtime.pool import simulate_table_sharded
@@ -371,6 +372,24 @@ class TestSummarizeStream:
         assert b.utilization == a.utilization
         assert b.energy_uj == a.energy_uj
         assert b.sla_violations == a.sla_violations
+
+    @pytest.mark.parametrize("mean_output_tokens", [2.0, 16.0])
+    def test_stream_engine_decode_point(self, mean_output_tokens):
+        # Generative chunks through summarize_stream: every exact field
+        # equals the fast engine's (TTFT/TBT percentiles are sketch-bounded).
+        mode = ExecutionMode.SPRINT
+        a = DecodeExperiment(engine="fast").simulate(
+            mode, mean_output_tokens, 400.0, 600
+        )
+        b = DecodeExperiment(engine="stream").simulate(
+            mode, mean_output_tokens, 400.0, 600
+        )
+        assert b.requests == a.requests
+        assert b.total_tokens == a.total_tokens
+        assert b.tokens_per_s == a.tokens_per_s
+        assert b.utilization == a.utilization
+        assert b.energy_uj_per_token == a.energy_uj_per_token
+        assert b.mean_batch_size == a.mean_batch_size
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ValueError):
