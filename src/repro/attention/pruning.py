@@ -59,6 +59,135 @@ class PruningResult:
         return (~self.keep_mask).astype(np.uint8)
 
 
+#: Arrays smaller than this go straight to ``np.quantile``: below it the
+#: whole-array partition costs less than sampling and counting.
+SELECT_MIN_SIZE = 1 << 15
+#: Size of the sample that brackets each needed order statistic.
+SELECT_SAMPLE_SIZE = 1 << 14
+#: Bracket half-width, in binomial standard deviations of the sample rank,
+#: plus a fixed slack of sample positions.
+_SELECT_SIGMAS = 5.0
+_SELECT_SLACK = 4
+
+
+def _splitmix64(counter: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer of each uint64 counter (wrapping math)."""
+    z = counter + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+_STRATA = np.arange(SELECT_SAMPLE_SIZE, dtype=np.uint64)
+#: The sample's positions as fractions of the array length: one point
+#: per equal stratum, offset inside it by the stratum index's hash (its
+#: top 53 bits as a fraction in [0, 1)).
+_SAMPLE_FRACTIONS = (
+    _STRATA + (_splitmix64(_STRATA) >> np.uint64(11)) * 2.0**-53
+) / SELECT_SAMPLE_SIZE
+
+
+def _sample_positions(n: int) -> np.ndarray:
+    """Where :func:`select_quantile` samples an array of ``n`` values.
+
+    A jittered (stratified) sample: the array is cut into
+    :data:`SELECT_SAMPLE_SIZE` equal strata and each gives one value, at
+    a fixed hashed offset.  It is deterministic and draws no RNG.  Equal
+    strata keep every stretch of the array (every row of a score
+    matrix) equally represented; the hashed offsets keep the sample
+    from locking onto the columns, which a fixed stride does whenever
+    it shares a factor with the row length.
+    """
+    return (_SAMPLE_FRACTIONS * n).astype(np.intp)
+
+
+def _bracket(values: np.ndarray, lo: float, hi: float):
+    """``(count of values < lo, values in [lo, hi] plus any NaN)``.
+
+    An infinite bound skips its comparison.  NaN compares false on both
+    sides, so it always lands in the window, where the caller sees it.
+    """
+    below = values < lo if lo > -np.inf else None
+    above = values > hi if hi < np.inf else None
+    if below is None and above is None:
+        return 0, values.copy()
+    if below is None:
+        return 0, values[~above]
+    if above is None:
+        return int(np.count_nonzero(below)), values[~below]
+    return int(np.count_nonzero(below)), values[below == above]
+
+
+def select_quantile(values: np.ndarray, q):
+    """``np.quantile(values, q)`` (linear method), byte for byte.
+
+    Instead of partitioning the whole array, each needed pair of order
+    statistics is selected from a small window of it.  The virtual
+    index ``(n - 1) * q``, its floor and the interpolation weight
+    ``gamma`` are computed exactly as numpy computes them.  A
+    deterministic sample (no RNG draws) gives bounds
+    ``[lo, hi]`` expected to bracket the pair; exact counts of the
+    values below ``lo`` and inside the bounds check that they do, and
+    only the values inside are partitioned.  numpy's two-sided lerp is
+    then reproduced on the selected pair.
+
+    Every other case is handed to ``np.quantile`` itself, so the result
+    is always numpy's: arrays below :data:`SELECT_MIN_SIZE`, non-float64
+    values or ``q``, ``q`` that is not a scalar or 1-d in ``[0, 1]``, a
+    bracket the counts refute, any NaN, and an order statistic equal to
+    zero (``+0.0`` and ``-0.0`` compare equal, so which one a partition
+    puts in place is not determined by the values).
+    """
+    values = np.asarray(values)
+    q_arr = np.asanyarray(q)
+    n = values.size
+    if (
+        n < SELECT_MIN_SIZE
+        or values.dtype != np.float64
+        or q_arr.dtype != np.float64
+        or q_arr.ndim > 1
+        or not ((q_arr >= 0.0) & (q_arr <= 1.0)).all()
+    ):
+        return np.quantile(values, q)
+    flat = values.reshape(-1)
+    # numpy's virtual index, floor, top clamp and gamma, in its order.
+    virtual = np.atleast_1d(np.asanyarray((n - 1) * q_arr))
+    previous = np.floor(virtual)
+    top = virtual >= n - 1
+    previous[top] = -1
+    gamma = virtual - previous
+    lower = np.where(top, n - 1, previous).astype(np.intp)
+    upper = np.where(top, n - 1, previous + 1).astype(np.intp)
+
+    sample = np.sort(flat[_sample_positions(n)])
+    m = sample.size
+    a = np.empty(virtual.shape)
+    b = np.empty(virtual.shape)
+    for i, (k0, k1) in enumerate(zip(lower.tolist(), upper.tolist())):
+        p = k0 / n
+        margin = int(_SELECT_SIGMAS * (m * p * (1.0 - p)) ** 0.5) + _SELECT_SLACK
+        j0 = k0 * m // n - margin
+        j1 = -(-(k1 + 1) * m // n) + margin
+        lo = sample[j0] if j0 >= 0 else -np.inf
+        hi = sample[j1] if j1 < m else np.inf
+        below, window = _bracket(flat, lo, hi)
+        if (
+            not below <= k0 <= k1 < below + window.size
+            or np.isnan(window).any()
+        ):
+            return np.quantile(values, q)
+        window.partition([k0 - below, k1 - below])
+        a[i] = window[k0 - below]
+        b[i] = window[k1 - below]
+    if not (a.all() and b.all()):
+        return np.quantile(values, q)
+    # numpy's _lerp: from below when gamma < 0.5, from above otherwise.
+    diff = b - a
+    result = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=result, where=gamma >= 0.5)
+    return result[0] if q_arr.ndim == 0 else result
+
+
 def calibrate_threshold(scores: np.ndarray, target_pruning_rate: float) -> float:
     """Pick the threshold that yields ``target_pruning_rate`` on ``scores``.
 
@@ -66,14 +195,19 @@ def calibrate_threshold(scores: np.ndarray, target_pruning_rate: float) -> float
     resulting pruning rate per model (section VII).  Without the original
     fine-tuning pipeline we invert the relationship: given a calibration
     score sample, choose the quantile that reproduces the published rate.
+    Scores at or below ``NEG_INFINITY / 2`` (masked entries) are left
+    out.  The threshold is byte-equal to ``np.quantile`` over the
+    remaining scores: :func:`select_quantile` computes it.
     """
     if not 0.0 <= target_pruning_rate < 1.0:
         raise ValueError("target_pruning_rate must be in [0, 1)")
     scores = np.asarray(scores, dtype=np.float64)
-    finite = scores[scores > NEG_INFINITY / 2]
+    valid = scores > NEG_INFINITY / 2
+    # An unmasked score matrix needs no filtered copy.
+    finite = scores if valid.all() else scores[valid]
     if finite.size == 0:
         raise ValueError("no finite scores to calibrate against")
-    return float(np.quantile(finite, target_pruning_rate))
+    return float(select_quantile(finite, target_pruning_rate))
 
 
 def threshold_keep_mask(

@@ -44,6 +44,7 @@ from repro.experiments.serving import (
     RETRY_POLICIES,
     ServingPoint,
     ServingStudy,
+    deadline_window,
     simulate_point,
     stream_seed,
 )
@@ -112,6 +113,9 @@ class ResilienceExperiment(ServingStudy):
 
     def __post_init__(self):
         super().__post_init__()
+        object.__setattr__(
+            self, "deadline_range_s", deadline_window(self.deadline_range_s)
+        )
         if self.engine == "stream" and self.deadline_range_s is not None:
             raise ValueError(
                 "deadlines need a materialized table; the stream engine "

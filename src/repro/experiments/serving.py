@@ -151,6 +151,21 @@ def make_process(pattern: str, rate_rps: float) -> ArrivalProcess:
     raise KeyError(f"unknown arrival pattern {pattern!r}")
 
 
+def deadline_window(
+    deadline_range_s: Optional[Sequence[float]],
+) -> Optional[Tuple[float, float]]:
+    """A deadline window as a hashable ``(lo, hi)`` tuple of floats.
+
+    Studies take the window from kwargs, where it may arrive as a list
+    (JSON, the CLI registry); unit keys must hash, so every place that
+    stores one normalises it here.
+    """
+    if deadline_range_s is None:
+        return None
+    lo, hi = deadline_range_s
+    return (float(lo), float(hi))
+
+
 @dataclass(frozen=True)
 class ServingPoint:
     """One serving-study point as a runtime WorkUnit.
@@ -194,6 +209,11 @@ class ServingPoint:
     mtbf_s: Optional[float] = None
     mttr_s: Optional[float] = None
     policy: Optional[str] = None
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "deadline_range_s", deadline_window(self.deadline_range_s)
+        )
 
     @property
     def key(self) -> Tuple:

@@ -305,13 +305,26 @@ class ExperimentPool:
 
         # Union of every planned experiment's units: identical points
         # (same key) deduplicate, and each key remembers which modules
-        # to prime with its result.
+        # to prime with its result.  Each experiment's keys are hashed
+        # on their own first, so an unhashable key fails that
+        # experiment's outcome and no other.
         units_by_key: Dict[Any, WorkUnit] = {}
         owners: Dict[Any, List[Any]] = {}
-        for name, _kwargs, module in planned:
-            for unit in plans[name]:
-                units_by_key.setdefault(unit.key, unit)
-                mods = owners.setdefault(unit.key, [])
+        for spec in list(planned):
+            name, _kwargs, module = spec
+            keyed: Dict[Any, WorkUnit] = {}
+            try:
+                for unit in plans[name]:
+                    keyed.setdefault(unit.key, unit)
+            except Exception as exc:  # noqa: BLE001 - reported per experiment
+                planned.remove(spec)
+                outcomes[name] = ExperimentOutcome(
+                    name, None, 0.0, error=f"{type(exc).__name__}: {exc}"
+                )
+                continue
+            for key, unit in keyed.items():
+                units_by_key.setdefault(key, unit)
+                mods = owners.setdefault(key, [])
                 if module not in mods:
                     mods.append(module)
 

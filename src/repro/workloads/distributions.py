@@ -14,6 +14,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.attention.pruning import select_quantile
+
 
 def heavy_tailed_scores(
     seq_len: int,
@@ -46,6 +48,13 @@ def calibrated_score_matrix(
     entry's magnitude, so adjacent queries mostly agree on which keys are
     strong -- reproducing the vertical stripes of the paper's Figure 2.
     The remaining ``1 - locality`` is independent per (query, key) pair.
+
+    The matrix is built in place, in the operation order of
+    ``locality * (profile + drift) + (1 - locality) * independent``, and
+    scaled by its 0.001/0.999 quantiles; those come from
+    :func:`~repro.attention.pruning.select_quantile`, which is byte-equal
+    to ``np.quantile``.  So the result is bit-identical to the
+    expression evaluated with temporaries.
     """
     if not 0.0 <= locality <= 1.0:
         raise ValueError("locality must be in [0, 1]")
@@ -60,11 +69,12 @@ def calibrated_score_matrix(
     # profile so overlap decays with query distance instead of being total.
     drift = rng.normal(0.0, 0.25, size=(seq_len, 1))
     independent = rng.normal(0.0, 1.0, size=(seq_len, seq_len))
-    scores = (
-        locality * (key_profile[None, :] + drift)
-        + (1.0 - locality) * independent
-    )
+    scores = key_profile[None, :] + drift
+    scores *= locality
+    independent *= 1.0 - locality
+    scores += independent
     # Scale so that thresholding at the pruning-rate quantile leaves a
     # realistic dynamic range above the threshold.
-    low, high = np.quantile(scores, [0.001, 0.999])
-    return scores * (6.0 / max(high - low, 1e-12))
+    low, high = select_quantile(scores, [0.001, 0.999])
+    scores *= 6.0 / max(high - low, 1e-12)
+    return scores

@@ -178,11 +178,13 @@ def generate_workload(
             valid_len = max(2, int(round(seq_len * (1.0 - ratio))))
         else:
             valid_len = seq_len
-        keep_valid = structured_keep_mask(
+        keep = structured_keep_mask(
             valid_len, pruning_rate, locality=locality, causal=causal, rng=rng
         )
-        keep = np.zeros((seq_len, seq_len), dtype=bool)
-        keep[:valid_len, :valid_len] = keep_valid
+        if valid_len < seq_len:
+            padded = np.zeros((seq_len, seq_len), dtype=bool)
+            padded[:valid_len, :valid_len] = keep
+            keep = padded
         samples.append(
             WorkloadSample(
                 keep_mask=keep, valid_len=valid_len,

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attention.functional import NEG_INFINITY
 from repro.attention.pruning import (
+    SELECT_MIN_SIZE,
+    _sample_positions,
     calibrate_threshold,
     prune_scores,
     runtime_prune,
+    select_quantile,
 )
 
 
@@ -135,3 +140,144 @@ class TestRuntimePrune:
         )
         agreement = np.mean(exact.keep_mask == fine.keep_mask)
         assert agreement > 0.98
+
+
+def _assert_same_bytes(got, want):
+    """Same Python type, dtype, shape and bytes (``-0.0 != 0.0`` here)."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.fixture
+def quantile_calls(monkeypatch):
+    """Sizes of the arrays handed to ``np.quantile`` while it is patched."""
+    calls = []
+    original = np.quantile
+
+    def recording(values, q, *args, **kwargs):
+        calls.append(np.asarray(values).size)
+        return original(values, q, *args, **kwargs)
+
+    monkeypatch.setattr(np, "quantile", recording)
+    return calls
+
+
+_EDGE_QS = st.sampled_from([0.0, 0.001, 0.5, 0.999, 1.0, 0, 1])
+
+
+@st.composite
+def _quantile_cases(draw):
+    """An array either side of the small-array cutoff, and a ``q``."""
+    n = draw(
+        st.sampled_from([SELECT_MIN_SIZE - 1, SELECT_MIN_SIZE])
+        | st.integers(SELECT_MIN_SIZE // 4, 3 * SELECT_MIN_SIZE)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(
+        st.sampled_from(
+            ["normal", "duplicates", "signed_zeros", "infinities", "nans",
+             "sorted", "constant"]
+        )
+    )
+    if kind == "normal":
+        values = rng.normal(size=n)
+    elif kind == "duplicates":
+        # Few distinct values; the sign flips turn some zeros into -0.0.
+        values = rng.integers(-3, 4, size=n) * rng.choice([-1.0, 1.0], size=n)
+    elif kind == "signed_zeros":
+        values = rng.normal(size=n)
+        zeros = rng.random(n) < draw(st.floats(0.0, 0.9))
+        values[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+    elif kind == "infinities":
+        values = rng.normal(size=n)
+        tails = rng.random(n) < draw(st.floats(0.0, 0.01))
+        values[tails] = rng.choice([-np.inf, np.inf], size=int(tails.sum()))
+    elif kind == "nans":
+        values = rng.normal(size=n)
+        values[rng.random(n) < draw(st.floats(0.0, 0.01))] = np.nan
+    elif kind == "sorted":
+        values = np.sort(rng.normal(size=n))
+        if draw(st.booleans()):
+            values = values[::-1].copy()
+    else:
+        values = np.full(n, draw(st.sampled_from([-0.0, 0.0, 1.5, -np.inf])))
+    q = draw(
+        _EDGE_QS
+        | st.floats(0.0, 1.0)
+        | st.lists(_EDGE_QS | st.floats(0.0, 1.0), min_size=1, max_size=4)
+    )
+    return values, q
+
+
+class TestSelectQuantile:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_quantile_cases())
+    def test_bytes_equal_numpy(self, case):
+        values, q = case
+        with np.errstate(invalid="ignore"):
+            want = np.quantile(values, q)
+            got = select_quantile(values, q)
+        _assert_same_bytes(got, want)
+
+    def test_half_gamma_interpolates_from_above(self):
+        # At gamma == 0.5 numpy's lerp takes b - (b - a) * 0.5, which for
+        # this pair differs from a + (b - a) * 0.5 in the last bit.
+        a, b = -0.09217253762584195, 2.109778697074652
+        rng = np.random.default_rng(6)
+        values = np.concatenate(
+            [
+                a - 1.0 - rng.random(SELECT_MIN_SIZE - 1),
+                [a, b],
+                b + 1.0 + rng.random(SELECT_MIN_SIZE - 1),
+            ]
+        )
+        rng.shuffle(values)
+        want = np.quantile(values, 0.5)
+        assert want == b - (b - a) * 0.5 != a + (b - a) * 0.5
+        _assert_same_bytes(select_quantile(values, 0.5), want)
+
+    def test_large_array_skips_the_full_partition(self, quantile_calls):
+        values = np.random.default_rng(3).normal(size=(512, 512))
+        got = select_quantile(values, [0.001, 0.75, 0.999])
+        assert quantile_calls == []
+        _assert_same_bytes(got, np.quantile(values, [0.001, 0.75, 0.999]))
+
+    def test_small_array_uses_numpy(self, quantile_calls):
+        values = np.random.default_rng(3).normal(size=SELECT_MIN_SIZE - 1)
+        select_quantile(values, 0.75)
+        assert quantile_calls == [SELECT_MIN_SIZE - 1]
+
+    @pytest.mark.parametrize("shift", [10.0, -10.0])
+    def test_sample_defeating_array_takes_full_partition(
+        self, quantile_calls, shift
+    ):
+        # Every sampled position holds a value above (or below) all the
+        # others, so the sample's median brackets nothing near the
+        # array's median: the counts refute the bracket from below (or
+        # above) and numpy partitions the whole array.
+        n = 2 * SELECT_MIN_SIZE
+        values = np.arange(1.0, n + 1.0)
+        values[_sample_positions(n)] += shift * n
+        got = select_quantile(values, 0.5)
+        assert quantile_calls == [n]
+        _assert_same_bytes(got, np.quantile(values, 0.5))
+
+    def test_zero_order_statistic_takes_numpy(self, quantile_calls):
+        values = np.random.default_rng(4).normal(size=2 * SELECT_MIN_SIZE)
+        values[: SELECT_MIN_SIZE + 10] = -0.0
+        got = select_quantile(values, 0.5)
+        assert quantile_calls == [values.size]
+        _assert_same_bytes(got, np.quantile(values, 0.5))
+
+
+class TestCalibrateThresholdExact:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_equals_numpy_quantile_of_finite_scores(self, masked):
+        scores = np.random.default_rng(5).normal(size=(300, 300))
+        if masked:
+            scores[~np.tri(300, dtype=bool)] = NEG_INFINITY
+        finite = scores[scores > NEG_INFINITY / 2]
+        want = float(np.quantile(finite, 0.739))
+        assert calibrate_threshold(scores, 0.739) == want

@@ -341,3 +341,44 @@ class TestServingStudiesPinned:
         rows = hashlib.sha256(json.dumps(artifact.rows).encode()).hexdigest()
         table = hashlib.sha256(artifact.table.encode()).hexdigest()
         assert (rows, table) == SERVING_STUDY_DIGESTS[name]
+
+
+#: sha256 of each paper-grid artifact at default arguments (the
+#: ``sprint-experiments`` grid: all eight models, two samples, seed 1):
+#: its JSON rows and its table.  These rows are computed from the
+#: calibrated keep masks, so they pin mask generation end to end.
+PAPER_GRID_ARTIFACT_DIGESTS = {
+    "fig10": (
+        "97a0a4e8e5de5ed3dbff22d21ad07e4bf6c62e392a809a207d076cf3ea9bed32",
+        "5780245f08bd73eda729d33aaeeae551c6c0660b66a3853e00dea640c00ee031",
+    ),
+    "fig11": (
+        "91929077600f1675e357db79370e4bcced0a8359a22582548aa642c14b738d0c",
+        "4bbaee566d3e108221268e2cb391726517e640f2a0fe74fd9100d08e812a7491",
+    ),
+    "fig12": (
+        "e7a87258e5c587a672bd2776930f83c4548d8339ba8231df5e4c155adf3be580",
+        "fbacb0bd946441b23959de38139231c895a695b445ea30ae0b11eb656ce1bc6f",
+    ),
+    "fig13": (
+        "1965f94aaf142ac1804040b7e16ab97969c690971e8a1228ad57092d721624e6",
+        "537d13a79d33edc34c9f3746f278a10765c212a17776ed62c4b5439488351ff4",
+    ),
+    "ffn": (
+        "7f5d7816c1a223c6527b7b17e069d693e52dd3392f13fea130e55f56bdc235be",
+        "222b8aed79986ee3d5740b454e3eb537fb6f2e652a046a38ec38487aaae3b908",
+    ),
+    "table3": (
+        "0d53cd9dc81aac87efac13698bba79dd8cdf1689c7278b2ce313546244bf8cb0",
+        "d9d060d0b3b1cdbebf191191e75f2e28aac387e226ab0661bc51d62fbdf36cd4",
+    ),
+}
+
+
+class TestPaperGridArtifactsPinned:
+    @pytest.mark.parametrize("name", sorted(PAPER_GRID_ARTIFACT_DIGESTS))
+    def test_default_artifact_digests(self, name):
+        artifact = run_structured(name)
+        rows = hashlib.sha256(json.dumps(artifact.rows).encode()).hexdigest()
+        table = hashlib.sha256(artifact.table.encode()).hexdigest()
+        assert (rows, table) == PAPER_GRID_ARTIFACT_DIGESTS[name]

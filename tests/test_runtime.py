@@ -513,6 +513,44 @@ class TestExperimentPool:
         with pytest.raises(KeyError):
             ExperimentPool(jobs=1).run(["fig3", "fig99"])
 
+    def test_list_deadline_window_runs_next_to_fig1(self, monkeypatch):
+        # A deadline window given as a list (as JSON or a registry entry
+        # would give it) is the same point as its tuple: its unit keys
+        # hash, and the sharded artifact equals the serial tuple run's.
+        from repro.experiments import resilience
+
+        kwargs, module = registry.EXPERIMENTS["resilience"]
+        monkeypatch.setitem(
+            registry.EXPERIMENTS,
+            "resilience",
+            (dict(kwargs, deadline_range_s=(0.02, 0.2)), module),
+        )
+        serial = ExperimentPool(jobs=1).run(["resilience"], fast=True)
+        monkeypatch.setitem(
+            registry.EXPERIMENTS,
+            "resilience",
+            (dict(kwargs, deadline_range_s=[0.02, 0.2]), module),
+        )
+        outcomes = ExperimentPool(jobs=2).run(["resilience", "fig1"], fast=True)
+        assert outcomes["resilience"].ok, outcomes["resilience"].error
+        assert outcomes["fig1"].ok
+        assert (
+            outcomes["resilience"].artifact.to_json()
+            == serial["resilience"].artifact.to_json()
+        )
+        assert not resilience._PRIMED
+
+    def test_unhashable_unit_key_fails_only_its_experiment(self, monkeypatch):
+        module = _fake_planned_module([])
+        module.plan = lambda points=(1, 2): [
+            SimpleNamespace(key=["fake-unit", p], group=("fake", 0)) for p in points
+        ]
+        monkeypatch.setitem(registry.EXPERIMENTS, "badkey", ({}, module))
+        outcomes = ExperimentPool(jobs=2).run(["badkey", "fig1"], fast=True)
+        assert not outcomes["badkey"].ok
+        assert "unhashable" in outcomes["badkey"].error
+        assert outcomes["fig1"].ok
+
 
 # ----------------------------------------------------------------------
 # runner CLI

@@ -144,19 +144,44 @@ class TestGenerateWorkload:
 
 
 #: sha256 of the bit-packed keep masks ``generate_workload`` produces for
-#: every model of the figure grid at ``samples_for(model, 2)`` and seed 1,
-#: the ``sprint-experiments`` default grid (causal GPT-2-L and 4096-long
-#: Synth-2 included).  Mask generation must stay bit-exact: every figure,
-#: golden report and benchmark digest is computed from these masks.
+#: every model of the figure grid at ``samples_for(model, 2)``, per grid
+#: seed: seed 1 is the ``sprint-experiments`` default grid, seed 2 the
+#: next bench pass (causal GPT-2-L and 4096-long Synth-2 included).  Mask
+#: generation must stay bit-exact: every figure, golden report and
+#: benchmark digest is computed from these masks.
 GRID_KEEP_MASK_SHA256 = {
-    "BERT-B": "4b163b634993246d783fc648af84a36dda50f63f4aedadcaeb9c6d9c0bab0aab",
-    "BERT-L": "ec4228ab8cdc559d0ae0b67111244d9b5ac891ebdfda2332f64fb9fa6c4fbf54",
-    "ALBERT-XL": "9bffe5a38ac89d4522aba22b65ef3057e6685af8a9bed75327917fb3e906a6d6",
-    "ALBERT-XXL": "f832fb34514400360f74a012df8405bd85942869bdfec1af30bb96f3bbd22480",
-    "ViT-B": "7bd3a7e753f5651a762f5f0410be36c5dfa577f219acb8c4b34ace7c49d0301d",
-    "GPT-2-L": "2b1d58ebad2519e379164d849dde713541a8b9ea4b9e4accb2cf86fdb2409967",
-    "Synth-1": "bce0242b241ec1d7c783094895c0ef04a8adf2a079b22fc433d34df73e0e6661",
-    "Synth-2": "646fa0c7d32e1af7a9080083fa7737a3db66a17d595c75389a140e54c5ae8293",
+    "BERT-B": {
+        1: "4b163b634993246d783fc648af84a36dda50f63f4aedadcaeb9c6d9c0bab0aab",
+        2: "960cfb166155288b0916c085bc84d3c5ea43466ac5ece31948205ae2f41774c0",
+    },
+    "BERT-L": {
+        1: "ec4228ab8cdc559d0ae0b67111244d9b5ac891ebdfda2332f64fb9fa6c4fbf54",
+        2: "5720c8c36a04c1a43d4fef18c75c740dd8185ea88ae4f9cd43ed9eb1d4e9a6c5",
+    },
+    "ALBERT-XL": {
+        1: "9bffe5a38ac89d4522aba22b65ef3057e6685af8a9bed75327917fb3e906a6d6",
+        2: "91770acdffff0561455fafa31ba09e148c58b349853ea48c7be49adaf4134e76",
+    },
+    "ALBERT-XXL": {
+        1: "f832fb34514400360f74a012df8405bd85942869bdfec1af30bb96f3bbd22480",
+        2: "f484ff85e9d62b029a118c18f1f8277e0062942f4360c3a4c087abcc8d19975a",
+    },
+    "ViT-B": {
+        1: "7bd3a7e753f5651a762f5f0410be36c5dfa577f219acb8c4b34ace7c49d0301d",
+        2: "594fa258afd4ff654b1b27ff2b89298c4a417c1465838df8df8fa4130a04f406",
+    },
+    "GPT-2-L": {
+        1: "2b1d58ebad2519e379164d849dde713541a8b9ea4b9e4accb2cf86fdb2409967",
+        2: "b68128b09663a4d13cdf51d19885130f521a158fb466a42592f16af5d7d639a4",
+    },
+    "Synth-1": {
+        1: "bce0242b241ec1d7c783094895c0ef04a8adf2a079b22fc433d34df73e0e6661",
+        2: "61bc85ead74e1ee466b36e03f1d5b18d6bc2ed2e658915a6825f21c3282442b5",
+    },
+    "Synth-2": {
+        1: "646fa0c7d32e1af7a9080083fa7737a3db66a17d595c75389a140e54c5ae8293",
+        2: "813e943a61d68611caee502db0f715ce39e4b1808ddaeda93f50e12304d6c10d",
+    },
 }
 
 
@@ -167,16 +192,48 @@ class TestGridKeepMaskPins:
     @pytest.mark.parametrize("model", sweep.ALL_MODELS)
     def test_keep_masks_bit_exact(self, model):
         spec = get_model(model)
+        for seed, pin in GRID_KEEP_MASK_SHA256[model].items():
+            wl = generate_workload(
+                seq_len=spec.seq_len,
+                pruning_rate=spec.pruning_rate,
+                padding_ratio=spec.padding_ratio,
+                num_samples=sweep.samples_for(model, 2),
+                locality=spec.locality,
+                causal=spec.causal,
+                seed=seed,
+            )
+            digest = hashlib.sha256()
+            for sample in wl:
+                digest.update(np.packbits(sample.keep_mask).tobytes())
+            assert digest.hexdigest() == pin, f"grid seed {seed}"
+
+
+#: sha256 of the bit-packed, unpadded seed-0 keep mask behind a
+#: ``ServiceCostModel`` length bucket (one sample at the bucket length):
+#: causal GPT-2-L at 32, 256 and 1024 tokens, and BERT-B at its full 384.
+#: Every serving price is computed from these masks.
+SERVICE_BUCKET_MASK_SHA256 = {
+    ("GPT-2-L", 32): "c9505c52e31ef2b79752b8fa6b5f5088a0e7e5121cda1310e21a85230d1f9588",
+    ("GPT-2-L", 256): "b46e13c15d033b93cafed7aa19eda88f943060f7fdb5def54257fc7ece8edc5c",
+    ("GPT-2-L", 1024): "b3cb5151e76aa6a9519940329e9d1edf6bb2e0e1d9b7936081896c0dd4537a76",
+    ("BERT-B", 384): "8e09d23d96b755987f4c6369082cf1232c1b215d865fdc9872d13f6ce1bed4f6",
+}
+
+
+class TestServiceBucketMaskPins:
+    @pytest.mark.parametrize(
+        "model,length", sorted(SERVICE_BUCKET_MASK_SHA256)
+    )
+    def test_bucket_mask_bit_exact(self, model, length):
+        spec = get_model(model)
         wl = generate_workload(
-            seq_len=spec.seq_len,
+            seq_len=length,
             pruning_rate=spec.pruning_rate,
-            padding_ratio=spec.padding_ratio,
-            num_samples=sweep.samples_for(model, 2),
+            padding_ratio=0.0,
+            num_samples=1,
             locality=spec.locality,
             causal=spec.causal,
-            seed=1,
+            seed=0,
         )
-        digest = hashlib.sha256()
-        for sample in wl:
-            digest.update(np.packbits(sample.keep_mask).tobytes())
-        assert digest.hexdigest() == GRID_KEEP_MASK_SHA256[model]
+        digest = hashlib.sha256(np.packbits(wl.samples[0].keep_mask).tobytes())
+        assert digest.hexdigest() == SERVICE_BUCKET_MASK_SHA256[(model, length)]
