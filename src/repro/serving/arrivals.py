@@ -4,17 +4,23 @@ Each process produces deterministic-under-seed arrival timestamps;
 :func:`generate_request_table` turns them into a columnar
 :class:`~repro.serving.requests.RequestTable` by drawing models from a
 weighted mix and padded input lengths around each model's mean padding
-ratio (matching ``repro.workloads.generator``).  Generation is fully
-vectorized -- one ``rng.uniform`` draw covers every request whose spec
-jitters its padding -- and consumes the generator in exactly the order
-the historical per-request loop did, so a given seed yields the same
-stream bit-for-bit.  :func:`generate_requests` materializes the same
-table as :class:`Request` objects for the per-request reference path.
+ratio (matching ``repro.workloads.generator``).  Poisson and trace
+arrivals and every per-request column are vectorized -- one
+``rng.uniform`` draw covers every request whose spec jitters its
+padding.  The MMPP is a sequential walk (each draw's role depends on
+the phase the previous draws left), but it reads its exponentials from
+blocks drawn in one call rather than one scalar draw per arrival.
+Generation consumes the generator in exactly the order the historical
+per-request loop did, so a given seed yields the same stream
+bit-for-bit.  :func:`generate_requests` materializes the same table as
+:class:`Request` objects for the per-request reference path.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -30,9 +36,29 @@ def _clone_generator(rng: np.random.Generator) -> np.random.Generator:
     return clone
 
 
+def _positive_finite(x) -> bool:
+    """``0 < x < inf``; false for NaN, which fails every comparison."""
+    return 0 < x < math.inf
+
+
 #: Draws consumed per burst when a cursor advances a generator without
 #: materializing the whole stream.
 _ADVANCE_CHUNK = 65536
+
+#: Standard exponentials an MMPP walk draws per refill of its buffer.
+_DRAW_BLOCK = 4096
+
+
+def _skip_exponentials(rng: np.random.Generator, count: int) -> None:
+    """Advance ``rng`` past ``count`` exponential draws in bounded chunks.
+
+    Every exponential draw, scaled or not, whole-array or scalar,
+    consumes the bit stream of one ``standard_exponential`` element.
+    """
+    while count:
+        m = min(_ADVANCE_CHUNK, count)
+        rng.standard_exponential(m)
+        count -= m
 
 
 class ArrivalCursor:
@@ -85,32 +111,85 @@ class _PoissonCursor(ArrivalCursor):
 
 
 class _BurstyCursor(ArrivalCursor):
+    """The MMPP walk of :class:`BurstyProcess`, over buffered draws.
+
+    The first draw is the calm phase's dwell.  Each later draw ``e`` is
+    a gap ``scale * e`` at the current phase's ``1/rate``: an arrival
+    if it lands before the next switch, else the walk jumps to the
+    switch, flips phase and spends the following draw on the new
+    phase's dwell, ``t + dwell * e``.  That is the arithmetic of one
+    scalar ``rng.exponential(scale)`` call per draw, which numpy
+    computes as ``scale * standard_exponential()``, so the timestamps
+    are byte-identical to such a loop.
+
+    ``rng`` belongs to the walk: it is drawn ``_DRAW_BLOCK`` standard
+    exponentials at a time as Python floats, so it runs ahead of the
+    walk.  ``draws`` counts the draws the walk has used; a caller
+    advances its own generator by that many.
+    """
+
     def __init__(self, process: "BurstyProcess", rng: np.random.Generator):
         self._rng = rng
-        self._rates = (process.calm_rate_rps, process.burst_rate_rps)
+        self._scales = (1.0 / process.calm_rate_rps, 1.0 / process.burst_rate_rps)
         self._dwells = (process.calm_dwell_s, process.burst_dwell_s)
+        self._buffer = iter(())
+        self.draws = 0
         self._t = 0.0
         self._state = 0
-        self._next_switch = rng.exponential(self._dwells[0])
+        self._next_switch = 0.0
+        self._dwell_due = True
 
     def take(self, m: int) -> np.ndarray:
-        # The exact per-arrival loop of BurstyProcess.arrival_times,
-        # with (t, state, next_switch) carried across takes.
         times = np.empty(m)
-        produced = 0
-        while produced < m:
-            gap = self._rng.exponential(1.0 / self._rates[self._state])
-            if self._t + gap >= self._next_switch:
-                self._t = self._next_switch
-                self._state ^= 1
-                self._next_switch = self._t + self._rng.exponential(
-                    self._dwells[self._state]
-                )
-                continue
-            self._t += gap
-            times[produced] = self._t
-            produced += 1
+        self.walk(m, times)
         return times
+
+    def walk(self, m: int, out=None) -> None:
+        """Advance by ``m`` arrivals, written to ``out[:m]`` if given.
+
+        Arrivals go to ``out`` one buffer block at a time, so the walk
+        holds O(block) Python floats whether or not it keeps them.
+        """
+        scales, dwells = self._scales, self._dwells
+        t, state, next_switch = self._t, self._state, self._next_switch
+        dwell_due = self._dwell_due
+        scale = scales[state]
+        lo = 0
+        # A round of at most m - lo draws cannot overshoot m, and one
+        # that comes up short has emptied the buffer.  A take ends on
+        # an arrival, so only a fresh walk has a dwell due here: it
+        # draws that first dwell even when m == 0, as the scalar loop
+        # did.
+        while lo < m or dwell_due:
+            want = max(m - lo, 1)
+            kept = []
+            keep = kept.append
+            spent = 0
+            for e in islice(self._buffer, want):
+                if dwell_due:
+                    next_switch = t + dwells[state] * e
+                    dwell_due = False
+                    spent += 1
+                elif t + (gap := scale * e) >= next_switch:
+                    t = next_switch
+                    state ^= 1
+                    scale = scales[state]
+                    dwell_due = True
+                    spent += 1
+                else:
+                    t += gap
+                    keep(t)
+            n = len(kept)
+            if out is not None:
+                out[lo : lo + n] = kept
+            lo += n
+            self.draws += n + spent
+            if n + spent < want:
+                self._buffer = iter(
+                    self._rng.standard_exponential(_DRAW_BLOCK).tolist()
+                )
+        self._t, self._state, self._next_switch = t, state, next_switch
+        self._dwell_due = dwell_due
 
 
 class _TraceCursor(ArrivalCursor):
@@ -164,8 +243,8 @@ class PoissonProcess(ArrivalProcess):
     name = "poisson"
 
     def __post_init__(self):
-        if self.rate_rps <= 0:
-            raise ValueError("rate_rps must be positive")
+        if not _positive_finite(self.rate_rps):
+            raise ValueError("rate_rps must be positive and finite")
 
     def arrival_times(self, count, rng):
         gaps = rng.exponential(1.0 / self.rate_rps, size=count)
@@ -175,13 +254,8 @@ class PoissonProcess(ArrivalProcess):
         replay = _clone_generator(rng)
         # Advance rng past the whole phase-1 draw without materializing
         # it: chunked draws consume the identical underlying stream.
-        scale = 1.0 / self.rate_rps
-        remaining = count
-        while remaining:
-            m = min(_ADVANCE_CHUNK, remaining)
-            rng.exponential(scale, size=m)
-            remaining -= m
-        return _PoissonCursor(replay, scale)
+        _skip_exponentials(rng, count)
+        return _PoissonCursor(replay, 1.0 / self.rate_rps)
 
     @property
     def mean_rate_rps(self) -> float:
@@ -205,41 +279,28 @@ class BurstyProcess(ArrivalProcess):
     name = "bursty"
 
     def __post_init__(self):
-        if min(self.calm_rate_rps, self.burst_rate_rps) <= 0:
-            raise ValueError("rates must be positive")
-        if min(self.calm_dwell_s, self.burst_dwell_s) <= 0:
-            raise ValueError("dwell times must be positive")
-
-    def arrival_times(self, count, rng):
         rates = (self.calm_rate_rps, self.burst_rate_rps)
         dwells = (self.calm_dwell_s, self.burst_dwell_s)
-        times = np.empty(count)
-        t, state = 0.0, 0
-        next_switch = rng.exponential(dwells[state])
-        produced = 0
-        while produced < count:
-            gap = rng.exponential(1.0 / rates[state])
-            if t + gap >= next_switch:
-                t = next_switch
-                state ^= 1
-                next_switch = t + rng.exponential(dwells[state])
-                continue
-            t += gap
-            times[produced] = t
-            produced += 1
+        if not all(map(_positive_finite, rates)):
+            raise ValueError("rates must be positive and finite")
+        if not all(map(_positive_finite, dwells)):
+            raise ValueError("dwell times must be positive and finite")
+
+    def arrival_times(self, count, rng):
+        walk = _BurstyCursor(self, _clone_generator(rng))
+        times = walk.take(count)
+        _skip_exponentials(rng, walk.draws)
         return times
 
     def cursor(self, count, rng):
-        replay = _clone_generator(rng)
-        # O(count) time (the draw loop is inherently sequential) but
-        # O(chunk) memory: burn the draws to advance rng.
-        burn = _BurstyCursor(self, rng)
-        remaining = count
-        while remaining:
-            m = min(_ADVANCE_CHUNK, remaining)
-            burn.take(m)
-            remaining -= m
-        return _BurstyCursor(self, replay)
+        replay = _BurstyCursor(self, _clone_generator(rng))
+        # How many draws the stream uses depends on every one of them,
+        # so advancing rng takes a walk over the whole stream: O(count)
+        # time, but O(block) memory, as the burn keeps no times.
+        burn = _BurstyCursor(self, _clone_generator(rng))
+        burn.walk(count)
+        _skip_exponentials(rng, burn.draws)
+        return replay
 
     @property
     def mean_rate_rps(self) -> float:
@@ -264,10 +325,10 @@ class TraceProcess(ArrivalProcess):
         gaps = np.asarray(self.inter_arrival_s, dtype=np.float64)
         if gaps.size == 0:
             raise ValueError("trace must contain at least one gap")
-        if np.any(gaps < 0):
-            raise ValueError("inter-arrival gaps must be non-negative")
-        if self.time_scale <= 0:
-            raise ValueError("time_scale must be positive")
+        if not np.all((gaps >= 0) & (gaps < np.inf)):
+            raise ValueError("inter-arrival gaps must be finite and non-negative")
+        if not _positive_finite(self.time_scale):
+            raise ValueError("time_scale must be positive and finite")
         self._gaps = gaps
 
     def arrival_times(self, count, rng):
@@ -302,8 +363,8 @@ class TraceProcess(ArrivalProcess):
             raise ValueError("requests_per_segment must be positive")
         gaps: List[float] = []
         for rate in rates_rps:
-            if rate <= 0:
-                raise ValueError("profile rates must be positive")
+            if not _positive_finite(rate):
+                raise ValueError("profile rates must be positive and finite")
             gaps.extend([1.0 / rate] * requests_per_segment)
         return cls(inter_arrival_s=gaps, time_scale=time_scale)
 

@@ -29,6 +29,7 @@ the historical single-forward-pass request, and a table without the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -75,6 +76,8 @@ class Request:
     deadline_s: Optional[float] = None
 
     def __post_init__(self):
+        if not math.isfinite(self.arrival_s):
+            raise ValueError("arrival_s must be finite")
         if self.valid_len < 1:
             raise ValueError("valid_len must be positive")
         if self.valid_len > self.spec.seq_len:
@@ -183,9 +186,10 @@ class RequestTable:
     formation, cost lookup, and metrics all stay in vectorized numpy
     instead of touching per-request Python objects.
 
-    Columns are validated on construction (equal lengths, positive
-    ``valid_len`` within each spec's ``seq_len``, in-range ``spec_idx``)
-    so the engine can trust them without re-checking per row.
+    Columns are validated on construction (equal lengths, finite
+    ``arrival_s``, positive ``valid_len`` within each spec's
+    ``seq_len``, in-range ``spec_idx``) so the engine can trust them
+    without re-checking per row.
     """
 
     #: Distinct model specs; ``spec_idx`` indexes into this list.
@@ -224,6 +228,8 @@ class RequestTable:
                 raise ValueError("deadline_s must be positive")
         if n == 0:
             return
+        if not np.all(np.isfinite(self.arrival_s)):
+            raise ValueError("arrival_s must be finite")
         if not self.specs:
             raise ValueError("a non-empty table needs at least one spec")
         seen: dict = {}

@@ -1,9 +1,12 @@
 """Tests for the serving-traffic subsystem (repro.serving)."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.configs import S_SPRINT
 from repro.core.system import ExecutionMode
@@ -16,6 +19,7 @@ from repro.serving import (
     LatencyStats,
     PoissonProcess,
     Request,
+    RequestTable,
     RetryPolicy,
     ServiceCostModel,
     ServingSimulator,
@@ -33,6 +37,7 @@ from repro.experiments.serving import (
     stream_seed,
 )
 from repro.models.zoo import get_model
+from repro.serving import arrivals as arrivals_module
 
 
 def make_sim(mode=ExecutionMode.SPRINT, num_devices=1, max_batch_size=8,
@@ -105,6 +110,153 @@ class TestArrivals:
             TraceProcess([])
         with pytest.raises(ValueError):
             generate_requests(PoissonProcess(1.0), "BERT-B", count=0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteInputs:
+    """NaN passes every ``<= 0`` check, so each entry point tests finiteness."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_poisson_rate(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PoissonProcess(rate_rps=bad)
+
+    @pytest.mark.parametrize(
+        "field", ["calm_rate_rps", "burst_rate_rps", "calm_dwell_s", "burst_dwell_s"]
+    )
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_bursty_rates_and_dwells(self, field, bad):
+        kwargs = dict(
+            calm_rate_rps=10.0,
+            burst_rate_rps=50.0,
+            calm_dwell_s=1.0,
+            burst_dwell_s=0.25,
+        )
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BurstyProcess(**kwargs)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_trace_gaps(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TraceProcess([0.1, bad])
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_trace_time_scale(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TraceProcess([0.1], time_scale=bad)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_trace_profile_rates(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TraceProcess.from_rate_profile([10.0, bad], 2)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_request_arrival(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Request(request_id=0, arrival_s=bad, spec=get_model("BERT-B"), valid_len=8)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_table_arrival(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RequestTable(
+                specs=[get_model("BERT-B")],
+                request_id=[0, 1],
+                arrival_s=[0.1, bad],
+                spec_idx=[0, 0],
+                valid_len=[8, 8],
+            )
+
+    def test_inf_deadline_still_means_none(self):
+        spec = get_model("BERT-B")
+        request = Request(0, 0.1, spec, 8, deadline_s=math.inf)
+        table = RequestTable.from_requests([request])
+        assert table.deadline_s.tolist() == [math.inf]
+        assert table.to_requests() == [dataclasses.replace(request, deadline_s=None)]
+
+
+def _scalar_mmpp(process, count, rng):
+    """The per-draw MMPP loop the buffered walk replaced, kept as its oracle."""
+    rates = (process.calm_rate_rps, process.burst_rate_rps)
+    dwells = (process.calm_dwell_s, process.burst_dwell_s)
+    times = np.empty(count)
+    t, state = 0.0, 0
+    next_switch = rng.exponential(dwells[state])
+    produced = 0
+    while produced < count:
+        gap = rng.exponential(1.0 / rates[state])
+        if t + gap >= next_switch:
+            t = next_switch
+            state ^= 1
+            next_switch = t + rng.exponential(dwells[state])
+            continue
+        t += gap
+        times[produced] = t
+        produced += 1
+    return times
+
+
+def _assert_walk_matches_oracle(process, count, seed, takes):
+    """``arrival_times`` and ``cursor`` against the scalar loop, on 3-draw
+    buffer blocks, so refills land on gap, crossing and dwell draws."""
+    oracle_rng = np.random.default_rng(seed)
+    expected = _scalar_mmpp(process, count, oracle_rng)
+    after = oracle_rng.bit_generator.state
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arrivals_module, "_DRAW_BLOCK", 3)
+        rng = np.random.default_rng(seed)
+        assert process.arrival_times(count, rng).tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == after
+        rng = np.random.default_rng(seed)
+        cursor = process.cursor(count, rng)
+        assert rng.bit_generator.state == after
+        parts, left = [], count
+        for m in takes:
+            parts.append(cursor.take(min(m, left)))
+            left -= parts[-1].size
+        parts.append(cursor.take(left))
+    assert np.concatenate(parts).tobytes() == expected.tobytes()
+
+
+class TestBurstyWalk:
+    """The buffered MMPP walk is byte-equal to the scalar per-draw loop.
+
+    This underwrites the cursor contract ``RequestStream`` relies on:
+    the cursor leaves ``rng`` where a whole-stream draw would, and its
+    takes concatenate to that draw at any sizes.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        calm_rate=st.floats(0.5, 700.0),
+        burst_rate=st.floats(0.5, 2000.0),
+        calm_dwell=st.floats(1e-3, 10.0),
+        burst_dwell=st.floats(1e-3, 10.0),
+        count=st.integers(1, 600),
+        seed=st.integers(0, 2**32 - 1),
+        takes=st.lists(st.integers(1, 80), max_size=12),
+    )
+    @example(
+        calm_rate=60.0, burst_rate=600.0, calm_dwell=4.0, burst_dwell=1.0,
+        count=1, seed=0, takes=[],
+    )
+    def test_matches_scalar_loop(
+        self, calm_rate, burst_rate, calm_dwell, burst_dwell, count, seed, takes
+    ):
+        process = BurstyProcess(calm_rate, burst_rate, calm_dwell, burst_dwell)
+        _assert_walk_matches_oracle(process, count, seed, takes)
+
+    def test_count_ending_on_the_last_arrival_before_a_switch(self):
+        # With count = the arrivals of the first calm phase, the scalar
+        # loop stops before drawing the gap that crosses into the burst.
+        process = BurstyProcess(50.0, 500.0, 0.2, 0.05)
+        first_switch = 0.2 * np.random.default_rng(0).standard_exponential()
+        times = _scalar_mmpp(process, 100, np.random.default_rng(0))
+        count = int(np.count_nonzero(times < first_switch))
+        assert 2 <= count < times.size
+        _assert_walk_matches_oracle(process, count, 0, [1, 2])
 
 
 class TestEventQueue:
