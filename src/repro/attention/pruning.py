@@ -118,7 +118,7 @@ def _bracket(values: np.ndarray, lo: float, hi: float):
     return int(np.count_nonzero(below)), values[below == above]
 
 
-def select_quantile(values: np.ndarray, q):
+def select_quantile(values: np.ndarray, q, *, floor: Optional[float] = None):
     """``np.quantile(values, q)`` (linear method), byte for byte.
 
     Instead of partitioning the whole array, each needed pair of order
@@ -131,16 +131,35 @@ def select_quantile(values: np.ndarray, q):
     only the values inside are partitioned.  numpy's two-sided lerp is
     then reproduced on the selected pair.
 
+    With ``floor``, the values at or below it are left out: the result
+    is ``np.quantile(values[values > floor], q)``, selected without that
+    copy.  Every left-out value sorts below every counted one, so order
+    statistic ``k`` of the counted values is order statistic
+    ``k + left_out`` of the whole array.
+
     Every other case is handed to ``np.quantile`` itself, so the result
-    is always numpy's: arrays below :data:`SELECT_MIN_SIZE`, non-float64
-    values or ``q``, ``q`` that is not a scalar or 1-d in ``[0, 1]``, a
-    bracket the counts refute, any NaN, and an order statistic equal to
-    zero (``+0.0`` and ``-0.0`` compare equal, so which one a partition
-    puts in place is not determined by the values).
+    is always numpy's: arrays of fewer than :data:`SELECT_MIN_SIZE`
+    counted values, non-float64 values or ``q``, ``q`` that is not a
+    scalar or 1-d in ``[0, 1]``, a bracket the counts refute, any NaN,
+    and an order statistic equal to zero (``+0.0`` and ``-0.0`` compare
+    equal, so which one a partition puts in place is not determined by
+    the values).
     """
     values = np.asarray(values)
     q_arr = np.asanyarray(q)
-    n = values.size
+    size = values.size
+    counted = None if floor is None else values > floor
+    n = size if counted is None else int(np.count_nonzero(counted))
+    # Ranks of the counted values in the whole array start here.  A NaN
+    # is left out too but does not sort low; it always lands in the
+    # bracket's window, which hands the call to numpy.
+    offset = size - n
+    if counted is not None and n == 0:
+        raise ValueError(f"no values above floor {floor}")
+
+    def numpy_quantile():
+        return np.quantile(values if offset == 0 else values[counted], q)
+
     if (
         n < SELECT_MIN_SIZE
         or values.dtype != np.float64
@@ -148,7 +167,7 @@ def select_quantile(values: np.ndarray, q):
         or q_arr.ndim > 1
         or not ((q_arr >= 0.0) & (q_arr <= 1.0)).all()
     ):
-        return np.quantile(values, q)
+        return numpy_quantile()
     flat = values.reshape(-1)
     # numpy's virtual index, floor, top clamp and gamma, in its order.
     virtual = np.atleast_1d(np.asanyarray((n - 1) * q_arr))
@@ -156,18 +175,18 @@ def select_quantile(values: np.ndarray, q):
     top = virtual >= n - 1
     previous[top] = -1
     gamma = virtual - previous
-    lower = np.where(top, n - 1, previous).astype(np.intp)
-    upper = np.where(top, n - 1, previous + 1).astype(np.intp)
+    lower = np.where(top, n - 1, previous).astype(np.intp) + offset
+    upper = np.where(top, n - 1, previous + 1).astype(np.intp) + offset
 
-    sample = np.sort(flat[_sample_positions(n)])
+    sample = np.sort(flat[_sample_positions(size)])
     m = sample.size
     a = np.empty(virtual.shape)
     b = np.empty(virtual.shape)
     for i, (k0, k1) in enumerate(zip(lower.tolist(), upper.tolist())):
-        p = k0 / n
+        p = k0 / size
         margin = int(_SELECT_SIGMAS * (m * p * (1.0 - p)) ** 0.5) + _SELECT_SLACK
-        j0 = k0 * m // n - margin
-        j1 = -(-(k1 + 1) * m // n) + margin
+        j0 = k0 * m // size - margin
+        j1 = -(-(k1 + 1) * m // size) + margin
         lo = sample[j0] if j0 >= 0 else -np.inf
         hi = sample[j1] if j1 < m else np.inf
         below, window = _bracket(flat, lo, hi)
@@ -175,12 +194,12 @@ def select_quantile(values: np.ndarray, q):
             not below <= k0 <= k1 < below + window.size
             or np.isnan(window).any()
         ):
-            return np.quantile(values, q)
+            return numpy_quantile()
         window.partition([k0 - below, k1 - below])
         a[i] = window[k0 - below]
         b[i] = window[k1 - below]
     if not (a.all() and b.all()):
-        return np.quantile(values, q)
+        return numpy_quantile()
     # numpy's _lerp: from below when gamma < 0.5, from above otherwise.
     diff = b - a
     result = a + diff * gamma
@@ -197,17 +216,16 @@ def calibrate_threshold(scores: np.ndarray, target_pruning_rate: float) -> float
     score sample, choose the quantile that reproduces the published rate.
     Scores at or below ``NEG_INFINITY / 2`` (masked entries) are left
     out.  The threshold is byte-equal to ``np.quantile`` over the
-    remaining scores: :func:`select_quantile` computes it.
+    remaining scores: :func:`select_quantile` computes it at offset
+    ranks of the whole matrix, so the masked entries cost no copy.  A
+    matrix with no unmasked score raises ``ValueError``.
     """
     if not 0.0 <= target_pruning_rate < 1.0:
         raise ValueError("target_pruning_rate must be in [0, 1)")
     scores = np.asarray(scores, dtype=np.float64)
-    valid = scores > NEG_INFINITY / 2
-    # An unmasked score matrix needs no filtered copy.
-    finite = scores if valid.all() else scores[valid]
-    if finite.size == 0:
-        raise ValueError("no finite scores to calibrate against")
-    return float(select_quantile(finite, target_pruning_rate))
+    return float(
+        select_quantile(scores, target_pruning_rate, floor=NEG_INFINITY / 2)
+    )
 
 
 def threshold_keep_mask(

@@ -16,6 +16,7 @@ from repro.core.configs import SprintConfig
 from repro.core.results import SimulationReport
 from repro.core.system import ExecutionMode, SprintSystem
 from repro.models.zoo import ModelSpec
+from repro.workloads.generator import Workload
 
 
 @dataclass
@@ -119,6 +120,26 @@ class MultiHeadSimulator:
         per_head = self.system.simulate_model(
             spec, mode, num_samples=num_samples, seed=seed
         )
+        return self._roll_up(spec, mode, per_head)
+
+    def simulate_workload(
+        self, spec: ModelSpec, mode: ExecutionMode, workload: Workload
+    ) -> ModelReport:
+        """Roll a given per-head ``workload`` of ``spec`` up to the model.
+
+        For callers that generate the masks themselves (the serving
+        cost cache draws many lengths of one model at once); equal to
+        :meth:`simulate` on the workload it would have generated.
+        """
+        per_head = self.system.simulate_workload(
+            workload, mode, model_name=spec.name
+        )
+        return self._roll_up(spec, mode, per_head)
+
+    def _roll_up(
+        self, spec: ModelSpec, mode: ExecutionMode, per_head: SimulationReport
+    ) -> ModelReport:
+        """The whole-model report over every head and layer of ``spec``."""
         return ModelReport(
             model=spec.name,
             config=self.config.name,

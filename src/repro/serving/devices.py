@@ -3,9 +3,11 @@
 A :class:`ServiceCostModel` turns (model, input length) into per-sample
 cycles and energy by rolling the existing per-head cycle model
 (:class:`repro.core.system.SprintSystem`) up to whole-model granularity
-exactly like :class:`repro.core.multihead.MultiHeadSimulator` does.
-Input lengths are bucketed so a 100k-request simulation touches the
-(slow, exact) cycle model only a handful of times per model.
+through :class:`repro.core.multihead.MultiHeadSimulator`.  Input lengths
+are bucketed, so a 100k-request simulation prices each model at a few
+dozen lengths at most.  The cold buckets of one model are filled
+together: their keep masks come from one seeded normal draw, sliced
+per bucket, and each bucket then takes one exact cycle-model pass.
 
 A :class:`SprintDevice` is one chip: it executes one batch at a time,
 serializing the batch's samples through the accelerator and charging a
@@ -22,7 +24,6 @@ path charges bitwise-identical cycles and energy.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Tuple
@@ -33,6 +34,7 @@ from repro.core.configs import SprintConfig
 from repro.core.multihead import MultiHeadSimulator
 from repro.core.system import ExecutionMode
 from repro.models.zoo import ModelSpec
+from repro.workloads.generator import bucket_workloads
 
 
 #: Per-batch setup cost (threshold/projection reprogramming, pipeline
@@ -98,21 +100,42 @@ class ServiceCostModel:
         length = self.bucket_len(spec, valid_len)
         key = (spec.name, length)
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        # The batch runs with padding stripped to the bucket length: the
-        # serving layer, unlike the figure workloads, knows each
-        # request's true length.
-        sized = dataclasses.replace(spec, seq_len=length, padding_ratio=0.0)
-        report = self._simulator.simulate(
-            sized, self.mode, num_samples=1, seed=self.seed
+        if cached is None:
+            self._fill(spec, [length])
+            cached = self._cache[key]
+        return cached
+
+    def _fill(self, spec: ModelSpec, buckets) -> None:
+        """Price every cold bucket among ``buckets`` (bucket lengths).
+
+        The one path into the cycle model.  The buckets' workloads come
+        lazily from one seeded draw
+        (:func:`~repro.workloads.generator.bucket_workloads`), each equal
+        to the single-sample workload ``generate_workload`` makes at that
+        length, and each runs once through the batched
+        :meth:`~repro.core.system.SprintSystem.simulate_workload` core.
+        The batch runs with padding stripped to the bucket length: the
+        serving layer, unlike the figure workloads, knows each
+        request's true length.
+        """
+        cold = [
+            length
+            for length in map(int, buckets)
+            if (spec.name, length) not in self._cache
+        ]
+        workloads = bucket_workloads(
+            cold,
+            spec.pruning_rate,
+            locality=spec.locality,
+            causal=spec.causal,
+            seed=self.seed,
         )
-        cost = SampleCost(
-            cycles=float(report.total_cycles),
-            energy_pj=float(report.total_energy_pj),
-        )
-        self._cache[key] = cost
-        return cost
+        for workload in workloads:
+            report = self._simulator.simulate_workload(spec, self.mode, workload)
+            self._cache[(spec.name, workload.seq_len)] = SampleCost(
+                cycles=float(report.total_cycles),
+                energy_pj=float(report.total_energy_pj),
+            )
 
     def decode_cost(self, spec: ModelSpec, context_len: int) -> SampleCost:
         """Per-token decode cost at a (bucketed) attention context.
@@ -151,14 +174,16 @@ class ServiceCostModel:
     def cost_arrays(self, spec: ModelSpec, valid_lens) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorized (cycles, energy) columns for a column of lengths.
 
-        Buckets the lengths, faults any cold bucket into the memoized
-        cache (one exact cycle-model pass each), then answers the whole
-        column by array indexing -- the fast engine's per-batch cost
-        lookup never touches Python-level memo dicts per row.
+        Buckets the lengths, fills the cold buckets in one pass (one
+        seeded draw for all of them, then one exact cycle-model pass
+        each), then answers the whole column by array indexing -- the
+        fast engine's per-batch cost lookup never touches Python-level
+        memo dicts per row.
         """
         buckets = self.bucket_lens(spec, valid_lens)
         uniq, inverse = np.unique(buckets, return_inverse=True)
-        costs = [self.sample_cost(spec, int(length)) for length in uniq]
+        self._fill(spec, uniq)
+        costs = [self._cache[(spec.name, length)] for length in uniq.tolist()]
         cycles = np.array([c.cycles for c in costs], dtype=np.float64)
         energy = np.array([c.energy_pj for c in costs], dtype=np.float64)
         return cycles[inverse], energy[inverse]
@@ -169,17 +194,19 @@ class ServiceCostModel:
         """Vectorized decode (cycles, energy) columns for contexts.
 
         The decode twin of :meth:`cost_arrays`: buckets the contexts,
-        faults cold buckets through the memoized :meth:`decode_cost`
-        (per-token share of a full pass at the bucketed context), then
-        answers the whole column by array indexing.  Values are bitwise
-        equal to the scalar :meth:`decode_cost` at every context, so
-        the macro-stepping decode engine can precompute per-queue cost
-        vectors over the full context range and stay on the reference
-        loop's exact prices.
+        fills the cold full-pass buckets in one pass, takes each
+        bucket's :meth:`decode_cost` (per-token share of a full pass at
+        the bucketed context), then answers the whole column by array
+        indexing.  Values are bitwise equal to the scalar
+        :meth:`decode_cost` at every context, so the macro-stepping
+        decode engine can precompute per-queue cost vectors over the
+        full context range and stay on the reference loop's exact
+        prices.
         """
         buckets = self.bucket_lens(spec, context_lens)
         uniq, inverse = np.unique(buckets, return_inverse=True)
-        costs = [self.decode_cost(spec, int(length)) for length in uniq]
+        self._fill(spec, uniq)
+        costs = [self.decode_cost(spec, length) for length in uniq.tolist()]
         cycles = np.array([c.cycles for c in costs], dtype=np.float64)
         energy = np.array([c.energy_pj for c in costs], dtype=np.float64)
         return cycles[inverse], energy[inverse]
@@ -190,16 +217,17 @@ class ServiceCostModel:
         Serving simulations know each request's length up front, so the
         (slow, exact) cycle model can be run for all distinct buckets
         before the event loop starts instead of faulting in mid-run.
-        Each bucket's workload flows through the batched
+        The cold ones are filled together: one seeded draw for all of
+        them, then one pass each through the batched
         :meth:`~repro.core.system.SprintSystem.simulate_workload` core.
-        Returns the number of distinct buckets now cached.
+        Returns the number of distinct buckets in ``valid_lens`` (cached
+        before or not).
         """
         lens = np.fromiter(valid_lens, dtype=np.int64) if not isinstance(
             valid_lens, np.ndarray
         ) else valid_lens
         buckets = np.unique(self.bucket_lens(spec, lens))
-        for length in buckets:
-            self.sample_cost(spec, int(length))
+        self._fill(spec, buckets)
         return int(buckets.size)
 
     @property

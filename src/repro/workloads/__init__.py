@@ -9,6 +9,7 @@ fraction, and the 2-3x over-random adjacent-query overlap of Figure 3.
 
 from repro.workloads.generator import (
     WorkloadSample,
+    bucket_workloads,
     generate_random_masks,
     generate_workload,
     structured_keep_mask,
@@ -20,6 +21,7 @@ from repro.workloads.distributions import (
 
 __all__ = [
     "WorkloadSample",
+    "bucket_workloads",
     "generate_workload",
     "generate_random_masks",
     "structured_keep_mask",

@@ -10,13 +10,16 @@ same pruning rate for the locality comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Iterable, Iterator, List, Optional
 
 import numpy as np
 
 from repro.attention.functional import NEG_INFINITY
 from repro.attention.pruning import calibrate_threshold, threshold_keep_mask
-from repro.workloads.distributions import calibrated_score_matrix
+from repro.workloads.distributions import (
+    calibrated_score_matrices,
+    calibrated_score_matrix,
+)
 
 
 @dataclass
@@ -84,6 +87,22 @@ class Workload:
         return float(np.mean(rates)) if rates else 0.0
 
 
+def _keep_mask(scores: np.ndarray, pruning_rate: float, causal: bool) -> np.ndarray:
+    """The threshold step: the keep mask of a calibrated score matrix.
+
+    For ``causal`` models the upper triangle of ``scores`` is first
+    overwritten with ``NEG_INFINITY``, so the threshold is calibrated
+    within the causal region (at offset ranks of the whole matrix, see
+    :func:`~repro.attention.pruning.calibrate_threshold`).  Those
+    entries then sit below the threshold, so the kept keys never leave
+    the lower triangle.
+    """
+    if causal:
+        np.copyto(scores, NEG_INFINITY, where=~np.tri(len(scores), dtype=bool))
+    threshold = calibrate_threshold(scores, pruning_rate)
+    return threshold_keep_mask(scores, threshold, keep_self=True)
+
+
 def structured_keep_mask(
     seq_len: int,
     pruning_rate: float,
@@ -101,14 +120,7 @@ def structured_keep_mask(
     scores = calibrated_score_matrix(
         seq_len, pruning_rate, locality=locality, rng=rng
     )
-    if causal:
-        lower = np.tri(seq_len, dtype=bool)
-        scores[~lower] = NEG_INFINITY
-    threshold = calibrate_threshold(scores, pruning_rate)
-    keep = threshold_keep_mask(scores, threshold, keep_self=True)
-    if causal:
-        keep &= lower
-    return keep
+    return _keep_mask(scores, pruning_rate, causal)
 
 
 def generate_random_masks(
@@ -197,3 +209,39 @@ def generate_workload(
         target_pruning_rate=pruning_rate,
         padding_ratio=padding_ratio,
     )
+
+
+def bucket_workloads(
+    lengths: Iterable[int],
+    pruning_rate: float,
+    *,
+    locality: float = 0.8,
+    causal: bool = False,
+    seed: int = 0,
+) -> Iterator[Workload]:
+    """One single-sample, unpadded workload per length, from one draw.
+
+    Lazily yields, in ascending order of the distinct ``lengths``, the
+    workload that ``generate_workload(L, pruning_rate,
+    padding_ratio=0.0, num_samples=1, locality=locality, causal=causal,
+    seed=seed)`` returns, byte for byte.  Every such call reads a prefix
+    of one seeded normal stream, so the score matrices come from
+    :func:`~repro.workloads.distributions.calibrated_score_matrices`,
+    which draws the longest prefix once.  Nothing of an earlier length
+    is kept, so a consumer that drops each workload before taking the
+    next holds one keep mask at a time.
+    """
+    for length, scores in calibrated_score_matrices(
+        lengths, locality=locality, seed=seed
+    ):
+        keep = _keep_mask(scores, pruning_rate, causal)
+        yield Workload(
+            samples=[
+                WorkloadSample(
+                    keep_mask=keep, valid_len=length, seq_len=length, causal=causal
+                )
+            ],
+            seq_len=length,
+            target_pruning_rate=pruning_rate,
+            padding_ratio=0.0,
+        )

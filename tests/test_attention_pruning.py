@@ -281,3 +281,54 @@ class TestCalibrateThresholdExact:
         finite = scores[scores > NEG_INFINITY / 2]
         want = float(np.quantile(finite, 0.739))
         assert calibrate_threshold(scores, 0.739) == want
+
+
+@st.composite
+def _triangular_cases(draw):
+    """A square score matrix with one triangle masked, and a ``q``.
+
+    The unmasked count ``L (L + 1) / 2`` (or ``L (L - 1) / 2`` with the
+    diagonal masked too) falls either side of :data:`SELECT_MIN_SIZE`.
+    """
+    size = draw(st.sampled_from([255, 256]) | st.integers(200, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "duplicates", "signed_zeros", "nans"]))
+    if kind == "duplicates":
+        values = rng.integers(-3, 4, size=(size, size)) * 1.0
+    else:
+        values = rng.normal(size=(size, size))
+    if kind == "signed_zeros":
+        zeros = rng.random(values.shape) < draw(st.floats(0.0, 0.9))
+        values[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+    elif kind == "nans":
+        values[rng.random(values.shape) < draw(st.floats(0.0, 0.01))] = np.nan
+    masked = ~np.tri(size, k=draw(st.sampled_from([0, -1])), dtype=bool)
+    if draw(st.booleans()):
+        masked = masked.T
+    np.copyto(values, NEG_INFINITY, where=masked)
+    q = draw(
+        _EDGE_QS
+        | st.floats(0.0, 1.0)
+        | st.lists(_EDGE_QS | st.floats(0.0, 1.0), min_size=1, max_size=3)
+    )
+    return values, q
+
+
+class TestOffsetSelection:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_triangular_cases())
+    def test_bytes_equal_numpy_over_unmasked(self, case):
+        values, q = case
+        with np.errstate(invalid="ignore"):
+            want = np.quantile(values[values > NEG_INFINITY / 2], q)
+            got = select_quantile(values, q, floor=NEG_INFINITY / 2)
+        _assert_same_bytes(got, want)
+
+    def test_selects_without_copying_the_unmasked_scores(self, quantile_calls):
+        values = np.random.default_rng(7).normal(size=(400, 400))
+        values[~np.tri(400, dtype=bool)] = NEG_INFINITY
+        got = select_quantile(values, 0.7, floor=NEG_INFINITY / 2)
+        assert quantile_calls == []
+        _assert_same_bytes(
+            got, np.quantile(values[values > NEG_INFINITY / 2], 0.7)
+        )

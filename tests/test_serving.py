@@ -1,7 +1,9 @@
 """Tests for the serving-traffic subsystem (repro.serving)."""
 
 import dataclasses
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -38,6 +40,10 @@ from repro.experiments.serving import (
 )
 from repro.models.zoo import get_model
 from repro.serving import arrivals as arrivals_module
+
+
+#: See ``TestDevicesAndCostModel.test_cost_cache_pin``.
+COST_CACHE_SHA256 = "0b0b50a27c4c6fe064a797e3d59b61d46d8bc583357832be9fddee408e19e09b"
 
 
 def make_sim(mode=ExecutionMode.SPRINT, num_devices=1, max_batch_size=8,
@@ -440,6 +446,66 @@ class TestDevicesAndCostModel:
         entries = cost.cache_entries
         cost.sample_cost(spec, 60)  # same bucket as 64
         assert cost.cache_entries == entries
+
+    def test_cost_cache_pin(self):
+        # sha256 over (cycles, energy_pj) of every len_bucket=32 bucket
+        # of GPT-2-L and BERT-B (contexts 1 .. seq_len), seed 0, S-SPRINT
+        # in SPRINT then BASELINE mode.  Every serving price comes from
+        # these buckets, however the cache is filled.
+        digest = hashlib.sha256()
+        for mode in (ExecutionMode.SPRINT, ExecutionMode.BASELINE):
+            cost = ServiceCostModel(S_SPRINT, mode, len_bucket=32, seed=0)
+            for name in ("GPT-2-L", "BERT-B"):
+                spec = get_model(name)
+                contexts = np.arange(1, spec.seq_len + 1)
+                cost.prime(spec, contexts)
+                for length in np.unique(cost.bucket_lens(spec, contexts)).tolist():
+                    bucket = cost.sample_cost(spec, length)
+                    digest.update(struct.pack("<dd", bucket.cycles, bucket.energy_pj))
+        assert digest.hexdigest() == COST_CACHE_SHA256
+
+    def test_one_token_buckets_price_short_requests(self):
+        # len_bucket=1 makes buckets of 2, 3 and 4 tokens, whose masks
+        # need the short-sequence profile smoothing.
+        spec = get_model("GPT-2-L")
+        primed = ServiceCostModel(S_SPRINT, ExecutionMode.SPRINT, len_bucket=1)
+        single = ServiceCostModel(S_SPRINT, ExecutionMode.SPRINT, len_bucket=1)
+        assert primed.prime(spec, range(1, 9)) == 7
+        for length in range(1, 9):
+            assert primed.sample_cost(spec, length) == single.sample_cost(spec, length)
+        assert primed.cache_entries == single.cache_entries == 7
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        name=st.sampled_from(["GPT-2-L", "BERT-B"]),
+        len_bucket=st.sampled_from([1, 7, 32]),
+        lengths=st.lists(st.integers(1, 200), min_size=1, max_size=12),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_fill_order_never_changes_a_price(self, name, len_bucket, lengths, order):
+        # Priming in one call, bucket by bucket, or in shuffled
+        # overlapping chunks draws different prefixes of the seeded
+        # stream; every bucket must still hold the same bits.
+        spec = get_model(name)
+        models = [
+            ServiceCostModel(S_SPRINT, ExecutionMode.SPRINT, len_bucket=len_bucket)
+            for _ in range(3)
+        ]
+        whole, single, chunked = models
+        whole.prime(spec, lengths)
+        for length in lengths:
+            single.sample_cost(spec, length)
+        shuffled = list(lengths)
+        order.shuffle(shuffled)
+        for start in range(0, len(shuffled), 2):
+            chunk = shuffled[start : start + 3]
+            chunked.decode_cost_arrays(spec, chunk)
+            chunked.cost_arrays(spec, chunk)
+        for length in lengths:
+            want = whole.sample_cost(spec, length)
+            assert single.sample_cost(spec, length) == want
+            assert chunked.sample_cost(spec, length) == want
+        assert whole.cache_entries == single.cache_entries == chunked.cache_entries
 
     def test_sprint_cheaper_than_baseline(self):
         spec = get_model("BERT-B")

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.attention.locality import measure_adjacent_overlap
 from repro.experiments import sweep
@@ -13,6 +15,7 @@ from repro.workloads.distributions import (
     heavy_tailed_scores,
 )
 from repro.workloads.generator import (
+    bucket_workloads,
     generate_random_masks,
     generate_workload,
     structured_keep_mask,
@@ -53,6 +56,18 @@ class TestStructuredKeepMask:
     def test_diagonal_kept(self, rng):
         keep = structured_keep_mask(64, 0.9, rng=rng)
         assert np.all(np.diag(keep))
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_shortest_lengths(self, causal):
+        # Fewer than 5 tokens: the 5-tap profile smoothing must still
+        # give one entry per token (it used to return 5, which crashed
+        # at 2-4 tokens and gave a (1, 5) mask at one).
+        for length in range(1, 9):
+            keep = generate_workload(
+                length, 0.7, num_samples=1, causal=causal, seed=length
+            ).samples[0].keep_mask
+            assert keep.shape == (length, length)
+            assert np.diag(keep).all()
 
     def test_causal_upper_triangle_empty(self, rng):
         keep = structured_keep_mask(48, 0.6, causal=True, rng=rng)
@@ -237,3 +252,47 @@ class TestServiceBucketMaskPins:
         )
         digest = hashlib.sha256(np.packbits(wl.samples[0].keep_mask).tobytes())
         assert digest.hexdigest() == SERVICE_BUCKET_MASK_SHA256[(model, length)]
+
+
+class TestBucketWorkloads:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(2, 300), min_size=1, max_size=6),
+        causal=st.booleans(),
+        locality=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_generate_workload_per_length(
+        self, lengths, causal, locality, seed
+    ):
+        # Unsorted and duplicated lengths: one workload per distinct
+        # length, ascending, each byte-equal to its own seeded draw.
+        lengths = lengths + lengths[:1]
+        got = list(
+            bucket_workloads(
+                lengths, 0.7, locality=locality, causal=causal, seed=seed
+            )
+        )
+        assert [wl.seq_len for wl in got] == sorted(set(lengths))
+        for wl in got:
+            want = generate_workload(
+                wl.seq_len,
+                0.7,
+                padding_ratio=0.0,
+                num_samples=1,
+                locality=locality,
+                causal=causal,
+                seed=seed,
+            )
+            (sample,), (expected,) = wl.samples, want.samples
+            assert sample.keep_mask.shape == expected.keep_mask.shape
+            assert sample.keep_mask.tobytes() == expected.keep_mask.tobytes()
+            assert (sample.valid_len, sample.seq_len, sample.causal) == (
+                expected.valid_len,
+                expected.seq_len,
+                expected.causal,
+            )
+            assert (wl.target_pruning_rate, wl.padding_ratio) == (0.7, 0.0)
+
+    def test_no_lengths_draw_nothing(self):
+        assert list(bucket_workloads([], 0.7)) == []
