@@ -5,7 +5,9 @@ query-key pairs *inside* ReRAM memory (approximate analog thresholding)
 and recomputing only the surviving scores on chip in full precision.
 
 Top-level convenience re-exports cover the most common entry points;
-each subpackage carries the full API:
+each subpackage carries the full API.  Every package resolves its
+exported names on first use (:mod:`repro._lazy`), so importing one
+executes only its ``__init__``:
 
 - :mod:`repro.attention`   -- attention math, runtime pruning, quantization
 - :mod:`repro.models`      -- numpy transformer zoo and synthetic tasks
@@ -19,14 +21,7 @@ each subpackage carries the full API:
 - :mod:`repro.experiments` -- one module per paper figure/table
 """
 
-from repro.core.configs import (
-    SprintConfig,
-    L_SPRINT,
-    M_SPRINT,
-    S_SPRINT,
-)
-from repro.core.system import ExecutionMode, SprintSystem
-from repro.models.zoo import MODEL_ZOO, ModelSpec, get_model
+from repro._lazy import attach
 
 __all__ = [
     "SprintConfig",
@@ -39,5 +34,14 @@ __all__ = [
     "MODEL_ZOO",
     "get_model",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "core.configs": ("SprintConfig", "L_SPRINT", "M_SPRINT", "S_SPRINT"),
+        "core.system": ("ExecutionMode", "SprintSystem"),
+        "models.zoo": ("MODEL_ZOO", "ModelSpec", "get_model"),
+    },
+)
 
 __version__ = "1.0.0"

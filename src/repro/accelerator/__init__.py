@@ -8,27 +8,7 @@ to bypass rare data misses.  The baseline design (same resources, no
 pruning / no SPRINT controller / no 2-D reduction) lives here too.
 """
 
-from repro.accelerator.arithmetic import (
-    FixedPointFormat,
-    lut_exponential,
-    saturating_mac,
-)
-from repro.accelerator.buffers import BufferStats, IndexBuffer, SRAMBuffer
-from repro.accelerator.corelet import Corelet, CoreletStats, SoftmaxPartial
-from repro.accelerator.engine import EngineStats, SprintEngine
-from repro.accelerator.baseline import (
-    BaselineTraffic,
-    baseline_compute_cycles,
-    baseline_head_traffic,
-)
-from repro.accelerator.interleave import (
-    assign_tokens,
-    imbalance_ratio,
-    workload_imbalance,
-)
-from repro.accelerator.qkpu import QKProcessingUnit
-from repro.accelerator.softmax_unit import SoftmaxUnit
-from repro.accelerator.vpu import VProcessingUnit
+from repro._lazy import attach
 
 __all__ = [
     "SprintEngine",
@@ -52,3 +32,22 @@ __all__ = [
     "imbalance_ratio",
     "workload_imbalance",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "arithmetic": ("FixedPointFormat", "lut_exponential", "saturating_mac"),
+        "buffers": ("BufferStats", "IndexBuffer", "SRAMBuffer"),
+        "corelet": ("Corelet", "CoreletStats", "SoftmaxPartial"),
+        "engine": ("EngineStats", "SprintEngine"),
+        "baseline": (
+            "BaselineTraffic",
+            "baseline_compute_cycles",
+            "baseline_head_traffic",
+        ),
+        "interleave": ("assign_tokens", "imbalance_ratio", "workload_imbalance"),
+        "qkpu": ("QKProcessingUnit",),
+        "softmax_unit": ("SoftmaxUnit",),
+        "vpu": ("VProcessingUnit",),
+    },
+)

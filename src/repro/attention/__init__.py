@@ -9,49 +9,7 @@ score quantization, Eq. 3 of the paper), padding-mask helpers
 spatial-locality mathematics of Eq. 1.
 """
 
-from repro.attention.heads import (
-    HeadStats,
-    MultiHeadResult,
-    MultiHeadRuntime,
-)
-from repro.attention.policies import (
-    ExactPolicy,
-    RuntimePruningPolicy,
-    ScorePolicy,
-    SprintPolicy,
-    msb_truncated_scores,
-)
-from repro.attention.functional import (
-    attention_probabilities,
-    multi_head_attention,
-    scaled_dot_product_attention,
-    softmax,
-)
-from repro.attention.locality import (
-    expected_random_overlap,
-    measure_adjacent_overlap,
-    overlap_ratio_vs_random,
-)
-from repro.attention.masking import (
-    apply_padding_mask,
-    padding_mask,
-    two_dimensional_reduction,
-)
-from repro.attention.pruning import (
-    PruningResult,
-    calibrate_threshold,
-    prune_scores,
-    runtime_prune,
-    threshold_keep_mask,
-)
-from repro.attention.quantization import (
-    QuantizedTensor,
-    combine_msb_lsb,
-    dequantize,
-    quantize_scores,
-    split_msb_lsb,
-    symmetric_quantize,
-)
+from repro._lazy import attach
 
 __all__ = [
     "MultiHeadRuntime",
@@ -84,3 +42,44 @@ __all__ = [
     "measure_adjacent_overlap",
     "overlap_ratio_vs_random",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "heads": ("HeadStats", "MultiHeadResult", "MultiHeadRuntime"),
+        "policies": (
+            "ExactPolicy",
+            "RuntimePruningPolicy",
+            "ScorePolicy",
+            "SprintPolicy",
+            "msb_truncated_scores",
+        ),
+        "functional": (
+            "attention_probabilities",
+            "multi_head_attention",
+            "scaled_dot_product_attention",
+            "softmax",
+        ),
+        "locality": (
+            "expected_random_overlap",
+            "measure_adjacent_overlap",
+            "overlap_ratio_vs_random",
+        ),
+        "masking": ("apply_padding_mask", "padding_mask", "two_dimensional_reduction"),
+        "pruning": (
+            "PruningResult",
+            "calibrate_threshold",
+            "prune_scores",
+            "runtime_prune",
+            "threshold_keep_mask",
+        ),
+        "quantization": (
+            "QuantizedTensor",
+            "combine_msb_lsb",
+            "dequantize",
+            "quantize_scores",
+            "split_msb_lsb",
+            "symmetric_quantize",
+        ),
+    },
+)

@@ -1,27 +1,6 @@
 """The SPRINT system: configurations, simulator, and reports."""
 
-from repro.core.configs import (
-    BASELINE_SUFFIX,
-    L_SPRINT,
-    M_SPRINT,
-    S_SPRINT,
-    SPRINT_CONFIGS,
-    SprintConfig,
-)
-from repro.core.design_space import (
-    DesignPoint,
-    best_under_area,
-    pareto_frontier,
-    sweep,
-)
-from repro.core.batched import (
-    BatchedKernel,
-    BatchedWorkload,
-    simulate_sld_traffic,
-)
-from repro.core.multihead import ModelReport, MultiHeadSimulator
-from repro.core.results import HeadReport, SimulationReport
-from repro.core.system import ExecutionMode, SprintSystem
+from repro._lazy import attach
 
 __all__ = [
     "BatchedKernel",
@@ -44,3 +23,22 @@ __all__ = [
     "SimulationReport",
     "HeadReport",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "configs": (
+            "BASELINE_SUFFIX",
+            "L_SPRINT",
+            "M_SPRINT",
+            "S_SPRINT",
+            "SPRINT_CONFIGS",
+            "SprintConfig",
+        ),
+        "design_space": ("DesignPoint", "best_under_area", "pareto_frontier", "sweep"),
+        "batched": ("BatchedKernel", "BatchedWorkload", "simulate_sld_traffic"),
+        "multihead": ("ModelReport", "MultiHeadSimulator"),
+        "results": ("HeadReport", "SimulationReport"),
+        "system": ("ExecutionMode", "SprintSystem"),
+    },
+)

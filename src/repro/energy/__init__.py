@@ -1,13 +1,6 @@
 """Energy, area, and throughput models (paper Tables II and III)."""
 
-from repro.energy.constants import EnergyConstants, TABLE_II
-from repro.energy.model import EnergyBreakdown, EnergyModel
-from repro.energy.area import (
-    PriorWork,
-    PRIOR_WORK,
-    AcceleratorMetrics,
-    dennard_scale_energy,
-)
+from repro._lazy import attach
 
 __all__ = [
     "EnergyConstants",
@@ -19,3 +12,17 @@ __all__ = [
     "AcceleratorMetrics",
     "dennard_scale_energy",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "constants": ("EnergyConstants", "TABLE_II"),
+        "model": ("EnergyBreakdown", "EnergyModel"),
+        "area": (
+            "PriorWork",
+            "PRIOR_WORK",
+            "AcceleratorMetrics",
+            "dennard_scale_energy",
+        ),
+    },
+)

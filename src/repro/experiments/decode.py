@@ -131,6 +131,11 @@ class DecodeExperiment(ServingStudy):
         requests_per_point: int = DEFAULT_REQUESTS_PER_POINT,
     ) -> List[ServingPoint]:
         """The sweep's points, in row order."""
+        if any(mean_out < 1.0 for mean_out in mean_output_lens):
+            raise ValueError(
+                "mean_output_lens must all be >= 1 token, got "
+                f"{tuple(mean_output_lens)}"
+            )
         return [
             self.point(mode, mean_out, token_rate_rps, requests_per_point)
             for mode in modes

@@ -47,6 +47,8 @@ def run(
     fractions: Sequence[float] = CAPACITY_FRACTIONS,
 ) -> List[Fig1Row]:
     """Reproduce the Figure 1 sweep on the baseline design."""
+    if any(s < 1 for s in seq_lengths):
+        raise ValueError(f"seq_lengths must all be >= 1, got {tuple(seq_lengths)}")
     rows: List[Fig1Row] = []
     for s in seq_lengths:
         sample = WorkloadSample(

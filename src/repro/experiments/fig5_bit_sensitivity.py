@@ -39,6 +39,8 @@ def run(
     num_samples: int = 32,
     seq_len: int = 96,
 ) -> List[Fig5Row]:
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     rows: List[Fig5Row] = []
     for task_name, spec in TASK_SPECS.items():
         task = make_classification_task(

@@ -35,6 +35,8 @@ def run(
     num_samples: int = 2,
     seed: int = 0,
 ) -> List[Fig8Row]:
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     rows: List[Fig8Row] = []
     for name in models:
         spec = get_model(name)

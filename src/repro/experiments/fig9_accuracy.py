@@ -142,6 +142,8 @@ def plan(
     seed: int = 17,
 ) -> List[Fig9Unit]:
     """Work units a same-argument :func:`run` consumes (for sharding)."""
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     return [
         Fig9Unit(
             model=name,

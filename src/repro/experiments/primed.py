@@ -7,10 +7,9 @@ hooks; its ``run`` takes a point's result from the store before
 computing it locally.
 
 The store lives in the experiment layer, not next to the WorkUnit
-protocol in :mod:`repro.runtime.units`: importing :mod:`repro.runtime`
-loads the pool, the pool loads the experiment registry and the registry
-loads every experiment, so an experiment that imported the runtime
-would import itself back.
+protocol in :mod:`repro.runtime.units`: the runtime sits above the
+experiments (its pool resolves them through the experiment registry),
+so the experiments import nothing from it.
 """
 
 from __future__ import annotations

@@ -24,25 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Protocol, Tuple, runtime_checkable
 
-from repro.experiments import (
-    ablations,
-    decode,
-    ffn_end_to_end,
-    fig1_memory_energy,
-    fig2_heatmap,
-    fig3_overlap,
-    fig5_bit_sensitivity,
-    fig8_imbalance,
-    fig9_accuracy,
-    fig10_data_movement,
-    fig11_speedup,
-    fig12_energy,
-    fig13_breakdown,
-    resilience,
-    sensitivity,
-    serving,
-    table3_comparison,
-)
+from repro._lazy import lazy_module
 
 
 @runtime_checkable
@@ -74,29 +56,40 @@ RunKwargs = Dict[str, Any]
 
 ExperimentSpec = Tuple[RunKwargs, ExperimentModule]
 
-#: name -> (run kwargs for fast mode, module)
+
+def _experiment(name: str) -> ExperimentModule:
+    """Experiment module ``name``, executed on its first attribute access."""
+    return lazy_module(f"{__package__}.{name}")
+
+
+#: name -> (run kwargs for fast mode, module).  The modules are bound
+#: lazily (:func:`repro._lazy.lazy_module`): each executes on its first
+#: attribute access, so a run executes only the experiments it resolves.
 EXPERIMENTS: Dict[str, ExperimentSpec] = {
-    "fig1": ({"seq_lengths": (32, 128, 512)}, fig1_memory_energy),
-    "fig2": ({}, fig2_heatmap),
-    "fig3": ({"num_samples": 1}, fig3_overlap),
-    "fig5": ({"num_samples": 16}, fig5_bit_sensitivity),
-    "fig8": ({"num_samples": 1}, fig8_imbalance),
-    "fig9": ({"num_samples": 16}, fig9_accuracy),
-    "fig10": ({"num_samples": 1}, fig10_data_movement),
-    "fig11": ({"num_samples": 1}, fig11_speedup),
-    "fig12": ({"num_samples": 1}, fig12_energy),
-    "fig13": ({"num_samples": 1}, fig13_breakdown),
-    "ffn": ({"num_samples": 1}, ffn_end_to_end),
-    "table3": ({"num_samples": 1}, table3_comparison),
-    "ablations": ({}, ablations),
+    "fig1": ({"seq_lengths": (32, 128, 512)}, _experiment("fig1_memory_energy")),
+    "fig2": ({}, _experiment("fig2_heatmap")),
+    "fig3": ({"num_samples": 1}, _experiment("fig3_overlap")),
+    "fig5": ({"num_samples": 16}, _experiment("fig5_bit_sensitivity")),
+    "fig8": ({"num_samples": 1}, _experiment("fig8_imbalance")),
+    "fig9": ({"num_samples": 16}, _experiment("fig9_accuracy")),
+    "fig10": ({"num_samples": 1}, _experiment("fig10_data_movement")),
+    "fig11": ({"num_samples": 1}, _experiment("fig11_speedup")),
+    "fig12": ({"num_samples": 1}, _experiment("fig12_energy")),
+    "fig13": ({"num_samples": 1}, _experiment("fig13_breakdown")),
+    "ffn": ({"num_samples": 1}, _experiment("ffn_end_to_end")),
+    "table3": ({"num_samples": 1}, _experiment("table3_comparison")),
+    "ablations": ({}, _experiment("ablations")),
     "sensitivity": (
         {"rates": (0.3, 0.65, 0.9), "seq_lens": (128, 512, 2048)},
-        sensitivity,
+        _experiment("sensitivity"),
     ),
-    "serving": ({"requests_per_point": 100, "loads": (20.0, 80.0)}, serving),
+    "serving": (
+        {"requests_per_point": 100, "loads": (20.0, 80.0)},
+        _experiment("serving"),
+    ),
     "decode": (
         {"requests_per_point": 150, "mean_output_lens": (2.0, 16.0)},
-        decode,
+        _experiment("decode"),
     ),
     "resilience": (
         {
@@ -104,7 +97,7 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             "mtbfs": (2.0, 8.0),
             "fleets": (1, 2),
         },
-        resilience,
+        _experiment("resilience"),
     ),
 }
 

@@ -82,6 +82,8 @@ def cells(
     seed: int = 1,
 ) -> List[CellKey]:
     """The cell keys a same-argument :func:`grid` call will consume."""
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     return [
         (model, config.name, mode.value, num_samples, seed)
         for model in models
@@ -169,11 +171,7 @@ def grid(
     seed: int = 1,
 ) -> Dict[Tuple[str, str, str], SimulationReport]:
     """Run (and cache) the full grid; keys are (model, config, mode)."""
-    out: Dict[Tuple[str, str, str], SimulationReport] = {}
-    for model in models:
-        for config in configs:
-            for mode in modes:
-                out[(model, config.name, mode.value)] = simulate(
-                    model, config.name, mode.value, num_samples, seed
-                )
-    return out
+    return {
+        cell[:3]: simulate(*cell)
+        for cell in cells(models, configs, modes, num_samples, seed)
+    }

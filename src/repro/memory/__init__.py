@@ -8,15 +8,7 @@ Detection (SLD), Memory Request Generator (MRG), and Key Index Generator
 (KIG).
 """
 
-from repro.memory.commands import CommandKind, MemoryCommand, MemoryRequest
-from repro.memory.controller import ControllerStats, SprintMemoryController
-from repro.memory.dram import Bank, Channel, MemoryDevice
-from repro.memory.layout import KVLayout, PhysicalAddress
-from repro.memory.mrg import KeyIndexGenerator, MemoryRequestGenerator
-from repro.memory.scheduler import CommandScheduler
-from repro.memory.sld import SpatialLocalityDetector, SLDOutput
-from repro.memory.timing import TimingParameters
-from repro.memory.frontend import ControllerFrontend, FrontendStats
+from repro._lazy import attach
 
 __all__ = [
     "ControllerFrontend",
@@ -38,3 +30,18 @@ __all__ = [
     "SprintMemoryController",
     "ControllerStats",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "commands": ("CommandKind", "MemoryCommand", "MemoryRequest"),
+        "controller": ("ControllerStats", "SprintMemoryController"),
+        "dram": ("Bank", "Channel", "MemoryDevice"),
+        "layout": ("KVLayout", "PhysicalAddress"),
+        "mrg": ("KeyIndexGenerator", "MemoryRequestGenerator"),
+        "scheduler": ("CommandScheduler",),
+        "sld": ("SpatialLocalityDetector", "SLDOutput"),
+        "timing": ("TimingParameters",),
+        "frontend": ("ControllerFrontend", "FrontendStats"),
+    },
+)

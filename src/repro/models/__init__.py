@@ -8,16 +8,7 @@ transformer with planted attention structure -- see DESIGN.md section 2
 for why this preserves the behaviour under study.
 """
 
-from repro.models.zoo import MODEL_ZOO, ModelSpec, get_model, list_models
-from repro.models.projection import FeedForward, LinearLayer, QKVProjection
-from repro.models.transformer import TransformerClassifier, TransformerConfig
-from repro.models.tasks import (
-    SyntheticTask,
-    evaluate_accuracy,
-    evaluate_perplexity,
-    make_classification_task,
-    make_lm_task,
-)
+from repro._lazy import attach
 
 __all__ = [
     "LinearLayer",
@@ -35,3 +26,19 @@ __all__ = [
     "evaluate_accuracy",
     "evaluate_perplexity",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "zoo": ("MODEL_ZOO", "ModelSpec", "get_model", "list_models"),
+        "projection": ("FeedForward", "LinearLayer", "QKVProjection"),
+        "transformer": ("TransformerClassifier", "TransformerConfig"),
+        "tasks": (
+            "SyntheticTask",
+            "evaluate_accuracy",
+            "evaluate_perplexity",
+            "make_classification_task",
+            "make_lm_task",
+        ),
+    },
+)

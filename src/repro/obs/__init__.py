@@ -21,14 +21,7 @@ the same code paths as before -- the bitwise-equality and golden
 contracts are unchanged.
 """
 
-from repro.obs.streaming import Counter, Gauge, StreamingHistogram
-from repro.obs.telemetry import (
-    MANIFEST_SCHEMA,
-    RunTelemetry,
-    get_telemetry,
-    set_telemetry,
-)
-from repro.obs.trace import TraceConfig, TraceRecorder
+from repro._lazy import attach
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -41,3 +34,17 @@ __all__ = [
     "get_telemetry",
     "set_telemetry",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "streaming": ("Counter", "Gauge", "StreamingHistogram"),
+        "telemetry": (
+            "MANIFEST_SCHEMA",
+            "RunTelemetry",
+            "get_telemetry",
+            "set_telemetry",
+        ),
+        "trace": ("TraceConfig", "TraceRecorder"),
+    },
+)

@@ -14,14 +14,7 @@ Models the analog machinery SPRINT relies on (paper sections III and V):
   vector out.
 """
 
-from repro.reram.adc import ADC, DAC, AnalogComparator
-from repro.reram.cell import MLCCellModel
-from repro.reram.crossbar import CrossbarArray, CrossbarStats
-from repro.reram.noise import OutputNoiseModel
-from repro.reram.thresholding import InMemoryThresholdingUnit, ThresholdingStats
-from repro.reram.transposable import TransposableArray
-from repro.reram.endurance import EnduranceTracker
-from repro.reram.mapping import BankAllocator, BankType, MatrixKind, Region
+from repro._lazy import attach
 
 __all__ = [
     "EnduranceTracker",
@@ -40,3 +33,17 @@ __all__ = [
     "InMemoryThresholdingUnit",
     "ThresholdingStats",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "adc": ("ADC", "DAC", "AnalogComparator"),
+        "cell": ("MLCCellModel",),
+        "crossbar": ("CrossbarArray", "CrossbarStats"),
+        "noise": ("OutputNoiseModel",),
+        "thresholding": ("InMemoryThresholdingUnit", "ThresholdingStats"),
+        "transposable": ("TransposableArray",),
+        "endurance": ("EnduranceTracker",),
+        "mapping": ("BankAllocator", "BankType", "MatrixKind", "Region"),
+    },
+)

@@ -14,20 +14,7 @@ The layers the ``sprint-experiments`` CLI is built on:
   result layer (``--json-out``).
 """
 
-from repro.runtime.artifacts import (
-    ARTIFACT_SCHEMA,
-    Artifact,
-    build_artifact,
-    to_jsonable,
-)
-from repro.runtime.cache import (
-    ResultCache,
-    cache_key,
-    code_version,
-    unit_cache_key,
-)
-from repro.runtime.pool import ExperimentOutcome, ExperimentPool
-from repro.runtime.units import WorkUnit, supports_units
+from repro._lazy import attach
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -43,3 +30,13 @@ __all__ = [
     "to_jsonable",
     "unit_cache_key",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "artifacts": ("ARTIFACT_SCHEMA", "Artifact", "build_artifact", "to_jsonable"),
+        "cache": ("ResultCache", "cache_key", "code_version", "unit_cache_key"),
+        "pool": ("ExperimentOutcome", "ExperimentPool"),
+        "units": ("WorkUnit", "supports_units"),
+    },
+)

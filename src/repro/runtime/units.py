@@ -31,11 +31,10 @@ A :class:`WorkUnit` is one such point.  The contract:
 Implementations (:class:`repro.experiments.sweep.GridUnit`,
 :class:`repro.experiments.serving.ServingPoint`, ...) conform
 structurally and do not import this module, nor anything else under
-:mod:`repro.runtime`: importing the runtime package loads the pool,
-the pool loads the experiment registry and the registry loads every
-experiment, so an experiment that imported the runtime would import
-itself back.  The store behind the ``prime`` hooks therefore lives in
-the experiment layer (:class:`repro.experiments.primed.Primed`).
+:mod:`repro.runtime`: the runtime sits above the experiments (the pool
+resolves them through the experiment registry).  The store behind the
+``prime`` hooks therefore lives in the experiment layer
+(:class:`repro.experiments.primed.Primed`).
 """
 
 from __future__ import annotations

@@ -99,68 +99,7 @@ Typical (reference-path) use::
     print(report.describe())
 """
 
-from repro.serving.arrivals import (
-    ArrivalCursor,
-    ArrivalProcess,
-    BurstyProcess,
-    PoissonProcess,
-    TraceProcess,
-    generate_request_table,
-    generate_requests,
-    sample_output_lens,
-    sample_valid_len,
-)
-from repro.serving.batching import (
-    BatcherStats,
-    ContinuousBatcher,
-    DynamicBatcher,
-    StepBatch,
-    StepItem,
-)
-from repro.serving.decode import simulate_decode_stream, simulate_decode_table
-from repro.serving.devices import (
-    SampleCost,
-    ServiceCostModel,
-    SprintDevice,
-    shared_cost_model,
-)
-from repro.serving.engine import (
-    ColumnarServingResult,
-    CompletedChunk,
-    DecodeColumnarResult,
-    DecodeCompletedChunk,
-    DecodeStreamedResult,
-    FaultColumnarResult,
-    FaultCompletedChunk,
-    FaultStreamedResult,
-    StreamedServingResult,
-    simulate_stream,
-    simulate_table,
-)
-from repro.serving.events import Event, EventKind, EventQueue
-from repro.serving.faults import (
-    DeviceFaultTrace,
-    DroppedRecord,
-    FaultSchedule,
-    RetryPolicy,
-    simulate_faulty_stream,
-    simulate_faulty_table,
-)
-from repro.serving.metrics import (
-    LatencyStats,
-    ServingReport,
-    summarize,
-    summarize_stream,
-)
-from repro.serving.requests import Batch, Request, RequestRecord, RequestTable
-from repro.serving.scheduler import (
-    DecodeRecord,
-    GenerativeResult,
-    GenerativeServingSimulator,
-    ServingResult,
-    ServingSimulator,
-)
-from repro.serving.stream import DEFAULT_CHUNK_SIZE, RequestStream
+from repro._lazy import attach
 
 __all__ = [
     "ArrivalCursor",
@@ -219,3 +158,66 @@ __all__ = [
     "summarize",
     "summarize_stream",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "arrivals": (
+            "ArrivalCursor",
+            "ArrivalProcess",
+            "BurstyProcess",
+            "PoissonProcess",
+            "TraceProcess",
+            "generate_request_table",
+            "generate_requests",
+            "sample_output_lens",
+            "sample_valid_len",
+        ),
+        "batching": (
+            "BatcherStats",
+            "ContinuousBatcher",
+            "DynamicBatcher",
+            "StepBatch",
+            "StepItem",
+        ),
+        "decode": ("simulate_decode_stream", "simulate_decode_table"),
+        "devices": (
+            "SampleCost",
+            "ServiceCostModel",
+            "SprintDevice",
+            "shared_cost_model",
+        ),
+        "engine": (
+            "ColumnarServingResult",
+            "CompletedChunk",
+            "DecodeColumnarResult",
+            "DecodeCompletedChunk",
+            "DecodeStreamedResult",
+            "FaultColumnarResult",
+            "FaultCompletedChunk",
+            "FaultStreamedResult",
+            "StreamedServingResult",
+            "simulate_stream",
+            "simulate_table",
+        ),
+        "events": ("Event", "EventKind", "EventQueue"),
+        "faults": (
+            "DeviceFaultTrace",
+            "DroppedRecord",
+            "FaultSchedule",
+            "RetryPolicy",
+            "simulate_faulty_stream",
+            "simulate_faulty_table",
+        ),
+        "metrics": ("LatencyStats", "ServingReport", "summarize", "summarize_stream"),
+        "requests": ("Batch", "Request", "RequestRecord", "RequestTable"),
+        "scheduler": (
+            "DecodeRecord",
+            "GenerativeResult",
+            "GenerativeServingSimulator",
+            "ServingResult",
+            "ServingSimulator",
+        ),
+        "stream": ("DEFAULT_CHUNK_SIZE", "RequestStream"),
+    },
+)

@@ -7,17 +7,7 @@ with the same first-order statistics: per-model pruning rate, padding
 fraction, and the 2-3x over-random adjacent-query overlap of Figure 3.
 """
 
-from repro.workloads.generator import (
-    WorkloadSample,
-    bucket_workloads,
-    generate_random_masks,
-    generate_workload,
-    structured_keep_mask,
-)
-from repro.workloads.distributions import (
-    calibrated_score_matrix,
-    heavy_tailed_scores,
-)
+from repro._lazy import attach
 
 __all__ = [
     "WorkloadSample",
@@ -28,3 +18,17 @@ __all__ = [
     "calibrated_score_matrix",
     "heavy_tailed_scores",
 ]
+
+__getattr__, __dir__ = attach(
+    __name__,
+    {
+        "generator": (
+            "WorkloadSample",
+            "bucket_workloads",
+            "generate_random_masks",
+            "generate_workload",
+            "structured_keep_mask",
+        ),
+        "distributions": ("calibrated_score_matrix", "heavy_tailed_scores"),
+    },
+)

@@ -179,6 +179,8 @@ def generate_workload(
     seed:
         Deterministic seed.
     """
+    if seq_len < 1:
+        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
     if not 0.0 <= padding_ratio < 1.0:
         raise ValueError("padding_ratio must be in [0, 1)")
     rng = np.random.default_rng(seed)

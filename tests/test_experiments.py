@@ -13,14 +13,18 @@ import pytest
 
 from repro.core.configs import M_SPRINT, S_SPRINT
 from repro.experiments import (
+    decode,
     ffn_end_to_end,
     fig1_memory_energy,
     fig3_overlap,
+    fig5_bit_sensitivity,
     fig8_imbalance,
+    fig9_accuracy,
     fig10_data_movement,
     fig11_speedup,
     fig12_energy,
     fig13_breakdown,
+    sweep,
     table3_comparison,
 )
 from repro.experiments.runner import EXPERIMENTS, run_experiment, run_structured
@@ -313,6 +317,72 @@ class TestRunner:
     def test_unknown_experiment(self):
         with pytest.raises(KeyError):
             run_experiment("fig99")
+
+
+def _forbid(monkeypatch, module, *names):
+    """Make each named entry of ``module`` fail: it must not be reached."""
+
+    def reached(*args, **kwargs):
+        raise AssertionError("simulation ran before argument validation")
+
+    for name in names:
+        monkeypatch.setattr(module, name, reached)
+
+
+class TestEntryPointValidation:
+    """Degenerate sizes fail at the entry point, before any simulation."""
+
+    def test_fig3_rejects_zero_samples(self, monkeypatch):
+        _forbid(monkeypatch, fig3_overlap, "generate_workload")
+        with pytest.raises(ValueError, match="num_samples"):
+            fig3_overlap.run(num_samples=0)
+
+    def test_fig8_rejects_zero_samples(self, monkeypatch):
+        _forbid(monkeypatch, fig8_imbalance, "generate_workload")
+        with pytest.raises(ValueError, match="num_samples"):
+            fig8_imbalance.run(num_samples=0)
+
+    def test_fig5_rejects_zero_samples(self, monkeypatch):
+        _forbid(monkeypatch, fig5_bit_sensitivity, "make_classification_task")
+        with pytest.raises(ValueError, match="num_samples"):
+            fig5_bit_sensitivity.run(num_samples=0)
+
+    def test_fig9_rejects_zero_samples(self, monkeypatch):
+        _forbid(monkeypatch, fig9_accuracy, "_evaluate_model")
+        for entry in (fig9_accuracy.run, fig9_accuracy.plan):
+            with pytest.raises(ValueError, match="num_samples"):
+                entry(num_samples=0)
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            fig10_data_movement,
+            fig11_speedup,
+            fig12_energy,
+            fig13_breakdown,
+            ffn_end_to_end,
+            table3_comparison,
+        ],
+        ids=lambda module: module.__name__.rpartition(".")[2],
+    )
+    def test_grid_figures_reject_zero_samples(self, module, monkeypatch):
+        # The grid checks once, in ``sweep``, for every figure on it.
+        _forbid(monkeypatch, sweep, "simulate")
+        for entry in (module.run, module.plan):
+            with pytest.raises(ValueError, match="num_samples") as info:
+                entry(num_samples=0)
+            assert info.traceback[-1].path.name == "sweep.py"
+
+    def test_decode_rejects_sub_token_output_lens(self):
+        for lens in ((0.0,), (2.0, 0.5)):
+            for entry in (decode.run, decode.plan):
+                with pytest.raises(ValueError, match="mean_output_lens"):
+                    entry(mean_output_lens=lens)
+
+    def test_fig1_rejects_empty_sequence(self, monkeypatch):
+        _forbid(monkeypatch, fig1_memory_energy, "SprintSystem")
+        with pytest.raises(ValueError, match="seq_lengths"):
+            fig1_memory_energy.run(seq_lengths=(32, 0))
 
 
 #: sha256 of each serving study's ``--fast`` artifact: its JSON rows and

@@ -151,6 +151,10 @@ class TestGenerateWorkload:
         with pytest.raises(ValueError):
             generate_workload(32, 0.5, padding_ratio=1.0)
 
+    def test_rejects_empty_sequence(self):
+        with pytest.raises(ValueError, match="seq_len"):
+            generate_workload(0, 0.7)
+
     def test_pruning_vectors_convention(self):
         wl = generate_workload(32, 0.5, num_samples=1, seed=0)
         sample = wl.samples[0]
