@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_SMALLEST_SCALE = float(np.finfo(np.float64).smallest_subnormal)
+
 
 @dataclass(frozen=True)
 class QuantizedTensor:
@@ -53,7 +55,9 @@ def symmetric_quantize(x: np.ndarray, bits: int) -> QuantizedTensor:
         codes[x == 0] = 0
         return QuantizedTensor(codes=codes, scale=scale, bits=bits)
     q_max = 2 ** (bits - 1) - 1
-    scale = max_abs / q_max if max_abs > 0 else 1.0
+    # A subnormal maximum can underflow ``max_abs / q_max`` to 0.0; the
+    # smallest positive double keeps the scale, and every code, finite.
+    scale = max(max_abs / q_max, _SMALLEST_SCALE) if max_abs > 0 else 1.0
     codes = np.clip(np.round(x / scale), -q_max - 1, q_max).astype(np.int32)
     return QuantizedTensor(codes=codes, scale=scale, bits=bits)
 

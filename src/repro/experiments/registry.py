@@ -22,9 +22,12 @@ ablations, the sensitivity sweeps and the three serving studies
 
 from __future__ import annotations
 
+import ast
+import tokenize
 from typing import Any, Callable, Dict, Protocol, Tuple, runtime_checkable
 
 from repro._lazy import lazy_module
+from repro.runtime.units import UNIT_HOOKS
 
 
 @runtime_checkable
@@ -115,9 +118,36 @@ def resolve(name: str, fast: bool = False) -> Tuple[RunKwargs, ExperimentModule]
 
 def describe(name: str) -> str:
     """One-line description of ``name`` (the module docstring's first
-    line); KeyError if unknown."""
+    line), read off the source; KeyError if unknown."""
+    doc = (ast.get_docstring(_source(name), clean=False) or "").strip()
+    return doc.splitlines()[0].strip() if doc else ""
+
+
+def shardable(name: str) -> bool:
+    """Whether ``name``'s source binds every WorkUnit hook
+    (:data:`repro.runtime.units.UNIT_HOOKS`) at top level with ``def``,
+    ``class`` or a plain assignment; KeyError if unknown.  The one rule
+    ``--list`` marks by; for every registered module it agrees with
+    :func:`~repro.runtime.units.supports_units` on the executed module."""
+    bound = set()
+    for node in _source(name).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return bound.issuperset(UNIT_HOOKS)
+
+
+def _source(name: str) -> ast.Module:
+    """The parsed source of ``name``'s module, which stays unexecuted.
+
+    Any attribute read executes a :func:`~repro._lazy.lazy_module`
+    stub, so the spec comes through ``object.__getattribute__``, as
+    :class:`importlib.util.LazyLoader` itself reads it.
+    """
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}")
-    _, module = EXPERIMENTS[name]
-    doc = (module.__doc__ or "").strip()
-    return doc.splitlines()[0].strip() if doc else ""
+    module = EXPERIMENTS[name][1]
+    origin = object.__getattribute__(module, "__spec__").origin
+    with tokenize.open(origin) as source:
+        return ast.parse(source.read())

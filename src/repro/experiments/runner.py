@@ -38,9 +38,10 @@ from repro.experiments.registry import (
     ExperimentModule,  # noqa: F401 - re-exported (tests and back-compat)
     describe,
     resolve,
+    shardable,
 )
 from repro.obs.telemetry import RunTelemetry, set_telemetry
-from repro.runtime import Artifact, ExperimentPool, ResultCache, supports_units
+from repro.runtime import Artifact, ExperimentPool, ResultCache
 
 
 def run_structured(name: str, fast: bool = False) -> Artifact:
@@ -127,8 +128,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.list_experiments:
-        for name, (_fast_kwargs, module) in EXPERIMENTS.items():
-            marker = "*" if supports_units(module) else " "
+        for name in EXPERIMENTS:
+            marker = "*" if shardable(name) else " "
             print(f"{name:<12} {marker} {describe(name)}")
         print("(* = shardable: declares WorkUnits, scales with --jobs)")
         return 0

@@ -81,11 +81,12 @@ from repro.serving.faults import (
     DROP_RETRIES,
     DROP_STRANDED,
     FaultSchedule,
-    RetryPolicy,
     _count_drops,
     _emit_fault_trace,
     _fault_columns,
+    _fault_hook,
     _fault_totals,
+    _validate_knobs,
 )
 from repro.serving.requests import RequestTable, has_duplicate_ids
 
@@ -787,36 +788,6 @@ class _DecodeCore:
                 self.dropped.append((rec, DROP_STRANDED, batch[8]))
         assert not self.queues
         assert self.in_flight_rejoiners == 0 and self.pending_retries == 0
-
-
-def _validate_knobs(num_devices, max_batch_size, max_wait_s, threads=1):
-    """The one knob check behind every columnar driver."""
-    if num_devices < 1:
-        raise ValueError("at least one device required")
-    if max_batch_size < 1:
-        raise ValueError("max_batch_size must be positive")
-    if max_wait_s < 0:
-        raise ValueError("max_wait_s must be non-negative")
-    if threads < 1:
-        raise ValueError("threads must be positive")
-
-
-def _fault_hook(
-    faults: Optional[FaultSchedule], retry: Optional[RetryPolicy], num_devices: int
-) -> Optional[RetryPolicy]:
-    """Check a run's fault knobs; returns the retry policy it runs with.
-
-    ``retry=None`` under a schedule means the default
-    :class:`~repro.serving.faults.RetryPolicy` (3 attempts, 1 ms base
-    backoff doubled each time); a policy without a schedule is an
-    error.
-    """
-    if faults is None:
-        if retry is not None:
-            raise ValueError("a retry policy requires a fault schedule")
-        return None
-    faults.validate_for(num_devices)
-    return RetryPolicy() if retry is None else retry
 
 
 def _prebuild_vectors(core: _DecodeCore, spec_i, vlen, olen, threads: int) -> None:

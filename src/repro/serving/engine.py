@@ -19,8 +19,9 @@ batch granularity over a struct-of-arrays
    ``max(sealed_s, earliest free time)`` on the lowest-index device
    idle at that instant -- exactly the device the reference loop's
    event-driven dispatch would pick -- collapsing the event count by
-   the mean batch size.  One lean scalar loop serves every fleet size,
-   including a single device.
+   the mean batch size.  One scalar kernel over a float min-heap of
+   the free times, :func:`_place_batches`, serves every fleet size,
+   including a single device, and the fault dispatcher's hot loop.
 3. **Costs and metrics stay columnar.**  Per-batch cycles/energy come
    from :meth:`~repro.serving.devices.ServiceCostModel.cost_arrays`
    (array indexing into the primed bucket cache) and
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -76,6 +77,8 @@ from repro.serving.faults import (
     DroppedRecord,
     _emit_fault_trace,
     _fault_columns,
+    _fault_hook,
+    _validate_knobs,
 )
 from repro.serving.requests import (
     Request,
@@ -502,11 +505,13 @@ def _group_rows(
     One O(n) lookup plus one stable argsort replaces the historical
     per-queue ``np.isin`` scan (O(n * queues)); the stable sort keeps
     rows of equal queue id in their original ascending order, so the
-    selection is identical to ``np.flatnonzero(np.isin(...))``.
+    selection is identical to ``np.flatnonzero(np.isin(...))``.  Keys
+    take the smallest unsigned type that holds every queue id, so numpy
+    radix-sorts them (8- and 16-bit keys); the permutation is the same.
     """
     if num_queues == 1:
         return [np.arange(spec_idx.size, dtype=np.int64)]
-    qcol = queue_of_spec[spec_idx]
+    qcol = queue_of_spec.astype(np.min_scalar_type(num_queues - 1))[spec_idx]
     counts = np.bincount(qcol, minlength=num_queues)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     order = np.argsort(qcol, kind="stable")
@@ -553,9 +558,78 @@ def _form_queue(
     return f[:6], service_s, energy * counts, consumed
 
 
-#: Batches converted to Python scalars per dispatch block: whole-column
-#: ``tolist()`` copies would hold ~3 Python floats per batch at once.
+#: Batches placed per dispatch block.  The kernel reads Python floats
+#: off ``memoryview`` slices as it goes, and only one block's start and
+#: device lists are held at once, so peak memory does not grow with the
+#: column.
 _DISPATCH_BLOCK = 8192
+
+
+def _place_batches(
+    batches: Iterable[Tuple[float, float]],
+    free_at: List[float],
+    horizon: float,
+    starts: List[float],
+    devices: List[int],
+) -> None:
+    """The k-server FIFO rule: place ``(sealed, service)`` batches in order.
+
+    Each batch takes the lowest-index device idle at its seal (the
+    device the reference's index-order scan picks); when every device
+    is busy it waits for the earliest free time and takes the first
+    device freeing then -- together, ``max(sealed, earliest free)``.
+    A float min-heap of the free times answers "earliest free" in
+    O(1): when every device is busy, ``free_at.index`` of the heap top
+    is the lowest-index device freeing then and one ``heapreplace``
+    books it; an idle batch scans for the lowest-index idle device and
+    rebuilds the heap.
+
+    Appends each placed batch's start and device and updates
+    ``free_at`` in place.  Stops before the first batch that would
+    start at or finish after ``horizon`` (an outage the caller places
+    exactly), leaving it consumed from ``batches`` and unplaced.
+    Busy and energy totals are the caller's (:func:`_fold`).
+    """
+    heap = free_at.copy()
+    heapify(heap)
+    for sealed, service in batches:
+        top = heap[0]
+        if top > sealed:
+            finish = top + service
+            if finish > horizon or top >= horizon:
+                return
+            device = free_at.index(top)
+            heapreplace(heap, finish)
+            free_at[device] = finish
+            starts.append(top)
+        else:
+            finish = sealed + service
+            if finish > horizon or sealed >= horizon:
+                return
+            for device, free in enumerate(free_at):
+                if free <= sealed:
+                    break
+            free_at[device] = finish
+            heap = free_at.copy()
+            heapify(heap)
+            starts.append(sealed)
+        devices.append(device)
+
+
+def _fold(totals: List[float], devices, values: np.ndarray) -> None:
+    """Add ``values`` into per-device ``totals`` in place, in order.
+
+    ``np.bincount`` sums its weights sequentially, so folding the
+    carried totals first and then the values in placement order makes
+    the same float additions as one ``totals[device] += value`` per
+    batch.
+    """
+    k = len(totals)
+    totals[:] = np.bincount(
+        np.concatenate((np.arange(k), np.asarray(devices, dtype=np.int64))),
+        weights=np.concatenate((totals, values)),
+        minlength=k,
+    ).tolist()
 
 
 def _dispatch(
@@ -574,19 +648,17 @@ def _dispatch(
     Sorts the batches into the reference event loop's dispatch order
     (size seals happen inside an arrival event, which outranks a
     timeout flush at the same instant, hence the ``~size_sealed``
-    rank), runs them over the device pool, and mutates the carried
-    ``free_at`` / ``busy_s`` / ``energy_by_device`` state in place --
-    the chunked driver calls this once per flush and the carried state
-    makes the flush sequence bitwise equal to one whole-stream pass.
+    rank), places them with :func:`_place_batches`, and mutates the
+    carried ``free_at`` / ``busy_s`` / ``energy_by_device`` state in
+    place -- the chunked driver calls this once per flush and the
+    carried state makes the flush sequence bitwise equal to one
+    whole-stream pass.
     Returns per-batch ``(start, finish, device)`` in input order.
 
-    Each batch takes the lowest-index device idle at its seal (the
-    device the reference's index-order scan picks); when every device
-    is busy it waits for the earliest free time and takes the first
-    device freeing then -- together, ``max(sealed, earliest free)``.
-    The loop runs over Python scalars, one block of sorted batches at
-    a time, and ``finish = start + service`` is one vector add per
-    block.
+    The placement loop runs over Python scalars, one block of sorted
+    batches at a time; per block, ``finish = start + service`` is one
+    vector add and the busy and energy totals are one :func:`_fold`
+    each.
     """
     num_batches = sealed_s.size
     batch_start = np.empty(num_batches, dtype=np.float64)
@@ -595,36 +667,24 @@ def _dispatch(
     if num_batches == 0:
         return batch_start, batch_finish, batch_device
     order = np.lexsort((tie_id, tie_arrival, ~size_sealed, sealed_s))
-    sealed_sorted = sealed_s[order]
     service_sorted = service_s[order]
     energy_sorted = energy_pj[order]
+    sealed = memoryview(sealed_s[order])
+    service = memoryview(service_sorted)
     for lo in range(0, num_batches, _DISPATCH_BLOCK):
         hi = min(lo + _DISPATCH_BLOCK, num_batches)
         starts: List[float] = []
         devices: List[int] = []
-        for start, service, energy in zip(
-            sealed_sorted[lo:hi].tolist(),
-            service_sorted[lo:hi].tolist(),
-            energy_sorted[lo:hi].tolist(),
-        ):
-            earliest = min(free_at)
-            if earliest > start:
-                start = earliest
-                device = free_at.index(earliest)
-            else:
-                for device, free in enumerate(free_at):
-                    if free <= start:
-                        break
-            free_at[device] = start + service
-            busy_s[device] += service
-            energy_by_device[device] += energy
-            starts.append(start)
-            devices.append(device)
+        batches = zip(sealed[lo:hi], service[lo:hi])
+        _place_batches(batches, free_at, np.inf, starts, devices)
+        block_device = np.asarray(devices, dtype=np.int64)
+        _fold(busy_s, block_device, service_sorted[lo:hi])
+        _fold(energy_by_device, block_device, energy_sorted[lo:hi])
         rows = order[lo:hi]
         block_start = np.asarray(starts, dtype=np.float64)
         batch_start[rows] = block_start
         batch_finish[rows] = block_start + service_sorted[lo:hi]
-        batch_device[rows] = devices
+        batch_device[rows] = block_device
     return batch_start, batch_finish, batch_device
 
 
@@ -667,9 +727,10 @@ class _FaultDispatch:
       loop, so this is its event-time dispatch.  ``free_at`` holds
       *effective* free times, with the outages that start while a
       device idles or that kill its batch folded in, so the hot loop
-      reads one more value: ``nda``, the earliest outage start not
-      folded in.  A fault-free choice that starts and finishes before
-      it is exact; the rest are placed exactly.
+      is :func:`_place_batches` with one more value as its horizon:
+      ``nda``, the earliest outage start not folded in.  A fault-free
+      choice that starts and finishes before it is exact; the batch
+      that reaches it is placed exactly (:meth:`_run_batch`).
     * **Loss.**  A batch whose device's next outage starts before it
       finishes is lost at that instant, with the decode core's float
       expressions; each member then retries or drops under the policy.
@@ -757,9 +818,6 @@ class _FaultDispatch:
         until a retry is pending; returns the next position."""
         order = self.order
         nb = order.size
-        free_at = self.free_at
-        busy_s = self.busy_s
-        energy_by_device = self.energy_by_device
         # The next loss may be a few batches away: blocks grow from
         # small, so a resumed run converts little that it abandons.
         block = 256
@@ -769,48 +827,36 @@ class _FaultDispatch:
             kept = np.flatnonzero(~self.superseded[order[p:hi]])
             idx = order[p:hi][kept]
             service_block = self.service_s[idx]
+            sealed = memoryview(self.sealed_s[idx])
+            service = memoryview(service_block)
+            batches = zip(sealed, service)
             starts: List[float] = []
             devices: List[int] = []
             base = self.dispatched
-            nda = self.nda
-            for s, service, energy in zip(
-                self.sealed_s[idx].tolist(),
-                service_block.tolist(),
-                self.energy_pj[idx].tolist(),
-            ):
-                earliest = min(free_at)
-                if earliest > s:
-                    start = earliest
-                    device = free_at.index(earliest)
-                else:
-                    start = s
-                    for device, free in enumerate(free_at):
-                        if free <= s:
-                            break
-                finish = start + service
-                if finish > nda or start >= nda:
-                    # Near an outage: place exactly, maybe lose it.
-                    j = len(starts)
-                    self.dispatched = base + j
-                    out = self._run_batch(
-                        s,
-                        service,
-                        energy,
-                        self._chain_rows(int(idx[j])),
-                        p + int(kept[j]) + 1,
-                    )
-                    nda = self.nda
-                    start, _, device = out or (np.nan, 0.0, -1)
-                    starts.append(start)
-                    devices.append(device)
-                    if self.heap:
-                        break
-                    continue
-                free_at[device] = finish
-                busy_s[device] += service
-                energy_by_device[device] += energy
+            while True:
+                lo = len(starts)
+                _place_batches(batches, self.free_at, self.nda, starts, devices)
+                j = len(starts)
+                placed = np.asarray(devices[lo:], dtype=np.int64)
+                _fold(self.busy_s, placed, service_block[lo:j])
+                _fold(self.energy_by_device, placed, self.energy_pj[idx[lo:j]])
+                if j == idx.size:
+                    break
+                # Batch j reaches the next outage: place it exactly,
+                # maybe lose it.
+                self.dispatched = base + j
+                out = self._run_batch(
+                    sealed[j],
+                    service[j],
+                    float(self.energy_pj[idx[j]]),
+                    self._chain_rows(int(idx[j])),
+                    p + int(kept[j]) + 1,
+                )
+                start, _, device = out or (np.nan, 0.0, -1)
                 starts.append(start)
                 devices.append(device)
+                if self.heap:
+                    break
             m = len(starts)
             done = idx[:m]
             block_start = np.asarray(starts, dtype=np.float64)
@@ -1147,12 +1193,6 @@ def simulate_table(
     queue id -> precomputed phase-1 parts for the canonically sorted
     table.
     """
-    from repro.serving.decode import (
-        _fault_hook,
-        _validate_knobs,
-        simulate_decode_table,
-    )
-
     if _formed is not None and (faults is not None or table.output_len is not None):
         raise ValueError(
             "sharded batch formation applies to fault-free prefill tables only"
@@ -1161,6 +1201,8 @@ def simulate_table(
         # Generative decode-step readiness depends on device timing, so
         # batch formation cannot be precomputed: the event-driven core
         # runs.
+        from repro.serving.decode import simulate_decode_table
+
         return simulate_decode_table(
             table,
             cost_model,
@@ -1290,24 +1332,21 @@ def simulate_table(
         energy_by_device = fault.energy_by_device
 
     # ------------------------------------------------------------------
-    # Phase 3: scatter per-batch outcomes back to per-request columns.
-    # A model's batches tile its sorted rows in formation order, so one
-    # repeat() per model covers every member.
+    # Phase 3: per-batch outcomes become per-request columns.  A model's
+    # batches tile its sorted rows in formation order, so one repeat()
+    # per model maps every row to its batch, and each column is one
+    # gather through that map.
     # ------------------------------------------------------------------
-    outcome = dict(
-        batched_s=np.empty(n, dtype=np.float64),
-        service_start_s=np.empty(n, dtype=np.float64),
-        finish_s=np.empty(n, dtype=np.float64),
-        batch_size=np.empty(n, dtype=np.int64),
-        device_id=np.empty(n, dtype=np.int64),
-    )
+    batch_of_row = np.empty(n, dtype=np.int64)
     for rows, (lo, hi) in zip(model_rows, model_slices):
-        counts = member_count[lo:hi]
-        outcome["batched_s"][rows] = np.repeat(sealed_s[lo:hi], counts)
-        outcome["service_start_s"][rows] = np.repeat(batch_start[lo:hi], counts)
-        outcome["finish_s"][rows] = np.repeat(batch_finish[lo:hi], counts)
-        outcome["batch_size"][rows] = np.repeat(member_count[lo:hi], counts)
-        outcome["device_id"][rows] = np.repeat(batch_device[lo:hi], counts)
+        batch_of_row[rows] = np.repeat(np.arange(lo, hi), member_count[lo:hi])
+    outcome = dict(
+        batched_s=sealed_s[batch_of_row],
+        service_start_s=batch_start[batch_of_row],
+        finish_s=batch_finish[batch_of_row],
+        batch_size=member_count[batch_of_row],
+        device_id=batch_device[batch_of_row],
+    )
 
     start_s = float(arrival_s[0])
     size_triggered = int(np.count_nonzero(size_sealed))
@@ -1526,8 +1565,6 @@ def simulate_stream(
     caller's contract (checking it globally would break the O(1)
     memory bound).
     """
-    from repro.serving.decode import _validate_knobs, simulate_decode_stream
-
     # Peek the first non-empty chunk to route generative streams.
     iterator = iter(chunks)
     first = next(iterator, None)
@@ -1535,6 +1572,8 @@ def simulate_stream(
         first = next(iterator, None)
     chunks = iter(()) if first is None else chain([first], iterator)
     if faults is not None or (first is not None and first.output_len is not None):
+        from repro.serving.decode import simulate_decode_stream
+
         return simulate_decode_stream(
             chunks,
             cost_model,

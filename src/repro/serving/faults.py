@@ -268,6 +268,35 @@ class DroppedRecord:
     attempts: int
 
 
+def _validate_knobs(num_devices, max_batch_size, max_wait_s, threads=1):
+    """The one knob check behind every columnar driver."""
+    if num_devices < 1:
+        raise ValueError("at least one device required")
+    if max_batch_size < 1:
+        raise ValueError("max_batch_size must be positive")
+    if max_wait_s < 0:
+        raise ValueError("max_wait_s must be non-negative")
+    if threads < 1:
+        raise ValueError("threads must be positive")
+
+
+def _fault_hook(
+    faults: Optional[FaultSchedule], retry: Optional[RetryPolicy], num_devices: int
+) -> Optional[RetryPolicy]:
+    """Check a run's fault knobs; returns the retry policy it runs with.
+
+    ``retry=None`` under a schedule means the default
+    :class:`RetryPolicy` (3 attempts, 1 ms base backoff doubled each
+    time); a policy without a schedule is an error.
+    """
+    if faults is None:
+        if retry is not None:
+            raise ValueError("a retry policy requires a fault schedule")
+        return None
+    faults.validate_for(num_devices)
+    return RetryPolicy() if retry is None else retry
+
+
 def _count_drops(drops, by_reason: Optional[Dict[str, int]] = None) -> Dict[str, int]:
     """Drop counts per reason name over (row, reason code, instant) drops,
     added onto ``by_reason`` if given."""

@@ -125,17 +125,22 @@ def calibrated_score_matrix(
     scaled by its 0.001/0.999 quantiles; those come from
     :func:`~repro.attention.pruning.select_quantile`, which is byte-equal
     to ``np.quantile``.  So the result is bit-identical to the
-    expression evaluated with temporaries.
+    expression evaluated with temporaries.  The independent term is
+    drawn one row block at a time, in row order: ``rng`` hands out the
+    same normals as one ``(seq_len, seq_len)`` draw and ends in the same
+    state, without a second matrix-sized array.
     """
     _check_locality(locality)
     rng = rng or np.random.default_rng(0)
     key_profile = rng.normal(0.0, 1.0, size=seq_len)
     drift = rng.normal(0.0, _DRIFT_SIGMA, size=(seq_len, 1))
-    independent = rng.normal(0.0, 1.0, size=(seq_len, seq_len))
+
+    def independent_rows(rows: slice) -> np.ndarray:
+        count = len(range(*rows.indices(seq_len)))
+        return rng.normal(0.0, 1.0, size=(count, seq_len))
+
     scores = np.empty((seq_len, seq_len))
-    return _assemble_scores(
-        scores, key_profile, drift, independent.__getitem__, locality
-    )
+    return _assemble_scores(scores, key_profile, drift, independent_rows, locality)
 
 
 def _normal(draws: np.ndarray, loc: float, scale: float, out=None) -> np.ndarray:

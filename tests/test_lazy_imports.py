@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import registry
+from repro.runtime import supports_units
 
 #: Each package's ``__all__``, in order, as space-separated names.
 PINNED_ALL = {
@@ -260,8 +261,9 @@ print(json.dumps(sorted(
 """
 
 
-def executed(statement: str) -> set:
-    """The ``repro`` modules a fresh interpreter executes for ``statement``."""
+def probe(statement: str):
+    """What ``statement`` prints in a fresh interpreter (a list of lines),
+    and the ``repro`` modules it executes."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
@@ -273,7 +275,13 @@ def executed(statement: str) -> set:
         capture_output=True,
         text=True,
     )
-    return set(json.loads(out.stdout.splitlines()[-1]))
+    lines = out.stdout.splitlines()
+    return lines[:-1], set(json.loads(lines[-1]))
+
+
+def executed(statement: str) -> set:
+    """The ``repro`` modules a fresh interpreter executes for ``statement``."""
+    return probe(statement)[1]
 
 
 def under(modules: set, *prefixes: str) -> set:
@@ -326,6 +334,50 @@ class TestImportSurface:
         mods = executed("import repro.experiments.runner")
         assert "repro.experiments.registry" in mods
         assert not mods & EXPERIMENT_MODULES
+
+    def test_listing_executes_no_experiment(self):
+        printed, mods = probe(
+            "from repro.experiments import registry\n"
+            "names = list(registry.EXPERIMENTS)\n"
+            "print(json.dumps([registry.describe(name) for name in names]))\n"
+            "print(json.dumps([registry.shardable(name) for name in names]))\n"
+            "from repro.experiments.runner import main\n"
+            "main(['--list'])"
+        )
+        assert not mods & EXPERIMENT_MODULES
+        described, shardable = map(json.loads, printed[:2])
+        # Read off the source, the same strings and markers as the
+        # executed modules give.
+        modules = [module for _, module in registry.EXPERIMENTS.values()]
+        assert described == [
+            module.__doc__.strip().splitlines()[0].strip() for module in modules
+        ]
+        assert shardable == [supports_units(module) for module in modules]
+        assert any(shardable) and not all(shardable)
+        # Once the modules have executed, listing reads the same source.
+        names = list(registry.EXPERIMENTS)
+        assert [registry.describe(name) for name in names] == described
+        assert [registry.shardable(name) for name in names] == shardable
+
+    def test_prefill_runs_skip_the_decode_engine(self):
+        printed, mods = probe(
+            "from repro import ExecutionMode, S_SPRINT\n"
+            "from repro.serving import (FaultSchedule, PoissonProcess,\n"
+            "    ServiceCostModel, generate_request_table, simulate_stream,\n"
+            "    simulate_table, summarize)\n"
+            "table = generate_request_table(\n"
+            "    PoissonProcess(rate_rps=200.0), {'BERT-B': 1.0}, count=40, seed=0)\n"
+            "cost = ServiceCostModel(S_SPRINT, ExecutionMode.SPRINT)\n"
+            "result = simulate_table(table, cost, num_devices=2)\n"
+            "summarize(result, 'S', 'sprint', 'poisson', 200.0)\n"
+            "chunks = [table.slice(0, 20), table.slice(20, 40)]\n"
+            "simulate_stream(chunks, cost, num_devices=2)\n"
+            "faults = FaultSchedule.from_intervals([[(0.01, 0.02)], []])\n"
+            "simulate_table(table, cost, num_devices=2, faults=faults)\n"
+            "print('repro.serving.decode' in sys.modules)"
+        )
+        assert printed == ["False"]
+        assert "repro.serving.decode" not in mods
 
     def test_resolving_one_experiment_executes_only_it(self):
         mods = executed(

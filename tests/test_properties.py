@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on core data structures/invariants."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -61,6 +61,28 @@ class TestQuantizationProperties:
         q = symmetric_quantize(x, bits)
         err = np.abs(q.codes * q.scale - x)
         assert np.all(err <= q.scale / 2 + 1e-9)
+
+    @given(
+        arrays(
+            np.float64,
+            st.integers(1, 64),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        st.integers(min_value=2, max_value=16),
+    )
+    @example(np.array([5e-324, -5e-324, 0.0]), 8)
+    @settings(max_examples=100, deadline=None)
+    def test_symmetric_codes_in_range(self, x, bits):
+        # Any finite input, subnormal maxima included: a positive finite
+        # scale, no division by zero, zero maps to code 0, and every
+        # code is signed-range with the sign of its input.
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            q = symmetric_quantize(x, bits)
+        assert 0.0 < q.scale < np.inf
+        assert q.codes.min() >= -(2 ** (bits - 1))
+        assert q.codes.max() <= 2 ** (bits - 1) - 1
+        assert np.all(q.codes[x == 0] == 0)
+        assert np.all(q.codes * np.sign(x) >= 0)
 
     @given(
         arrays(np.int64, st.integers(1, 32),

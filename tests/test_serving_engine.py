@@ -10,6 +10,7 @@ hashes captured before vectorization).
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -40,7 +41,12 @@ from repro.serving import (
     summarize,
 )
 from repro.experiments.serving import ServingExperiment
-from repro.serving.engine import _form_batches
+from repro.serving.engine import (
+    _fold,
+    _form_batches,
+    _group_rows,
+    _place_batches,
+)
 from repro.serving.requests import has_duplicate_ids
 
 SEEDS = (0, 1, 7)
@@ -485,7 +491,7 @@ FLEET_BURST = (
 class TestDispatchProperty:
     @given(
         case=dispatch_cases(),
-        num_devices=st.integers(1, 5),
+        num_devices=st.integers(1, 16),
         max_wait_s=st.sampled_from((0.0, 2e-3)),
         max_batch_size=st.integers(1, 9),
     )
@@ -521,6 +527,105 @@ class TestDispatchProperty:
         if num_devices > 1:
             # The idle scan passed a busy device 0.
             assert (result.device_id[~waited] > 0).any()
+
+
+def _scan_place(batches, free_at, busy_s, energy_by_device, horizon):
+    """The per-batch scan the heap kernel replaced, kept as its oracle:
+    ``min`` over the free times, ``index`` of it when every device is
+    busy, else an index-order scan for the first idle device; stops
+    at the first batch that starts at or finishes after ``horizon``."""
+    starts, devices = [], []
+    for sealed, service, energy in batches:
+        earliest = min(free_at)
+        if earliest > sealed:
+            start = earliest
+            device = free_at.index(earliest)
+        else:
+            start = sealed
+            for device, free in enumerate(free_at):
+                if free <= sealed:
+                    break
+        finish = start + service
+        if finish > horizon or start >= horizon:
+            break
+        free_at[device] = finish
+        busy_s[device] += service
+        energy_by_device[device] += energy
+        starts.append(start)
+        devices.append(device)
+    return starts, devices
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+# Finite, non-negative instants: entry points reject non-finite
+# arrivals, and on a NaN seal the two rules pick different devices.
+_TIMES = st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False)
+# A small pool makes equal seals, equal services and equal free times
+# common.
+_TIED = st.sampled_from((0.0, 0.5, 1.0, 2.5)) | _TIMES
+
+
+class TestPlacementKernel:
+    """``_place_batches`` + ``_fold`` against the scan loop, on carried
+    state."""
+
+    @given(
+        batches=st.lists(st.tuples(_TIED, _TIED, _TIMES), max_size=80),
+        carried=st.integers(1, 16).flatmap(
+            lambda k: st.lists(st.tuples(_TIED, _TIMES, _TIMES), min_size=k, max_size=k)
+        ),
+        horizon=st.just(math.inf) | _TIED,
+    )
+    @example(
+        batches=[(0.0, 1.0, 1.0)] * 3 + [(0.5, 0.5, 2.0), (2.0, 0.0, 0.0)],
+        carried=[(0.0, 0.0, 0.0)] * 2,
+        horizon=math.inf,
+    )
+    @example(
+        batches=[(1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (2.0, 0.0, 1.0)],
+        carried=[(0.5, 3.0, 4.0), (2.0, 1.0, 2.0)],
+        horizon=2.0,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_heap_kernel_equals_scan_loop(self, batches, carried, horizon):
+        free_at, busy_s, energy = (list(column) for column in zip(*carried))
+        expect = [list(free_at), list(busy_s), list(energy)]
+        expect_starts, expect_devices = _scan_place(batches, *expect, horizon)
+
+        starts, devices = [], []
+        pending = iter([(sealed, service) for sealed, service, _ in batches])
+        _place_batches(pending, free_at, horizon, starts, devices)
+        placed = batches[: len(starts)]
+        _fold(busy_s, devices, np.array([service for _, service, _ in placed]))
+        _fold(energy, devices, np.array([pj for _, _, pj in placed]))
+
+        assert devices == expect_devices
+        assert _bits(starts) == _bits(expect_starts)
+        got = [free_at, busy_s, energy]
+        assert list(map(_bits, got)) == list(map(_bits, expect))
+        # The batch that reached the horizon is consumed and unplaced.
+        rest = [(sealed, service) for sealed, service, _ in batches[len(starts) + 1 :]]
+        assert list(pending) == rest
+
+    @given(
+        num_queues=st.integers(2, 300),
+        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=400),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_group_rows_keeps_stream_order(self, num_queues, picks):
+        # Queue ids above 255 need 16-bit keys; several specs share one
+        # queue, as repeated model names do.
+        num_specs = num_queues + 3
+        queue_of_spec = np.arange(num_specs, dtype=np.int64) % num_queues
+        spec_idx = np.asarray(picks, dtype=np.int64) % num_specs
+        rows = _group_rows(spec_idx, queue_of_spec, num_queues)
+        qcol = queue_of_spec[spec_idx]
+        assert len(rows) == num_queues
+        for q, got in enumerate(rows):
+            np.testing.assert_array_equal(got, np.flatnonzero(qcol == q))
 
 
 _INT64 = np.iinfo(np.int64)
