@@ -17,16 +17,7 @@ sits near 5x by construction.  The measured ratio is appended to
 ``benchmarks/BENCH_decode.json`` so the trajectory is recorded run
 over run.
 
-Two parallel-decode wall-clock benches ride along, mirroring
-``test_bench_serving_shard.py``: a fresh-interpreter ``jobs=4``
-process-shard run (cold cost models, six-model mix, so per-queue
-cost-vector construction dominates and shards across cores) must beat
-the serial run by 1.8x on a >=4-CPU runner, and a ``threads=4`` run
-records its ratio (phase-1 threading only wins what the cycle model
-releases of the GIL, so it is recorded and sanity-checked, not
-hard-gated).
-
-The strict gates (and the JSON appends) only arm under
+The strict gate and its JSON append only arm under
 ``SPRINT_BENCH_GATE`` -- tier-1 collects this file too, and a loaded
 shared runner must not fail correctness CI on a timing fluctuation.
 Ungated runs use a relaxed sanity floor, further relaxed on starved
@@ -35,10 +26,7 @@ Ungated runs use a relaxed sanity floor, further relaxed on starved
 
 import json
 import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -54,7 +42,6 @@ from repro.serving import (
     simulate_decode_table,
 )
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
 NUM_REQUESTS = 12_000
 #: The reference loop is timed on a prefix (same arrival regime).
 REFERENCE_REQUESTS = 1_200
@@ -71,16 +58,6 @@ CPUS = os.cpu_count() or 1
 #: the measured ratio only records), still catch catastrophic
 #: regressions.
 SANITY_FLOOR = 3.0 if CPUS >= 2 else 2.0
-
-#: Parallel phase-1 benches: shard floor matches the serving sweep's.
-PARALLEL_JOBS = 4
-SHARD_GATE_FLOOR = 1.8
-#: Timeshared workers on a small container honestly sit near (or
-#: below) 1x; record the ratio, reject only pathological overhead.
-PARALLEL_SANITY_FLOOR = 0.3
-#: Sized so cold per-queue cost-vector construction dominates the
-#: event loop (~90% of the serial run): six queues, long contexts.
-SHARD_REQUESTS = 4_000
 
 
 def _append_history(entry):
@@ -200,109 +177,3 @@ def test_bench_decode_fast_vs_reference(stream):
         f"gate floor {floor}x)"
     )
 
-
-#: Fresh-interpreter driver for the parallel phase-1 benches: a cold
-#: cost model and a six-model mix, so per-queue cost-vector
-#: construction dominates the run (no warm caches flatter either
-#: side).  ``mode`` picks process shards or threads; the run's own
-#: wall-clock and a result digest line are written for the parent.
-_PARALLEL_DRIVER = """
-import sys
-import time
-
-from repro.core.configs import S_SPRINT
-from repro.core.system import ExecutionMode
-from repro.runtime.pool import simulate_decode_table_sharded
-from repro.serving import (
-    PoissonProcess, ServiceCostModel, generate_request_table,
-    simulate_decode_table,
-)
-
-mode, workers, num_requests, out_path = (
-    sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
-)
-mix = {"BERT-B": 0.2, "BERT-L": 0.15, "ALBERT-XL": 0.15, "ViT-B": 0.2,
-       "GPT-2-L": 0.15, "ALBERT-XXL": 0.15}
-table = generate_request_table(
-    PoissonProcess(30.0), mix, count=num_requests, seed=0,
-    mean_output_tokens=48.0,
-)
-cost = ServiceCostModel(S_SPRINT, ExecutionMode.SPRINT)
-start = time.perf_counter()
-if mode == "shards":
-    out = simulate_decode_table_sharded(
-        table, cost, jobs=workers, num_devices=2
-    )
-else:
-    out = simulate_decode_table(
-        table, cost, threads=workers, num_devices=2
-    )
-elapsed = time.perf_counter() - start
-digest = f"{out.finish_s.sum()!r} {out.device_busy_s!r} {out.total_tokens}"
-with open(out_path, "w") as fh:
-    fh.write(f"{elapsed!r}\\n{digest}\\n")
-"""
-
-
-def _run_parallel_decode(mode: str, workers: int, out_path: Path):
-    """One fresh-interpreter decode run; (wall-clock s, result digest)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    cmd = [
-        sys.executable,
-        "-c",
-        _PARALLEL_DRIVER,
-        mode,
-        str(workers),
-        str(SHARD_REQUESTS),
-        str(out_path),
-    ]
-    subprocess.run(cmd, check=True, env=env, cwd=REPO_ROOT)
-    elapsed_line, digest = out_path.read_text().splitlines()
-    return float(elapsed_line), digest
-
-
-@pytest.mark.skipif(not GATE_ARMED, reason="wall-clock gate; set SPRINT_BENCH_GATE=1")
-@pytest.mark.parametrize(
-    "mode,gate_floor",
-    [
-        ("shards", SHARD_GATE_FLOOR),
-        # Threads only win what the cycle model releases of the GIL:
-        # recorded and sanity-checked, never hard-gated.
-        ("threads", PARALLEL_SANITY_FLOOR),
-    ],
-)
-def test_bench_decode_parallel_vs_serial(tmp_path, mode, gate_floor):
-    """jobs=4 shards >= 1.8x serial on >=4 CPUs; results identical."""
-    serial_s, serial_digest = _run_parallel_decode(
-        mode, 1, tmp_path / "serial.txt"
-    )
-    parallel_s, parallel_digest = _run_parallel_decode(
-        mode, PARALLEL_JOBS, tmp_path / "parallel.txt"
-    )
-
-    # Identical results are a precondition for a meaningful ratio.
-    assert parallel_digest == serial_digest
-
-    speedup = serial_s / parallel_s
-    _append_history(
-        {
-            "benchmark": f"decode_parallel_{mode}",
-            "workers": PARALLEL_JOBS,
-            "cpus": CPUS,
-            "num_requests": SHARD_REQUESTS,
-            "serial_s": round(serial_s, 3),
-            "parallel_s": round(parallel_s, 3),
-            "speedup": round(speedup, 2),
-            "recorded_unix": int(time.time()),
-        }
-    )
-
-    floor = gate_floor if CPUS >= PARALLEL_JOBS else PARALLEL_SANITY_FLOOR
-    assert speedup >= floor, (
-        f"decode {mode} x{PARALLEL_JOBS} only {speedup:.2f}x over serial "
-        f"({parallel_s:.1f}s vs {serial_s:.1f}s on {CPUS} CPUs; "
-        f"gate floor {floor}x)"
-    )

@@ -21,8 +21,10 @@ _SMALLEST_SCALE = float(np.finfo(np.float64).smallest_subnormal)
 class QuantizedTensor:
     """Integer codes plus the scale that maps them back to real values.
 
-    ``codes`` are signed integers in ``[-2**(bits-1), 2**(bits-1) - 1]``;
-    ``scale`` is the real value of one code step, so
+    ``codes`` are signed integers in ``[-2**(bits-1), 2**(bits-1) - 1]``,
+    except at one bit, where :func:`symmetric_quantize` stores the sign:
+    codes in ``{-1, 0, 1}`` (0 only for an exact zero) and ``scale`` the
+    largest magnitude.  ``scale`` is the real value of one code step, so
     ``dequantize(q) == q.codes * q.scale``.
     """
 
@@ -41,6 +43,9 @@ def symmetric_quantize(x: np.ndarray, bits: int) -> QuantizedTensor:
     The scale is chosen from the maximum absolute value so zero is exactly
     representable, matching the straightforward post-training quantization
     the paper applies (no fine-tuning of the quantized values, section VII).
+    At ``bits == 1`` the codes are the signs of ``x``, in ``{-1, 0, 1}``
+    rather than the signed one-bit range ``[-1, 0]``, at a scale of the
+    largest magnitude.
     """
     if bits < 1:
         raise ValueError("bits must be >= 1")

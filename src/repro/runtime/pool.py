@@ -40,8 +40,6 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.experiments import registry
 from repro.obs import telemetry
 from repro.runtime.artifacts import Artifact, build_artifact
@@ -434,392 +432,3 @@ class ExperimentPool:
                     )
                 else:
                     outcomes[name] = ExperimentOutcome(name, artifact, seconds)
-
-
-# ----------------------------------------------------------------------
-# Zero-copy process sharding of one columnar serving simulation.
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SharedTableHandle:
-    """Address of a ``RequestTable`` living in POSIX shared memory.
-
-    Picklable and tiny: the segment name, the row count, and the spec
-    list.  Workers :func:`map_request_table` it to get zero-copy numpy
-    views over the columns -- no per-shard pickling of array data,
-    which is what made the historical process-pool path lose to serial
-    on array-native work.
-    """
-
-    name: str
-    rows: int
-    specs: tuple
-    #: Generative tables carry a fifth ``output_len`` column.
-    generative: bool = False
-
-
-#: Column order inside a shared segment; every column is 8 bytes/row.
-#: Generative tables append ``output_len`` after these.
-_SHARED_COLUMNS = (
-    ("request_id", np.int64),
-    ("arrival_s", np.float64),
-    ("spec_idx", np.int64),
-    ("valid_len", np.int64),
-)
-_GENERATIVE_COLUMN = ("output_len", np.int64)
-
-
-def _segment_columns(generative: bool):
-    if generative:
-        return _SHARED_COLUMNS + (_GENERATIVE_COLUMN,)
-    return _SHARED_COLUMNS
-
-
-def share_request_table(table) -> Tuple[Any, SharedTableHandle]:
-    """Copy a table's columns into one shared-memory segment.
-
-    Returns ``(segment, handle)``; the caller owns the segment and
-    must ``close()`` + ``unlink()`` it when every worker is done.
-    Generative tables (``output_len`` column present) share that
-    column too; the handle records the layout.
-    """
-    from multiprocessing import shared_memory
-
-    generative = getattr(table, "output_len", None) is not None
-    columns = _segment_columns(generative)
-    rows = len(table)
-    segment = shared_memory.SharedMemory(
-        create=True, size=max(rows * 8 * len(columns), 1)
-    )
-    offset = 0
-    for column, dtype in columns:
-        view = np.ndarray((rows,), dtype=dtype, buffer=segment.buf, offset=offset)
-        view[:] = getattr(table, column)
-        offset += rows * 8
-    return segment, SharedTableHandle(
-        name=segment.name,
-        rows=rows,
-        specs=tuple(table.specs),
-        generative=generative,
-    )
-
-
-def map_request_table(handle: SharedTableHandle) -> Tuple[Any, Any]:
-    """Map a shared segment back into a zero-copy ``RequestTable``.
-
-    Returns ``(table, segment)``.  The table's columns are views over
-    the segment's buffer: the caller must keep ``segment`` referenced
-    while the table is alive, and drop every column reference before
-    closing it.
-    """
-    from multiprocessing import shared_memory
-
-    from repro.serving.requests import RequestTable
-
-    segment = shared_memory.SharedMemory(name=handle.name)
-    columns = {}
-    offset = 0
-    for column, dtype in _segment_columns(handle.generative):
-        columns[column] = np.ndarray(
-            (handle.rows,), dtype=dtype, buffer=segment.buf, offset=offset
-        )
-        offset += handle.rows * 8
-    return RequestTable(specs=list(handle.specs), **columns), segment
-
-
-def _form_queue_shard(
-    handle: SharedTableHandle,
-    queue_ids: Sequence[int],
-    cost_args: Tuple[Any, ...],
-    max_batch_size: int,
-    max_wait_s: float,
-    setup_cycles: int,
-) -> List[Tuple[int, Any]]:
-    """Worker: phase 1 (batch formation + cost pricing) for some queues.
-
-    The table arrives as a shared-memory handle (zero-copy mapping);
-    only the per-*batch* result arrays -- roughly ``rows / mean batch
-    size`` entries -- travel back through pickling.  The table was
-    canonically sorted by the parent, so row grouping, formation, and
-    costs are computed on exactly the arrays the parent would use.
-    """
-    from repro.serving import engine
-    from repro.serving.devices import shared_cost_model
-
-    cost_model = shared_cost_model(*cost_args)
-    table, segment = map_request_table(handle)
-    try:
-        queue_specs, queue_of_spec = engine._queue_map(table.specs)
-        rows_list = engine._group_rows(table.spec_idx, queue_of_spec, len(queue_specs))
-        last_arrival_s = float(table.arrival_s[-1])
-        frequency_hz = cost_model.config.frequency_ghz * 1e9
-        out = []
-        for qid in queue_ids:
-            rows = rows_list[qid]
-            # Fancy indexing copies, so every array below is fresh --
-            # nothing shipped back references the shared buffer.
-            out.append(
-                (
-                    qid,
-                    engine._form_queue(
-                        table.arrival_s[rows],
-                        table.request_id[rows],
-                        table.valid_len[rows],
-                        queue_specs[qid],
-                        cost_model,
-                        max_batch_size,
-                        max_wait_s,
-                        setup_cycles,
-                        frequency_hz,
-                        last_arrival_s=last_arrival_s,
-                    ),
-                )
-            )
-        return out
-    finally:
-        del table
-        segment.close()
-
-
-def _decode_vector_shard(
-    handle: SharedTableHandle,
-    queue_ids: Sequence[int],
-    cost_args: Tuple[Any, ...],
-) -> List[Tuple[Tuple[int, bool], Tuple[Any, Any]]]:
-    """Worker: phase 1 (per-queue cost vectors) for a generative table.
-
-    The expensive part of a decode simulation's setup is pricing every
-    (queue, decode?, context) the event loop will touch -- each cold
-    bucket runs the exact cycle model.  Workers map the shared columns
-    zero-copy, compute each assigned queue's context ceiling
-    (``valid_len + output_len - 1`` over its rows), and ship back only
-    the two cost vectors per (queue, decode?) key -- a few KB each.
-    Values are memoized pure functions of (model, bucket), so shard
-    assignment cannot change any priced cost.
-    """
-    from repro.serving.decode import _build_cost_vectors
-    from repro.serving.devices import shared_cost_model
-    from repro.serving.engine import _queue_map
-
-    cost_model = shared_cost_model(*cost_args)
-    table, segment = map_request_table(handle)
-    try:
-        queue_specs, queue_of_spec = _queue_map(table.specs)
-        qids = queue_of_spec[table.spec_idx]
-        ctx_hi = table.valid_len + table.output_len - 1
-        out = []
-        for qid in queue_ids:
-            hi = int(ctx_hi[qids == qid].max())
-            spec = queue_specs[qid]
-            for decode in (True, False):
-                cyc, en = _build_cost_vectors(cost_model, spec, decode, hi)
-                out.append(((qid, decode), (cyc, en)))
-        return out
-    finally:
-        del qids, ctx_hi
-        del table
-        segment.close()
-
-
-def simulate_decode_table_sharded(
-    table,
-    cost_model,
-    jobs: int,
-    num_devices: int = 1,
-    max_batch_size: int = 8,
-    max_wait_s: float = 2e-3,
-    setup_cycles: Optional[int] = None,
-    mp_context: Optional[mp.context.BaseContext] = None,
-    recorder=None,
-):
-    """Process-sharded :func:`repro.serving.decode.simulate_decode_table`.
-
-    Phase 1 (per-queue cost-vector construction, including the exact
-    cycle-model passes behind cold cost buckets) fans out across
-    processes that map the request columns -- including the generative
-    ``output_len`` column -- from one zero-copy shared-memory segment;
-    the event loop runs in-parent with every cost pre-priced.  The
-    result is **bitwise identical** to the serial call at every
-    ``jobs`` value: vectors are memoized pure functions of (model,
-    bucket), and the parent injects them without touching the event
-    order.
-
-    Same ``cost_model`` constraint as :func:`simulate_table_sharded`
-    (describable by its ``(config, mode, len_bucket, seed)`` key).
-    The unit of parallelism is the model queue, so single-queue tables
-    fall through to the serial path.
-    """
-    from repro.serving.decode import simulate_decode_table
-    from repro.serving.devices import DEFAULT_SETUP_CYCLES
-    from repro.serving.engine import _queue_map
-
-    if setup_cycles is None:
-        setup_cycles = DEFAULT_SETUP_CYCLES
-    if len(table) == 0:
-        raise ValueError("request stream must not be empty")
-    if getattr(table, "output_len", None) is None:
-        raise ValueError("table has no output_len column; use simulate_table_sharded")
-    serial_kwargs = dict(
-        num_devices=num_devices,
-        max_batch_size=max_batch_size,
-        max_wait_s=max_wait_s,
-        setup_cycles=setup_cycles,
-        recorder=recorder,
-    )
-    queue_specs, queue_of_spec = _queue_map(table.specs)
-    qids = queue_of_spec[table.spec_idx]
-    counts = np.bincount(qids, minlength=len(queue_specs))
-    active = [q for q in range(len(queue_specs)) if counts[q]]
-    if jobs <= 1 or len(active) <= 1:
-        return simulate_decode_table(table, cost_model, **serial_kwargs)
-
-    # Deterministic balanced assignment: queues by descending row
-    # count (id-tie-broken), dealt round-robin onto the shards.
-    ranked = sorted(active, key=lambda q: (-int(counts[q]), q))
-    buckets: List[List[int]] = [[] for _ in range(min(jobs, len(active)))]
-    for i, qid in enumerate(ranked):
-        buckets[i % len(buckets)].append(qid)
-
-    if mp_context is None:
-        methods = mp.get_all_start_methods()
-        mp_context = mp.get_context("fork" if "fork" in methods else methods[0])
-    cost_args = (
-        cost_model.config,
-        cost_model.mode,
-        cost_model.len_bucket,
-        cost_model.seed,
-    )
-    segment, handle = share_request_table(table)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=len(buckets), mp_context=mp_context
-        ) as executor:
-            futures = [
-                executor.submit(_decode_vector_shard, handle, bucket, cost_args)
-                for bucket in buckets
-            ]
-            vectors = {}
-            for future in futures:
-                vectors.update(dict(future.result()))
-    finally:
-        segment.close()
-        segment.unlink()
-    return simulate_decode_table(
-        table, cost_model, _vectors=vectors, **serial_kwargs
-    )
-
-
-def simulate_table_sharded(
-    table,
-    cost_model,
-    jobs: int,
-    num_devices: int = 1,
-    max_batch_size: int = 8,
-    max_wait_s: float = 2e-3,
-    setup_cycles: Optional[int] = None,
-    mp_context: Optional[mp.context.BaseContext] = None,
-    recorder=None,
-):
-    """Process-sharded :func:`repro.serving.engine.simulate_table`.
-
-    Phase 1 (per-model-queue batch formation + cost lookup) fans out
-    across processes that map the request columns from shared memory
-    instead of unpickling them; phases 2-3 run in-parent on the
-    shipped-back per-batch arrays.  The result is **bitwise identical**
-    to the serial call at every ``jobs`` value: workers run the same
-    phase-1 code on the same canonically sorted rows, and assembly
-    consumes their parts in the serial queue order.
-
-    ``cost_model`` must be describable by its ``(config, mode,
-    len_bucket, seed)`` key (the :func:`~repro.serving.devices.
-    shared_cost_model` constructor workers rebuild it from); models
-    with custom ``system_kwargs`` are not shardable.  Sharding pays
-    off only for multi-model mixes -- the unit of parallelism is the
-    model queue -- so single-queue tables fall through to the serial
-    path.
-    """
-    from repro.serving import engine
-    from repro.serving.devices import DEFAULT_SETUP_CYCLES
-    from repro.serving.requests import RequestTable
-
-    if setup_cycles is None:
-        setup_cycles = DEFAULT_SETUP_CYCLES
-    if len(table) == 0:
-        raise ValueError("request stream must not be empty")
-    if getattr(table, "output_len", None) is not None:
-        # Generative batch formation depends on device timing, so the
-        # shardable phase 1 is cost-vector pricing instead of batch
-        # formation -- route to the decode-specific entry point.
-        return simulate_decode_table_sharded(
-            table,
-            cost_model,
-            jobs,
-            num_devices=num_devices,
-            max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
-            setup_cycles=setup_cycles,
-            mp_context=mp_context,
-            recorder=recorder,
-        )
-    order = np.lexsort((table.request_id, table.arrival_s))
-    table = RequestTable(
-        specs=table.specs,
-        request_id=table.request_id[order],
-        arrival_s=table.arrival_s[order],
-        spec_idx=table.spec_idx[order],
-        valid_len=table.valid_len[order],
-    )
-    queue_specs, queue_of_spec = engine._queue_map(table.specs)
-    rows_list = engine._group_rows(table.spec_idx, queue_of_spec, len(queue_specs))
-    active = [q for q in range(len(queue_specs)) if rows_list[q].size]
-    serial_kwargs = dict(
-        num_devices=num_devices,
-        max_batch_size=max_batch_size,
-        max_wait_s=max_wait_s,
-        setup_cycles=setup_cycles,
-        recorder=recorder,
-    )
-    if jobs <= 1 or len(active) <= 1:
-        return engine.simulate_table(table, cost_model, **serial_kwargs)
-
-    # Deterministic balanced assignment: queues by descending row
-    # count (id-tie-broken), dealt round-robin onto the shards.
-    ranked = sorted(active, key=lambda q: (-rows_list[q].size, q))
-    buckets: List[List[int]] = [[] for _ in range(min(jobs, len(active)))]
-    for i, qid in enumerate(ranked):
-        buckets[i % len(buckets)].append(qid)
-
-    if mp_context is None:
-        methods = mp.get_all_start_methods()
-        mp_context = mp.get_context("fork" if "fork" in methods else methods[0])
-    cost_args = (
-        cost_model.config,
-        cost_model.mode,
-        cost_model.len_bucket,
-        cost_model.seed,
-    )
-    segment, handle = share_request_table(table)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=len(buckets), mp_context=mp_context
-        ) as executor:
-            futures = [
-                executor.submit(
-                    _form_queue_shard,
-                    handle,
-                    bucket,
-                    cost_args,
-                    max_batch_size,
-                    max_wait_s,
-                    setup_cycles,
-                )
-                for bucket in buckets
-            ]
-            formed = {}
-            for future in futures:
-                formed.update(dict(future.result()))
-    finally:
-        segment.close()
-        segment.unlink()
-    return engine.simulate_table(table, cost_model, _formed=formed, **serial_kwargs)

@@ -29,11 +29,32 @@ event-driven over columnar state instead.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.models.zoo import ModelSpec
 from repro.serving.requests import Request
+
+
+def _require_integer(name: str, value) -> None:
+    """Reject a count knob that is not a Python or numpy integer."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _validate_batching(max_batch_size, max_wait_s) -> None:
+    """The seal-knob checks of the batcher and of every columnar driver.
+
+    ``max_batch_size`` must be an integer: the columnar prefill engine
+    indexes with it.  The wait check is written so that NaN, which
+    passes ``max_wait_s < 0``, fails it.
+    """
+    _require_integer("max_batch_size", max_batch_size)
+    if max_batch_size < 1:
+        raise ValueError("max_batch_size must be positive")
+    if not max_wait_s >= 0:
+        raise ValueError(f"max_wait_s must be non-negative, got {max_wait_s!r}")
 
 
 @dataclass
@@ -135,10 +156,7 @@ class ContinuousBatcher:
     """
 
     def __init__(self, max_batch_size: int = 8, max_wait_s: float = 2e-3):
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be positive")
-        if max_wait_s < 0:
-            raise ValueError("max_wait_s must be non-negative")
+        _validate_batching(max_batch_size, max_wait_s)
         self.max_batch_size = max_batch_size
         self.max_wait_s = max_wait_s
         self.stats = BatcherStats()

@@ -59,7 +59,6 @@ prefill-shaped result.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from heapq import heappop, heappush
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -136,31 +135,6 @@ _GENERATIVE_COLUMNS = (
 _DROPPED_FILL = {"batch_size": 0, "device_id": -1, "decode_slots": 0}
 
 
-def _build_cost_vectors(
-    cost_model: ServiceCostModel, spec, decode: bool, max_ctx: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-sample (cycles, energy_pj) vectors indexed by raw context.
-
-    Index ``c`` answers a seal at max context ``c`` for ``c`` in
-    ``1 .. hi``, where ``hi`` rounds ``max_ctx`` up to a bucket
-    boundary so repeated extensions amortize (index 0 pads).  Values
-    come from the vectorized bucket caches
-    (:meth:`~repro.serving.devices.ServiceCostModel.cost_arrays` /
-    :meth:`~repro.serving.devices.ServiceCostModel.decode_cost_arrays`)
-    and are bitwise equal to the scalar lookups the reference devices
-    make, so sealing and macro-stepping can price by one array index.
-    """
-    lb = cost_model.len_bucket
-    hi = max(2, -(-max(max_ctx, 1) // lb) * lb)
-    ctx_range = np.arange(1, hi + 1, dtype=np.int64)
-    if decode:
-        cyc, en = cost_model.decode_cost_arrays(spec, ctx_range)
-    else:
-        cyc, en = cost_model.cost_arrays(spec, ctx_range)
-    pad = np.full(1, np.nan)
-    return np.concatenate((pad, cyc)), np.concatenate((pad, en))
-
-
 class _DecodeCore:
     """The event loop over columnar generative state.
 
@@ -235,12 +209,11 @@ class _DecodeCore:
         self.busy_s = [0.0] * num_devices
         self.energy_pj = [0.0] * num_devices
         # (queue id, decode?) -> context-indexed per-sample cost
-        # vectors (see :func:`_build_cost_vectors`), stored as plain
-        # Python lists: sealing and macro-stepping price by one list
-        # index (cheaper than numpy scalar indexing in the hot loop)
-        # instead of memo-dict chains.  Built lazily per queue
-        # (extended on bucket boundaries), prebuilt by
-        # ``threads``/shard phase 1.
+        # vectors (see :meth:`_vectors`), stored as plain Python lists:
+        # sealing and macro-stepping price by one list index (cheaper
+        # than numpy scalar indexing in the hot loop) instead of
+        # memo-dict chains.  Built lazily per queue, extended on bucket
+        # boundaries.
         self.vecs: Dict[tuple, Tuple[list, list]] = {}
         # Queue-creation timeouts not yet pushed: (deadline, key),
         # nondecreasing in deadline (appended in event order).  A
@@ -279,14 +252,30 @@ class _DecodeCore:
 
     # ------------------------------------------------------------------
     def _vectors(self, qid: int, decode: bool, max_ctx: int):
-        """Cost vectors for a queue, covering contexts up to max_ctx."""
+        """Per-sample (cycles, energy_pj) lists of a queue, by raw context.
+
+        Index ``c`` answers a seal at max context ``c`` for ``c`` in
+        ``1 .. hi``, where ``hi`` rounds ``max_ctx`` up to a bucket
+        boundary so repeated extensions amortize (index 0 pads).  Values
+        come from the vectorized bucket caches
+        (:meth:`~repro.serving.devices.ServiceCostModel.cost_arrays` /
+        :meth:`~repro.serving.devices.ServiceCostModel.decode_cost_arrays`)
+        and are bitwise equal to the scalar lookups the reference devices
+        make, so sealing and macro-stepping can price by one list index.
+        A cold cost model prices its buckets here, mid-run.
+        """
         key = (qid, decode)
         vecs = self.vecs.get(key)
         if vecs is None or max_ctx >= len(vecs[0]):
-            cyc, en = _build_cost_vectors(
-                self.cost_model, self.queue_specs[qid], decode, max_ctx
-            )
-            vecs = self.vecs[key] = (cyc.tolist(), en.tolist())
+            lb = self.cost_model.len_bucket
+            hi = max(2, -(-max(max_ctx, 1) // lb) * lb)
+            ctx_range = np.arange(1, hi + 1, dtype=np.int64)
+            spec = self.queue_specs[qid]
+            if decode:
+                cyc, en = self.cost_model.decode_cost_arrays(spec, ctx_range)
+            else:
+                cyc, en = self.cost_model.cost_arrays(spec, ctx_range)
+            vecs = self.vecs[key] = ([np.nan] + cyc.tolist(), [np.nan] + en.tolist())
         return vecs
 
     def _seal(self, key, now: float, by_size: bool) -> None:
@@ -790,40 +779,6 @@ class _DecodeCore:
         assert self.in_flight_rejoiners == 0 and self.pending_retries == 0
 
 
-def _prebuild_vectors(core: _DecodeCore, spec_i, vlen, olen, threads: int) -> None:
-    """Phase 1: build every queue's cost vectors before the event loop.
-
-    The per-queue context ceiling comes from the arrival columns
-    (``valid_len + output_len - 1``), so the event loop never faults
-    the cycle model mid-run.  Queues are independent -- they own
-    disjoint model names, hence disjoint bucket-cache keys -- so with
-    ``threads > 1`` each queue's vectors (including the exact
-    cycle-model passes behind cold buckets, which run numpy-heavy
-    batched kernels) build concurrently.  Values are memoized pure
-    functions of (model, bucket), so thread scheduling cannot change
-    any priced cost and results stay bitwise identical at every thread
-    count.
-    """
-    qmap = np.asarray(core.queue_of_spec, dtype=np.int64)
-    qids = qmap[spec_i]
-    ctx_hi = vlen + olen - 1
-    targets = [
-        (int(qid), int(ctx_hi[qids == qid].max())) for qid in np.unique(qids)
-    ]
-
-    def _one(target):
-        qid, hi = target
-        core._vectors(qid, True, hi)
-        core._vectors(qid, False, hi)
-
-    if threads > 1 and len(targets) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(targets))) as pool:
-            list(pool.map(_one, targets))
-    else:
-        for target in targets:
-            _one(target)
-
-
 def _core_result(
     core: _DecodeCore,
     request: dict,
@@ -898,8 +853,6 @@ def simulate_decode_table(
     max_wait_s: float = 2e-3,
     setup_cycles: int = DEFAULT_SETUP_CYCLES,
     recorder: Optional[TraceRecorder] = None,
-    threads: int = 1,
-    _vectors: Optional[dict] = None,
     faults=None,
     retry=None,
 ) -> ColumnarServingResult:
@@ -930,19 +883,12 @@ def simulate_decode_table(
     ``recorder`` emits the sampled requests' lifecycle spans post-hoc
     from the finished columns (prefill batching/dispatch, decode phase,
     finish at the last token), bitwise identical to the reference
-    loop's.  ``threads > 1`` runs phase 1 (per-queue cost-vector
-    construction, including the cycle-model passes behind cold cost
-    buckets) across a thread pool -- results stay bitwise identical at
-    every thread count.  ``_vectors`` is the process-shard injection
-    point (:func:`repro.runtime.pool.simulate_decode_table_sharded`): a
-    dict of (queue id, decode?) -> prebuilt cost vectors.
+    loop's.
     """
     if len(table) == 0:
         raise ValueError("request stream must not be empty")
-    _validate_knobs(num_devices, max_batch_size, max_wait_s, threads)
+    _validate_knobs(num_devices, max_batch_size, max_wait_s)
     retry = _fault_hook(faults, retry, num_devices)
-    if faults is not None and _vectors is not None:
-        raise ValueError("sharded cost vectors do not apply under fault injection")
     if faults is not None and table.output_len is None:
         # Prefill batch formation depends on arrivals and retries only:
         # the batch engine takes the schedule.
@@ -954,7 +900,6 @@ def simulate_decode_table(
             max_wait_s=max_wait_s,
             setup_cycles=setup_cycles,
             recorder=recorder,
-            threads=threads,
             faults=faults,
             retry=retry,
         )
@@ -984,17 +929,6 @@ def simulate_decode_table(
         faults=faults,
         retry=retry,
     )
-    if _vectors:
-        core.vecs.update(
-            {
-                key: (np.asarray(cyc).tolist(), np.asarray(en).tolist())
-                for key, (cyc, en) in _vectors.items()
-            }
-        )
-    elif threads > 1:
-        _prebuild_vectors(
-            core, request["spec_idx"], request["valid_len"], olen, threads
-        )
     core.run_arrivals(
         request["request_id"],
         request["arrival_s"],
@@ -1016,7 +950,6 @@ def simulate_decode_stream(
     max_wait_s: float = 2e-3,
     setup_cycles: int = DEFAULT_SETUP_CYCLES,
     sink: Optional[Callable[[CompletedChunk], None]] = None,
-    threads: int = 1,
     faults=None,
     retry=None,
 ) -> StreamedServingResult:
@@ -1039,14 +972,8 @@ def simulate_decode_stream(
     ``output_len`` column or all lack one.  Request-id uniqueness
     across chunks is the caller's contract, as in the prefill driver,
     except under a schedule, where the driver checks it.
-
-    ``threads > 1`` builds each chunk's per-queue cost vectors across a
-    thread pool before feeding the chunk's arrivals (vectors extend
-    in place as later chunks raise a queue's context ceiling), keeping
-    peak memory O(chunk + frontier) and results bitwise identical at
-    every thread count.
     """
-    _validate_knobs(num_devices, max_batch_size, max_wait_s, threads)
+    _validate_knobs(num_devices, max_batch_size, max_wait_s)
     retry = _fault_hook(faults, retry, num_devices)
     core: Optional[_DecodeCore] = None
     specs: Optional[List] = None
@@ -1126,15 +1053,11 @@ def simulate_decode_stream(
             olen = chunk.output_len[order]
         else:
             olen = np.ones(len(chunk), dtype=np.int64)
-        spec_col = chunk.spec_idx[order]
-        vlen_col = chunk.valid_len[order]
-        if threads > 1:
-            _prebuild_vectors(core, spec_col, vlen_col, olen, threads)
         core.run_arrivals(
             rid,
             arr,
-            spec_col,
-            vlen_col,
+            chunk.spec_idx[order],
+            chunk.valid_len[order],
             olen,
             row_base,
             None if chunk.deadline_s is None else chunk.deadline_s[order],

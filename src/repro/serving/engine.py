@@ -1149,10 +1149,8 @@ def simulate_table(
     max_wait_s: float = 2e-3,
     setup_cycles: int = DEFAULT_SETUP_CYCLES,
     recorder: Optional[TraceRecorder] = None,
-    threads: int = 1,
     faults=None,
     retry=None,
-    _formed: Optional[dict] = None,
 ) -> ColumnarServingResult:
     """Run one deployment over a columnar stream; the fast path.
 
@@ -1183,20 +1181,7 @@ def simulate_table(
     simulation proper, so tracing cannot perturb a single computed
     value -- results are bitwise identical with tracing on or off (and
     the emitted spans bitwise match the reference loop's).
-
-    ``threads`` parallelises only the decode engine's per-queue
-    cost-vector prebuild, so it matters for generative runs alone; a
-    prefill run forms its batches serially in a few vectorised passes
-    per queue, and its results are the same at every thread count.
-    ``_formed`` is the process-shard injection point
-    (:func:`repro.runtime.pool.simulate_table_sharded`): a dict of
-    queue id -> precomputed phase-1 parts for the canonically sorted
-    table.
     """
-    if _formed is not None and (faults is not None or table.output_len is not None):
-        raise ValueError(
-            "sharded batch formation applies to fault-free prefill tables only"
-        )
     if table.output_len is not None:
         # Generative decode-step readiness depends on device timing, so
         # batch formation cannot be precomputed: the event-driven core
@@ -1211,7 +1196,6 @@ def simulate_table(
             max_wait_s=max_wait_s,
             setup_cycles=setup_cycles,
             recorder=recorder,
-            threads=threads,
             faults=faults,
             retry=retry,
         )
@@ -1219,7 +1203,7 @@ def simulate_table(
         raise ValueError("a retry policy requires a fault schedule")
     if len(table) == 0:
         raise ValueError("request stream must not be empty")
-    _validate_knobs(num_devices, max_batch_size, max_wait_s, threads)
+    _validate_knobs(num_devices, max_batch_size, max_wait_s)
     retry = _fault_hook(faults, retry, num_devices)
     if has_duplicate_ids(table.request_id):
         raise ValueError("duplicate request id in stream")
@@ -1243,9 +1227,15 @@ def simulate_table(
     rows_list = _group_rows(spec_idx, queue_of_spec, len(queue_specs))
     active = [qid for qid in range(len(queue_specs)) if rows_list[qid].size]
 
-    def _one_queue(qid: int):
+    model_rows: List[np.ndarray] = []
+    model_slices: List[Tuple[int, int]] = []
+    form_columns: List[Tuple[np.ndarray, ...]] = []
+    service_parts: List[np.ndarray] = []
+    energy_parts: List[np.ndarray] = []
+    total = 0
+    for qid in active:
         rows = rows_list[qid]
-        return _form_queue(
+        formed, service, energy, _consumed = _form_queue(
             arrival_s[rows],
             request_id[rows],
             valid_len[rows],
@@ -1257,20 +1247,7 @@ def simulate_table(
             frequency_hz,
             last_arrival_s=last_arrival_s,
         )
-
-    if _formed is not None:
-        per_queue = [_formed[qid] for qid in active]
-    else:
-        per_queue = [_one_queue(qid) for qid in active]
-
-    model_rows: List[np.ndarray] = []
-    model_slices: List[Tuple[int, int]] = []
-    form_columns: List[Tuple[np.ndarray, ...]] = []
-    service_parts: List[np.ndarray] = []
-    energy_parts: List[np.ndarray] = []
-    total = 0
-    for qid, (formed, service, energy, _consumed) in zip(active, per_queue):
-        model_rows.append(rows_list[qid])
+        model_rows.append(rows)
         model_slices.append((total, total + formed[0].size))
         form_columns.append(formed)
         service_parts.append(service)
@@ -1526,7 +1503,6 @@ def simulate_stream(
     max_batch_size: int = 8,
     max_wait_s: float = 2e-3,
     setup_cycles: int = DEFAULT_SETUP_CYCLES,
-    threads: int = 1,
     sink: Optional[Callable[[CompletedChunk], None]] = None,
     faults=None,
     retry=None,
@@ -1554,8 +1530,7 @@ def simulate_stream(
     same concatenated stream and knobs, every per-request column value,
     device busy/energy total, and batch counter is **bitwise equal**
     to the whole-table run (and hence to the reference event loop),
-    at every chunk size.  As in :func:`simulate_table`, ``threads``
-    reaches only the decode engine's cost-vector prebuild.
+    at every chunk size.
 
     Chunks must be non-overlapping and ordered: each chunk's earliest
     (arrival, id) must lexicographically follow the previous chunk's
@@ -1582,13 +1557,12 @@ def simulate_stream(
             max_wait_s=max_wait_s,
             setup_cycles=setup_cycles,
             sink=sink,
-            threads=threads,
             faults=faults,
             retry=retry,
         )
     if retry is not None:
         raise ValueError("a retry policy requires a fault schedule")
-    _validate_knobs(num_devices, max_batch_size, max_wait_s, threads)
+    _validate_knobs(num_devices, max_batch_size, max_wait_s)
     frequency_hz = cost_model.config.frequency_ghz * 1e9
 
     specs: Optional[List] = None

@@ -55,6 +55,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.obs.trace import TraceRecorder
+from repro.serving.batching import _require_integer, _validate_batching
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
 from repro.serving.requests import Request, RequestTable
 
@@ -268,16 +269,12 @@ class DroppedRecord:
     attempts: int
 
 
-def _validate_knobs(num_devices, max_batch_size, max_wait_s, threads=1):
+def _validate_knobs(num_devices, max_batch_size, max_wait_s):
     """The one knob check behind every columnar driver."""
+    _require_integer("num_devices", num_devices)
     if num_devices < 1:
         raise ValueError("at least one device required")
-    if max_batch_size < 1:
-        raise ValueError("max_batch_size must be positive")
-    if max_wait_s < 0:
-        raise ValueError("max_wait_s must be non-negative")
-    if threads < 1:
-        raise ValueError("threads must be positive")
+    _validate_batching(max_batch_size, max_wait_s)
 
 
 def _fault_hook(

@@ -382,7 +382,6 @@ def summarize_stream(
     max_batch_size: int = 8,
     max_wait_s: float = 2e-3,
     setup_cycles: int = DEFAULT_SETUP_CYCLES,
-    threads: int = 1,
     faults=None,
     retry=None,
 ) -> ServingReport:
@@ -459,7 +458,6 @@ def summarize_stream(
         max_batch_size=max_batch_size,
         max_wait_s=max_wait_s,
         setup_cycles=setup_cycles,
-        threads=threads,
         sink=_fold,
         faults=faults,
         retry=retry,

@@ -68,19 +68,22 @@ class TestQuantizationProperties:
             st.integers(1, 64),
             elements=st.floats(allow_nan=False, allow_infinity=False),
         ),
-        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=1, max_value=16),
     )
     @example(np.array([5e-324, -5e-324, 0.0]), 8)
+    @example(np.array([5e-324, -5e-324, 0.0]), 1)
     @settings(max_examples=100, deadline=None)
     def test_symmetric_codes_in_range(self, x, bits):
         # Any finite input, subnormal maxima included: a positive finite
         # scale, no division by zero, zero maps to code 0, and every
-        # code is signed-range with the sign of its input.
+        # code is signed-range with the sign of its input.  One bit
+        # stores the sign, so its codes span {-1, 0, 1}.
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             q = symmetric_quantize(x, bits)
+        lo, hi = (-1, 1) if bits == 1 else (-(2 ** (bits - 1)), 2 ** (bits - 1) - 1)
         assert 0.0 < q.scale < np.inf
-        assert q.codes.min() >= -(2 ** (bits - 1))
-        assert q.codes.max() <= 2 ** (bits - 1) - 1
+        assert q.codes.min() >= lo
+        assert q.codes.max() <= hi
         assert np.all(q.codes[x == 0] == 0)
         assert np.all(q.codes * np.sign(x) >= 0)
 

@@ -363,6 +363,12 @@ class TestDynamicBatcher:
             DynamicBatcher(max_batch_size=0)
         with pytest.raises(ValueError):
             DynamicBatcher(max_wait_s=-1.0)
+        for bad in (8.0, 2.5):
+            with pytest.raises(ValueError, match="max_batch_size"):
+                DynamicBatcher(max_batch_size=bad)
+        with pytest.raises(ValueError, match="max_wait_s"):
+            DynamicBatcher(max_wait_s=math.nan)
+        assert DynamicBatcher(max_batch_size=np.int64(4)).max_batch_size == 4
 
 
 class TestPrefillOnGenerativeRequests:

@@ -44,6 +44,7 @@ from repro.serving import (
     RequestStream,
     RequestTable,
     ServiceCostModel,
+    ServingResult,
     ServingSimulator,
     SprintDevice,
     StepItem,
@@ -77,6 +78,19 @@ def make_process(pattern):
 def cost_model():
     """One shared memoized cost model across the equivalence matrix."""
     return ServiceCostModel(S_SPRINT, ExecutionMode.SPRINT)
+
+
+def permute_rows(table, seed):
+    """The same requests as ``table``, rows in a seeded random order."""
+    perm = np.random.default_rng(seed).permutation(len(table))
+    return RequestTable(
+        specs=table.specs,
+        request_id=table.request_id[perm],
+        arrival_s=table.arrival_s[perm],
+        spec_idx=table.spec_idx[perm],
+        valid_len=table.valid_len[perm],
+        output_len=None if table.output_len is None else table.output_len[perm],
+    )
 
 
 def assert_generative_equal(table, cost, num_devices, max_wait_s,
@@ -525,31 +539,33 @@ class TestValidation:
             )
 
     def test_generative_table_routes_to_decode_shard(self, cost_model):
-        """simulate_table_sharded no longer rejects generative tables:
-        it routes to simulate_decode_table_sharded, bitwise equal to
-        the serial decode run."""
-        from repro.runtime.pool import simulate_table_sharded
-
+        """simulate_table hands a generative table to the decode engine:
+        record for record the simulate_decode_table run."""
         table = generate_request_table(
             PoissonProcess(60.0), {"BERT-B": 0.5, "ViT-B": 0.5},
             count=40, seed=0, mean_output_tokens=4.0,
         )
-        serial = simulate_decode_table(table, cost_model, num_devices=2)
-        sharded = simulate_table_sharded(
-            table, cost_model, jobs=2, num_devices=2
-        )
-        assert np.array_equal(serial.finish_s, sharded.finish_s)
-        assert np.array_equal(serial.first_token_s, sharded.first_token_s)
-        assert serial.to_result().records == sharded.to_result().records
+        decode = simulate_decode_table(table, cost_model, num_devices=2)
+        routed = simulate_table(table, cost_model, num_devices=2)
+        assert np.array_equal(decode.finish_s, routed.finish_s)
+        assert np.array_equal(decode.first_token_s, routed.first_token_s)
+        assert decode.to_result().records == routed.to_result().records
 
     def test_prefill_only_table_rejects_decode_shard(self, cost_model):
-        from repro.runtime.pool import simulate_decode_table_sharded
-
+        """simulate_decode_table runs a prefill-only table as one-token
+        requests: equal to the batch engine, and a prefill result."""
         table = generate_request_table(
-            PoissonProcess(60.0), "BERT-B", count=20, seed=0,
+            PoissonProcess(60.0), {"BERT-B": 0.5, "ViT-B": 0.5},
+            count=60, seed=0,
         )
-        with pytest.raises(ValueError, match="output_len"):
-            simulate_decode_table_sharded(table, cost_model, jobs=2)
+        decode = simulate_decode_table(table, cost_model, num_devices=2)
+        batch = simulate_table(table, cost_model, num_devices=2)
+        result = decode.to_result()
+        assert isinstance(result, ServingResult)
+        assert result.records == batch.to_result().records
+        assert decode.device_busy_s == batch.device_busy_s
+        assert decode.device_energy_pj == batch.device_energy_pj
+        assert decode.batches == batch.batches
 
     def test_sample_output_lens_chunk_split_bitwise(self):
         rng = np.random.default_rng(0)
@@ -671,13 +687,15 @@ class TestGoldenDecodeStreams:
 
 
 # ----------------------------------------------------------------------
-# Parallel decode paths: threads and process shards are byte-identical
+# Decode input independence: row order and cost-model warmth move no bit
 # ----------------------------------------------------------------------
 class TestDecodeParallelEquivalence:
-    """Mirrors the prefill matrix in tests/test_serving_stream.py:
-    phase-1 parallelism (threaded or process-sharded cost-vector
-    construction) must not move a single bit of the event loop's
-    output at any worker count."""
+    """Mirrors the prefill checks in tests/test_serving_stream.py: the
+    event loop builds each queue's cost vectors lazily, extending them
+    as contexts grow, and neither the row order of its input nor a cold
+    cost model (which prices its buckets mid-run) may move a bit of its
+    output.  The test names are those of the thread- and
+    process-parallel vector build these checks replaced."""
 
     COLS = (
         "batched_s", "service_start_s", "first_token_s",
@@ -685,8 +703,8 @@ class TestDecodeParallelEquivalence:
         "decode_slots",
     )
 
-    @pytest.mark.parametrize("threads", (1, 2, 4))
-    def test_threaded_simulate_decode_table(self, threads, cost_model):
+    @pytest.mark.parametrize("num_devices", (1, 2, 4))
+    def test_threaded_simulate_decode_table(self, num_devices, cost_model):
         table = generate_request_table(
             make_process("bursty"),
             {"BERT-B": 0.5, "ViT-B": 0.3, "GPT-2-L": 0.2},
@@ -694,11 +712,13 @@ class TestDecodeParallelEquivalence:
             seed=8,
             mean_output_tokens=12.0,
         )
-        base = simulate_decode_table(table, cost_model, num_devices=2)
+        base = simulate_decode_table(table, cost_model, num_devices=num_devices)
         out = simulate_decode_table(
-            table, cost_model, num_devices=2, threads=threads
+            permute_rows(table, seed=num_devices),
+            cost_model,
+            num_devices=num_devices,
         )
-        for col in self.COLS:
+        for col in ("request_id", "arrival_s", "output_len") + self.COLS:
             assert np.array_equal(
                 getattr(out, col), getattr(base, col)
             ), col
@@ -706,8 +726,8 @@ class TestDecodeParallelEquivalence:
         assert out.device_energy_pj == base.device_energy_pj
         assert out.batches == base.batches
 
-    @pytest.mark.parametrize("threads", (1, 2, 4))
-    def test_threaded_simulate_decode_stream(self, threads, cost_model):
+    @pytest.mark.parametrize("num_devices", (1, 2, 4))
+    def test_threaded_simulate_decode_stream(self, num_devices, cost_model):
         stream = RequestStream(
             process=PoissonProcess(130.0),
             mix=MIX,
@@ -716,26 +736,33 @@ class TestDecodeParallelEquivalence:
             chunk_size=64,
             mean_output_tokens=6.0,
         )
+        chunks = list(stream.chunks())
+        shuffled = [permute_rows(c, seed=i) for i, c in enumerate(chunks)]
+        flushes = {}
+        totals = {}
+        for name, feed in (("sorted", chunks), ("shuffled", shuffled)):
+            collected = []
+            totals[name] = simulate_decode_stream(
+                feed, cost_model, num_devices=num_devices, sink=collected.append
+            )
+            flushes[name] = collected
+        assert len(flushes["shuffled"]) == len(flushes["sorted"])
+        for got, want in zip(flushes["shuffled"], flushes["sorted"]):
+            for col in ("request_id", "arrival_s", "output_len") + self.COLS:
+                assert np.array_equal(
+                    getattr(got, col), getattr(want, col)
+                ), col
+        assert totals["shuffled"] == totals["sorted"]
         base = simulate_decode_table(
-            stream.materialize(), cost_model, num_devices=2
+            stream.materialize(), cost_model, num_devices=num_devices
         )
-        finish = []
-        res = simulate_decode_stream(
-            stream.chunks(),
-            cost_model,
-            num_devices=2,
-            threads=threads,
-            sink=lambda c: finish.append(c.finish_s),
-        )
-        got = np.concatenate(finish)
+        got = np.concatenate([c.finish_s for c in flushes["shuffled"]])
         assert np.array_equal(np.sort(got), np.sort(base.finish_s))
-        assert res.device_busy_s == base.device_busy_s
-        assert res.total_tokens == base.total_tokens
+        assert totals["shuffled"].device_busy_s == base.device_busy_s
+        assert totals["shuffled"].total_tokens == base.total_tokens
 
-    @pytest.mark.parametrize("jobs", (1, 2, 4))
-    def test_sharded_simulate_decode_table(self, jobs, cost_model):
-        from repro.runtime.pool import simulate_decode_table_sharded
-
+    @pytest.mark.parametrize("num_devices", (1, 2, 4))
+    def test_sharded_simulate_decode_table(self, num_devices, cost_model):
         table = generate_request_table(
             make_process("trace"),
             {"BERT-B": 0.5, "ViT-B": 0.3, "GPT-2-L": 0.2},
@@ -743,18 +770,17 @@ class TestDecodeParallelEquivalence:
             seed=5,
             mean_output_tokens=9.0,
         )
-        base = simulate_decode_table(table, cost_model, num_devices=2)
-        out = simulate_decode_table_sharded(
-            table, cost_model, jobs=jobs, num_devices=2
-        )
+        warm = simulate_decode_table(table, cost_model, num_devices=num_devices)
+        cold = ServiceCostModel(cost_model.config, cost_model.mode)
+        out = simulate_decode_table(table, cold, num_devices=num_devices)
         for col in self.COLS:
             assert np.array_equal(
-                getattr(out, col), getattr(base, col)
+                getattr(out, col), getattr(warm, col)
             ), col
-        assert out.device_busy_s == base.device_busy_s
-        assert out.device_energy_pj == base.device_energy_pj
-        assert out.batches == base.batches
-        assert out.to_result().records == base.to_result().records
+        assert out.device_busy_s == warm.device_busy_s
+        assert out.device_energy_pj == warm.device_energy_pj
+        assert out.batches == warm.batches
+        assert out.to_result().records == warm.to_result().records
 
 
 # ----------------------------------------------------------------------

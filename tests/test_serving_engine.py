@@ -213,6 +213,34 @@ class TestEngineEquivalence:
         )
         with pytest.raises(ValueError):
             simulate_table(dup, cost_model)
+        # Counts must be integers and the wait a number, on every
+        # columnar driver a call can land on.
+        generative = generate_request_table(
+            PoissonProcess(10.0), "BERT-B", 10, mean_output_tokens=4.0
+        )
+        drivers = (
+            lambda **kw: simulate_table(table, cost_model, **kw),
+            lambda **kw: simulate_stream([table], cost_model, **kw),
+            lambda **kw: simulate_table(generative, cost_model, **kw),
+            lambda **kw: simulate_decode_table(table, cost_model, **kw),
+            lambda **kw: simulate_decode_stream([generative], cost_model, **kw),
+        )
+        bad_knobs = (
+            ("max_batch_size", 8.0),
+            ("max_batch_size", 2.5),
+            ("num_devices", 2.0),
+            ("max_wait_s", math.nan),
+        )
+        for name, value in bad_knobs:
+            for run in drivers:
+                with pytest.raises(ValueError, match=name):
+                    run(**{name: value})
+        # Python and numpy integers both pass, with the same result.
+        for run in (drivers[0], drivers[2]):
+            a = run(num_devices=2, max_batch_size=4)
+            b = run(num_devices=np.int64(2), max_batch_size=np.int32(4))
+            assert np.array_equal(a.finish_s, b.finish_s)
+            assert a.device_busy_s == b.device_busy_s
 
 
 #: SHA-256 of the (id, repr(arrival), model, valid_len) stream, captured

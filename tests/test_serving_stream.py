@@ -7,10 +7,11 @@ engine pins against the reference loop, extended to streaming:
   whole-stream ``generate_request_table`` call, at every chunk size;
 * :func:`simulate_stream` reproduces :func:`simulate_table` bitwise --
   every per-request column, device fold, and batch counter -- at every
-  chunk size, device count, wait bound, and thread count, including
-  chunk boundaries that split an unsealed batch;
-* the threaded phase-1 and the shared-memory sharded paths are
-  byte-identical to serial at every ``threads`` / ``jobs`` count;
+  chunk size, device count, and wait bound, including chunk boundaries
+  that split an unsealed batch;
+* both drivers are independent of how their input arrives: row order
+  inside a table or a chunk, and a cold cost model against a warm one,
+  move no bit;
 * :func:`summarize_stream` matches the exact whole-table ``summarize``
   on every exact field, and within the sketch's documented relative
   error bound on percentiles.
@@ -24,13 +25,13 @@ from repro.core.system import ExecutionMode
 from repro.experiments.decode import DecodeExperiment
 from repro.experiments.serving import ServingExperiment
 from repro.obs.streaming import StreamingHistogram
-from repro.runtime.pool import simulate_table_sharded
 from repro.serving import (
     BurstyProcess,
     FaultSchedule,
     PoissonProcess,
     RequestStream,
     RequestTable,
+    ServiceCostModel,
     TraceProcess,
     generate_request_table,
     shared_cost_model,
@@ -72,6 +73,19 @@ def assert_tables_equal(a, b):
     assert np.array_equal(a.arrival_s, b.arrival_s)
     assert np.array_equal(a.spec_idx, b.spec_idx)
     assert np.array_equal(a.valid_len, b.valid_len)
+
+
+def permute_rows(table, seed):
+    """The same requests as ``table``, rows in a seeded random order."""
+    perm = np.random.default_rng(seed).permutation(len(table))
+    return RequestTable(
+        specs=table.specs,
+        request_id=table.request_id[perm],
+        arrival_s=table.arrival_s[perm],
+        spec_idx=table.spec_idx[perm],
+        valid_len=table.valid_len[perm],
+        output_len=None if table.output_len is None else table.output_len[perm],
+    )
 
 
 def run_stream(chunks, cost, **kwargs):
@@ -267,49 +281,70 @@ class TestStreamDriverBitwise:
 
 
 # ----------------------------------------------------------------------
-# Parallel paths: threads and process shards are byte-identical
+# Input independence: row order and cost-model warmth move no bit
 # ----------------------------------------------------------------------
 class TestParallelEquivalence:
-    @pytest.mark.parametrize("threads", (1, 2, 4))
-    def test_threaded_simulate_table(self, threads, cost_model):
+    """Phase 1 (per-queue batch formation and pricing) runs serially in
+    the driver; what it must not depend on is how its input arrives.
+    The test names are those of the thread- and process-parallel phase
+    1 these checks replaced."""
+
+    COLS = ("batched_s", "service_start_s", "finish_s", "batch_size", "device_id")
+
+    @pytest.mark.parametrize("num_devices", (1, 2, 4))
+    def test_threaded_simulate_table(self, num_devices, cost_model):
         table = generate_request_table(
             make_process("bursty"), MIX, count=2000, seed=8
         )
-        base = simulate_table(table, cost_model, num_devices=2)
+        base = simulate_table(table, cost_model, num_devices=num_devices)
         out = simulate_table(
-            table, cost_model, num_devices=2, threads=threads
+            permute_rows(table, seed=num_devices), cost_model, num_devices=num_devices
         )
-        assert np.array_equal(out.finish_s, base.finish_s)
-        assert np.array_equal(out.batched_s, base.batched_s)
-        assert np.array_equal(out.device_id, base.device_id)
-        assert out.device_busy_s == base.device_busy_s
-        assert out.device_energy_pj == base.device_energy_pj
-
-    @pytest.mark.parametrize("threads", (1, 2, 4))
-    def test_threaded_simulate_stream(self, threads, cost_model):
-        table = generate_request_table(
-            make_process("poisson"), MIX, count=1500, seed=8
-        )
-        assert_stream_matches_table(
-            table_chunks(table, 250), table, cost_model, threads=threads
-        )
-
-    @pytest.mark.parametrize("jobs", (1, 2, 4))
-    def test_sharded_simulate_table(self, jobs, cost_model):
-        table = generate_request_table(
-            make_process("trace"), MIX, count=1200, seed=5
-        )
-        base = simulate_table(table, cost_model, num_devices=2)
-        out = simulate_table_sharded(
-            table, cost_model, jobs=jobs, num_devices=2
-        )
-        assert np.array_equal(out.finish_s, base.finish_s)
-        assert np.array_equal(out.batched_s, base.batched_s)
-        assert np.array_equal(out.service_start_s, base.service_start_s)
-        assert np.array_equal(out.device_id, base.device_id)
+        assert_tables_equal(out, base)
+        for col in self.COLS:
+            assert np.array_equal(getattr(out, col), getattr(base, col)), col
         assert out.device_busy_s == base.device_busy_s
         assert out.device_energy_pj == base.device_energy_pj
         assert out.batches == base.batches
+        assert out.size_triggered_batches == base.size_triggered_batches
+
+    @pytest.mark.parametrize("num_devices", (1, 2, 4))
+    def test_threaded_simulate_stream(self, num_devices, cost_model):
+        table = generate_request_table(
+            make_process("poisson"), MIX, count=1500, seed=8
+        )
+        chunks = table_chunks(table, 250)
+        shuffled = [permute_rows(c, seed=i) for i, c in enumerate(chunks)]
+        flushes = {}
+        totals = {}
+        for name, stream in (("sorted", chunks), ("shuffled", shuffled)):
+            collected = []
+            totals[name] = simulate_stream(
+                stream, cost_model, num_devices=num_devices, sink=collected.append
+            )
+            flushes[name] = collected
+        assert len(flushes["shuffled"]) == len(flushes["sorted"])
+        for got, want in zip(flushes["shuffled"], flushes["sorted"]):
+            for col in ("request_id", "arrival_s", "spec_idx", "valid_len") + self.COLS:
+                assert np.array_equal(getattr(got, col), getattr(want, col)), col
+        assert totals["shuffled"] == totals["sorted"]
+        assert_stream_matches_table(
+            shuffled, table, cost_model, num_devices=num_devices
+        )
+
+    @pytest.mark.parametrize("num_devices", (1, 2, 4))
+    def test_sharded_simulate_table(self, num_devices, cost_model):
+        table = generate_request_table(
+            make_process("trace"), MIX, count=1200, seed=5
+        )
+        warm = simulate_table(table, cost_model, num_devices=num_devices)
+        cold = ServiceCostModel(cost_model.config, cost_model.mode)
+        out = simulate_table(table, cold, num_devices=num_devices)
+        for col in self.COLS:
+            assert np.array_equal(getattr(out, col), getattr(warm, col)), col
+        assert out.device_busy_s == warm.device_busy_s
+        assert out.device_energy_pj == warm.device_energy_pj
+        assert out.batches == warm.batches
 
 
 # ----------------------------------------------------------------------
