@@ -9,9 +9,6 @@ at a glance.
 
 from __future__ import annotations
 
-
-import numpy as np
-
 from repro.workloads.generator import WorkloadSample, generate_workload
 
 #: Glyphs: kept / pruned / padded (the paper's blue / white / grey).

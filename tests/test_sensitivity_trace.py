@@ -1,6 +1,5 @@
 """Tests for the sensitivity sweeps and the trace recorder."""
 
-import numpy as np
 import pytest
 
 from repro.core.configs import S_SPRINT

@@ -47,7 +47,6 @@ from repro.serving import (
     ServingResult,
     ServingSimulator,
     SprintDevice,
-    StepItem,
     TraceProcess,
     generate_request_table,
     generate_requests,

@@ -12,26 +12,39 @@ engine pins against the reference loop, extended to streaming:
 * both drivers are independent of how their input arrives: row order
   inside a table or a chunk, and a cold cost model against a warm one,
   move no bit;
+* :func:`simulate_table` feeds the same chunked core row slices of its
+  table: at slices of 1, 7 and 64 rows it equals the reference loop and
+  the stream driver bitwise, and it holds about one slice beyond its
+  result;
 * :func:`summarize_stream` matches the exact whole-table ``summarize``
   on every exact field, and within the sketch's documented relative
   error bound on percentiles.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.configs import S_SPRINT
 from repro.core.system import ExecutionMode
 from repro.experiments.decode import DecodeExperiment
 from repro.experiments.serving import ServingExperiment
+from repro.models.zoo import get_model
 from repro.obs.streaming import StreamingHistogram
+from repro.obs.trace import TraceConfig, TraceRecorder
 from repro.serving import (
     BurstyProcess,
+    DynamicBatcher,
     FaultSchedule,
     PoissonProcess,
     RequestStream,
     RequestTable,
     ServiceCostModel,
+    ServingSimulator,
+    SprintDevice,
     TraceProcess,
     generate_request_table,
     shared_cost_model,
@@ -40,6 +53,7 @@ from repro.serving import (
     summarize,
     summarize_stream,
 )
+from repro.serving import engine
 
 PATTERNS = ("poisson", "bursty", "trace")
 CHUNK_SIZES = (1, 7, 1000, 10_000)
@@ -345,6 +359,190 @@ class TestParallelEquivalence:
         assert out.device_busy_s == warm.device_busy_s
         assert out.device_energy_pj == warm.device_energy_pj
         assert out.batches == warm.batches
+
+
+# ----------------------------------------------------------------------
+# simulate_table runs its rows through the chunked core, one slice at a
+# time: bitwise equal at any slice size, and bounded by one slice
+# ----------------------------------------------------------------------
+#: A power-of-two grid (~0.24 ms): grid arrivals tie exactly, and an
+#: arrival pushed one wait bound later lands bit for bit on another
+#: request's deadline.
+SLICE_GRID_S = 2.0**-12
+#: Two model names, BERT-B under two spec indices: both indices share
+#: one queue.
+SLICE_SPECS = ("BERT-B", "ViT-B", "BERT-B")
+
+
+def grid_table(slots, hops, picks, lengths, ids, max_wait_s):
+    """Requests on the grid, each hopped ``hop`` wait bounds later."""
+    arrival = []
+    for slot, hop in zip(slots, hops):
+        at = slot * SLICE_GRID_S
+        for _ in range(hop):
+            at = at + max_wait_s
+        arrival.append(at)
+    return RequestTable(
+        specs=[get_model(name) for name in SLICE_SPECS],
+        request_id=np.array(ids, dtype=np.int64),
+        arrival_s=np.array(arrival, dtype=np.float64),
+        spec_idx=np.array(picks, dtype=np.int64),
+        valid_len=np.array(lengths, dtype=np.int64),
+    )
+
+
+def sorted_rows(table):
+    """``table`` with its rows in (arrival, id) order."""
+    order = np.lexsort((table.request_id, table.arrival_s))
+    return RequestTable(
+        specs=table.specs,
+        request_id=table.request_id[order],
+        arrival_s=table.arrival_s[order],
+        spec_idx=table.spec_idx[order],
+        valid_len=table.valid_len[order],
+    )
+
+
+@st.composite
+def tie_heavy_tables(draw):
+    """Up to 150 requests, about four to a grid slot, ids shuffled."""
+    n = draw(st.integers(1, 150))
+    max_wait_s = draw(st.sampled_from((0.0, 2e-3)))
+
+    def column(values):
+        return st.lists(values, min_size=n, max_size=n)
+
+    table = grid_table(
+        draw(column(st.integers(0, n // 4 + 1))),
+        draw(column(st.integers(0, 1))),
+        draw(column(st.integers(0, len(SLICE_SPECS) - 1))),
+        draw(column(st.sampled_from((16, 48, 64, 100)))),
+        draw(st.permutations(range(n))),
+        max_wait_s,
+    )
+    return table, max_wait_s
+
+
+#: 30 requests in three tie groups of ten, so every 7-row slice boundary
+#: cuts a group, and the third group lands on the first's deadlines.
+STRADDLING_TIES = (
+    grid_table(
+        [0] * 10 + [3] * 10 + [0] * 10,
+        [0] * 20 + [1] * 10,
+        [0, 1, 2] * 10,
+        [64, 16, 100] * 10,
+        list(range(29, -1, -1)),
+        2e-3,
+    ),
+    2e-3,
+)
+
+
+class TestSlicedTable:
+    """The serving properties draw tables of one slice; this one shrinks
+    the slice until every drawn table spans many."""
+
+    @given(
+        case=tie_heavy_tables(),
+        slice_rows=st.sampled_from((1, 7, 64)),
+        chunk_size=st.integers(1, 40),
+        num_devices=st.integers(1, 4),
+        max_batch_size=st.sampled_from((1, 3, 8)),
+    )
+    @example(
+        case=STRADDLING_TIES,
+        slice_rows=7,
+        chunk_size=7,
+        num_devices=2,
+        max_batch_size=8,
+    )
+    @example(
+        case=STRADDLING_TIES,
+        slice_rows=1,
+        chunk_size=10,
+        num_devices=1,
+        max_batch_size=1,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sliced_table_equals_reference_and_stream(
+        self, cost_model, case, slice_rows, chunk_size, num_devices, max_batch_size
+    ):
+        table, max_wait_s = case
+        knobs = dict(
+            num_devices=num_devices,
+            max_batch_size=max_batch_size,
+            max_wait_s=max_wait_s,
+        )
+        config = TraceConfig(head=0, stride=1)  # every request
+        fast_trace, reference_trace = TraceRecorder(config), TraceRecorder(config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_SLICE_ROWS", slice_rows)
+            fast = simulate_table(table, cost_model, recorder=fast_trace, **knobs)
+            assert_stream_matches_table(
+                table_chunks(sorted_rows(table), chunk_size),
+                table,
+                cost_model,
+                **knobs,
+            )
+        reference = ServingSimulator(
+            [SprintDevice(i, cost_model) for i in range(num_devices)],
+            DynamicBatcher(max_batch_size, max_wait_s),
+            recorder=reference_trace,
+        ).run(table.to_requests())
+        assert fast.to_result() == reference
+        assert fast_trace.to_chrome_trace() == reference_trace.to_chrome_trace()
+
+
+#: Result columns of a prefill table; a run's transient is its
+#: tracemalloc peak less their bytes.
+RESULT_COLUMNS = (
+    "request_id",
+    "arrival_s",
+    "spec_idx",
+    "valid_len",
+    "batched_s",
+    "service_start_s",
+    "finish_s",
+    "batch_size",
+    "device_id",
+)
+#: Bytes the whole-table engine the chunked core replaced held beyond
+#: its result on ``memory_table(20_000)`` (tracemalloc, numpy 2.4).
+WHOLE_TABLE_TRANSIENT_BYTES = 2_935_257
+
+
+def memory_table(count):
+    return generate_request_table(
+        BurstyProcess(40.0, 400.0, 0.5, 0.1), MIX, count=count, seed=3
+    )
+
+
+def transient_bytes(table, cost):
+    """Peak bytes of one simulate_table call beyond its result."""
+    simulate_table(table, cost, num_devices=4)  # warm the cost buckets
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = simulate_table(table, cost, num_devices=4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak - sum(getattr(result, name).nbytes for name in RESULT_COLUMNS)
+
+
+class TestSlicedTableMemory:
+    def test_transient_bounded_by_one_slice(self, cost_model, monkeypatch):
+        # Three times the slices, about the same transient; the
+        # whole-table engine's grew 2.8x here.
+        monkeypatch.setattr(engine, "_SLICE_ROWS", 1024)
+        few = transient_bytes(memory_table(4 * 1024), cost_model)
+        many = transient_bytes(memory_table(12 * 1024), cost_model)
+        assert many <= 1.3 * few, (few, many)
+
+    def test_one_slice_peaks_no_higher_than_whole_table(self, cost_model):
+        table = memory_table(20_000)
+        assert len(table) <= engine._SLICE_ROWS
+        assert transient_bytes(table, cost_model) <= WHOLE_TABLE_TRANSIENT_BYTES
 
 
 # ----------------------------------------------------------------------
