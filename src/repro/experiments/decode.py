@@ -21,10 +21,10 @@ worker identity -- so artifacts are byte-identical at every ``--jobs``
 value.
 
 Every point runs through the event-driven columnar decode engine
-(:func:`repro.serving.engine.simulate_table` routes generative tables
-to :mod:`repro.serving.decode`), pinned bitwise-equal to the
-:class:`~repro.serving.scheduler.GenerativeServingSimulator` reference
-loop (``engine="reference"``).
+(:func:`repro.serving.engine.simulate_table` feeds generative tables
+to the decode core of :mod:`repro.serving.decode`), pinned
+bitwise-equal to the :class:`~repro.serving.scheduler.
+GenerativeServingSimulator` reference loop (``engine="reference"``).
 """
 
 from __future__ import annotations

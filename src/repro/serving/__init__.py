@@ -38,13 +38,15 @@ autoregressive serving under continuous batching: give the stream an
 ``output_len`` column (``mean_output_tokens=...`` on the generators)
 and requests re-enter the scheduler after every decode step with a
 grown attention context, device slots freeing per token.  The same
-entry points route automatically -- :func:`simulate_table` /
-:func:`simulate_stream` dispatch to the event-driven columnar decode
-engine (:mod:`repro.serving.decode`), pinned bitwise-equal to the
-same :class:`GenerativeServingSimulator` reference loop -- and
+two drivers run it: :func:`simulate_table` and :func:`simulate_stream`
+feed the event-driven columnar decode core (:mod:`repro.serving.decode`)
+instead of the prefill core, pinned bitwise-equal to the same
+:class:`GenerativeServingSimulator` reference loop, and
 :func:`summarize` / :func:`summarize_stream` add TTFT / TBT /
 tokens-per-second to the report.  With every ``output_len == 1`` that
-loop runs exactly the prefill-only semantics.
+loop runs exactly the prefill-only semantics, which is how
+``simulate_decode_table`` / ``simulate_decode_stream`` (the two
+drivers on the decode core) run prefill traffic.
 
 **Fault injection** (:mod:`repro.serving.faults`) threads a
 deterministic, seedable :class:`FaultSchedule` of per-device outages
@@ -53,13 +55,12 @@ batch, affected requests re-enter their queue under a
 :class:`RetryPolicy` (bounded attempts, exponential backoff) or drop
 once their per-request deadline passes, and :func:`summarize` /
 :func:`summarize_stream` report availability, goodput, retries, and
-wasted energy.  ``simulate_table`` / ``simulate_stream`` take
-``faults=`` / ``retry=`` and stay bitwise-equal to the fault-threaded
-reference loop: a prefill table keeps the batch engine, whose dispatch
-then skips down devices and re-forms only the batches a retry
-touches, while generative tables and chunked streams run the decode
-engine's drivers with the schedule as their fault hook.  With no
-schedule the fast paths are untouched.
+wasted energy.  Both drivers take ``faults=`` / ``retry=`` and stay
+bitwise-equal to the fault-threaded reference loop: a prefill table
+runs on the batch engine, whose dispatch then skips down devices and
+re-forms only the batches a retry touches, while generative tables
+and every stream run the decode core with the schedule as its fault
+hook.
 
 Every columnar run returns one of three types, one per role, whatever
 its traffic shape: :class:`ColumnarServingResult` (a whole table),

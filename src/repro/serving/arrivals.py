@@ -26,6 +26,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from repro.models.zoo import ModelSpec, get_model
+from repro.serving.batching import _require_integer
 from repro.serving.requests import Request, RequestTable
 
 
@@ -407,6 +408,25 @@ def sample_valid_len(spec: ModelSpec, rng: np.random.Generator) -> int:
     return max(2, int(round(spec.seq_len * (1.0 - ratio))))
 
 
+def _check_mean_output_tokens(mean_output_tokens) -> None:
+    """Written so that NaN fails it; ``inf`` would make every request
+    one token long."""
+    if not 1.0 <= mean_output_tokens < math.inf:
+        raise ValueError(
+            f"mean_output_tokens must be finite and >= 1, got {mean_output_tokens!r}"
+        )
+
+
+def _check_generator_args(count, start_id, mean_output_tokens) -> None:
+    """The argument checks of both request generators."""
+    _require_integer("count", count)
+    if count < 1:
+        raise ValueError("count must be positive")
+    _require_integer("start_id", start_id)
+    if mean_output_tokens is not None:
+        _check_mean_output_tokens(mean_output_tokens)
+
+
 def sample_output_lens(
     u: np.ndarray, mean_output_tokens: float, cap: np.ndarray
 ) -> np.ndarray:
@@ -421,8 +441,7 @@ def sample_output_lens(
     per-request hard ceiling ``seq_len - valid_len + 1`` (the final
     decode context must fit the model's window).
     """
-    if mean_output_tokens < 1.0:
-        raise ValueError("mean_output_tokens must be >= 1")
+    _check_mean_output_tokens(mean_output_tokens)
     p = 1.0 / mean_output_tokens
     if p >= 1.0:
         lens = np.ones(u.shape, dtype=np.int64)
@@ -461,8 +480,7 @@ def generate_request_table(
     ``[lo, hi)`` seconds after arrival (the fault layer's drop bound;
     see :class:`~repro.serving.requests.Request`).
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    _check_generator_args(count, start_id, mean_output_tokens)
     rng = np.random.default_rng(seed)
     specs, weights = _normalize_mix(mix)
     times = np.asarray(process.arrival_times(count, rng), dtype=np.float64)

@@ -11,14 +11,17 @@ plain-tuple queue frontiers instead of per-step objects, and a
 memoized (model, phase, bucket) cost table -- the same design that
 makes the prefill engine fast, applied to the generative lifecycle.
 
-The contract matches the prefill engine's: for the same stream and
-knobs, :func:`simulate_decode_table` produces per-request timestamps,
-device busy/energy folds, and batch counters **bitwise equal** to the
-reference :class:`~repro.serving.scheduler.GenerativeServingSimulator`
-(same float expressions evaluated in the same order), and
-:func:`simulate_decode_stream` extends that bitwise contract to
-chunked out-of-core streams at any chunk size, retiring completed
-requests through a ``sink`` so peak memory is O(chunk + in-flight).
+The core, :class:`_DecodeCore`, has the prefill core's interface
+(:func:`repro.serving.engine._core`), so the serving layer's one table
+driver and one stream driver (:func:`~repro.serving.engine.
+simulate_table`, :func:`~repro.serving.engine.simulate_stream`) feed
+it sorted slices and collect its flushes.  The contract matches the
+prefill engine's: for the same stream and knobs, per-request
+timestamps, device busy/energy folds, and batch counters are **bitwise
+equal** to the reference :class:`~repro.serving.scheduler.
+GenerativeServingSimulator` (same float expressions evaluated in the
+same order), at any slice or chunk size; a stream retires completed
+requests through a ``sink``, so peak memory is O(chunk + in-flight).
 
 Request lifecycle (continuous batching)::
 
@@ -34,25 +37,21 @@ seals on ``max_batch_size`` members or when its oldest step has waited
 ``max_wait_s``; prefill and decode steps never share a batch; when no
 future step can ever join, pending queues flush immediately.
 
-Both drivers take the fault hook (:mod:`repro.serving.faults`): given a
+The core takes the fault hook (:mod:`repro.serving.faults`): given a
 :class:`~repro.serving.faults.FaultSchedule` (``faults=``) and a
-:class:`~repro.serving.faults.RetryPolicy` (``retry=``), the core
-dispatches only to devices that are up, loses batches whose device
-fails mid-service, and retries or drops their members -- one step at a
-time, with macro-stepping off.  Under a schedule a prefill *table*
-routes to the batch engine (:func:`~repro.serving.engine.
-simulate_table`), whose batch formation depends on arrivals and
-retries only; prefill *chunks* of the stream driver run here as the
-``output_len == 1`` degenerate case, and the fault tests diff the two
-engines on them.
+:class:`~repro.serving.faults.RetryPolicy` (``retry=``), it dispatches
+only to devices that are up, loses batches whose device fails
+mid-service, and retries or drops their members -- one step at a
+time, with macro-stepping off.  Generative traffic runs here with or
+without a schedule, and so does every stream under one: prefill chunks
+run as the ``output_len == 1`` degenerate case, while a prefill
+*table* under a schedule runs on the batch engine, whose batch
+formation depends on arrivals and retries only.  The fault tests diff
+the two engines on prefill traffic.
 
-Results come back as the serving layer's three columnar types
-(:mod:`repro.serving.engine`): :class:`~repro.serving.engine.
-ColumnarServingResult` from the table driver, :class:`~repro.serving.
-engine.CompletedChunk` batches and a :class:`~repro.serving.engine.
-StreamedServingResult` from the stream driver.  A table with an
-``output_len`` column fills their generative columns, and a schedule
-their fault columns and totals; a prefill table gives a
+:func:`simulate_decode_table` and :func:`simulate_decode_stream` are
+kept for their names: the two drivers on this core, for prefill
+traffic too, which then runs as one-token requests and gives a
 prefill-shaped result.
 """
 
@@ -60,6 +59,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -67,27 +67,21 @@ import numpy as np
 from repro.obs.trace import TraceRecorder
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
 from repro.serving.engine import (
-    _MIXED_CHUNKS,
     ColumnarServingResult,
     CompletedChunk,
     StreamedServingResult,
+    _drive_stream,
+    _drive_table,
     _queue_map,
-    _record_spans,
-    simulate_table,
 )
 from repro.serving.faults import (
     DROP_DEADLINE,
     DROP_RETRIES,
     DROP_STRANDED,
-    FaultSchedule,
     _count_drops,
-    _emit_fault_trace,
-    _fault_columns,
-    _fault_hook,
     _fault_totals,
-    _validate_knobs,
 )
-from repro.serving.requests import RequestTable, has_duplicate_ids
+from repro.serving.requests import RequestTable
 
 
 # Per-request record layout (plain lists: the hot loop touches these
@@ -110,10 +104,10 @@ _QID = 14     # name-keyed queue id (duplicate-name specs share one)
 _FLS = 15     # lost dispatches so far (fault mode)
 _ADL = 16     # absolute deadline: arrival + deadline_s (inf if none)
 
-#: Result columns read off finished records, as (name, dtype, record
-#: slot).  The whole-table driver takes the request columns from its
-#: sorted input instead, and the generative ones apply only to tables
-#: with an ``output_len`` column.
+#: Columns read off finished records, as (name, dtype, record slot).
+#: A core built with ``rows`` emits no request columns (its table driver
+#: holds them), and the generative ones apply only to traffic with an
+#: ``output_len`` column.
 _REQUEST_COLUMNS = (
     ("request_id", np.int64, _RID),
     ("arrival_s", np.float64, _ARR),
@@ -131,22 +125,21 @@ _GENERATIVE_COLUMNS = (
     ("first_token_s", np.float64, _FT),
     ("decode_slots", np.int64, _DSLOT),
 )
-#: An outcome column's value on a dropped row; times are NaN.
-_DROPPED_FILL = {"batch_size": 0, "device_id": -1, "decode_slots": 0}
 
 
 class _DecodeCore:
     """The event loop over columnar generative state.
 
-    Shared by the whole-table and chunked entry points, fault-free and
-    fault mode alike: arrivals feed in through :meth:`run_arrivals`
-    (possibly across many calls), the heap carries one entry per
-    in-flight step batch plus queue-creation timeouts, and completed
-    per-request records accumulate in ``self.completed`` (the callers
-    drain it).  Event ordering -- (time, priority, push order) with
-    DEVICE_DONE < ARRIVAL < BATCH_TIMEOUT < BATCH_FAILED < RECOVERY <
-    RETRY at equal instants -- matches the reference
-    :class:`~repro.serving.events.EventQueue` exactly.
+    The prefill core's interface (:func:`repro.serving.engine._core`),
+    fault-free and fault mode alike: :meth:`admit` feeds one slice of
+    sorted arrivals through the loop, the heap carries one entry per
+    in-flight step batch plus queue-creation timeouts, retired
+    per-request records accumulate in ``self.retired`` until
+    :meth:`flush` emits them, and :meth:`totals` gives the run totals.
+    Event ordering -- (time, priority, push order) with DEVICE_DONE <
+    ARRIVAL < BATCH_TIMEOUT < BATCH_FAILED < RECOVERY < RETRY at equal
+    instants -- matches the reference :class:`~repro.serving.events.
+    EventQueue` exactly.
 
     ``faults`` (a :class:`~repro.serving.faults.FaultSchedule`) and
     ``retry`` (the :class:`~repro.serving.faults.RetryPolicy` it
@@ -165,10 +158,16 @@ class _DecodeCore:
         max_batch_size: int,
         max_wait_s: float,
         setup_cycles: int,
+        emit: Callable[..., None],
+        rows: bool = False,
         faults=None,
         retry=None,
     ):
-        self.specs = specs
+        self.emit = emit
+        self.rows = rows
+        #: The (name, dtype, slot) columns :meth:`flush` emits; set by
+        #: the first :meth:`admit`, which shows the traffic's shape.
+        self.columns: tuple = ()
         self.queue_specs, queue_of_spec = _queue_map(specs)
         self.queue_of_spec = queue_of_spec.tolist()
         self.cost_model = cost_model
@@ -223,7 +222,8 @@ class _DecodeCore:
         # pushes *more* timeout events than this -- one per non-sealing
         # admission -- so the contract is over outcomes, not pushes).
         self.deferred_to: deque = deque()
-        self.completed: list = []
+        #: Completed records not yet emitted.
+        self.retired: list = []
         self.in_flight_rejoiners = 0
         self.arrivals_done = False
         self.last_now = 0.0
@@ -232,11 +232,19 @@ class _DecodeCore:
         self.decode_batches = 0
         self.size_triggered = 0
         self.timeout_triggered = 0
+        # Run totals of the emitted records.
+        self.start_s: Optional[float] = None
+        self.end_s = -np.inf
+        self.completed = 0
+        self.total_tokens = 0
         # Fault mode: per-device outage traces (None = fault-free).
+        self.faults = faults
         self.traces = None if faults is None else faults.traces
         self.retry = retry
-        #: (record, reason code, drop instant), in event order.
+        #: (record, reason code, drop instant), in event order, not yet
+        #: emitted.
         self.dropped: list = []
+        self.dropped_by_reason = _count_drops(())
         self.pending_retries = 0
         self.retries = 0
         self.failed_batches = 0
@@ -588,7 +596,7 @@ class _DecodeCore:
             # inlined: this loop runs once per token-step and dominates
             # the engine's wall-clock.
             queues = self.queues
-            completed = self.completed
+            retired = self.retired
             max_bs = self.max_batch_size
             w = self.max_wait_s
             rejoined = 0
@@ -603,7 +611,7 @@ class _DecodeCore:
                     rec[_FT] = now
                 if ctx == last:
                     rec[_FIN] = now
-                    completed.append(rec)
+                    retired.append(rec)
                     continue
                 rejoined += 1
                 ctx += 1
@@ -688,21 +696,40 @@ class _DecodeCore:
             self.seq += 1
 
     # ------------------------------------------------------------------
-    def run_arrivals(
-        self, rid, arr, spec_i, vlen, olen, row_base: int, deadline_s=None
-    ):
-        """Feed one chunk of sorted arrivals through the event loop.
+    def admit(self, request: Dict[str, np.ndarray], base: int) -> None:
+        """Feed one slice of sorted arrivals through the event loop.
 
-        Heap events strictly preceding each arrival (in the reference
-        (time, priority) order) are processed first; events at or
-        beyond the chunk's last arrival stay queued for the next chunk
-        or :meth:`finalize`.  Deferred queue-creation timeouts whose
-        deadline the loop is about to reach are pushed first -- only
-        for queues still alive, which is what lets size-sealed queues
-        skip their timeout events entirely.  ``deadline_s`` is the
-        optional per-request deadline column (relative to arrival);
-        only fault mode reads it, to gate retries.
+        ``request`` holds the slice's columns (:func:`~repro.serving.
+        engine._sorted_columns`) and ``base`` the stream index of its
+        first row.  A slice without an ``output_len`` column runs as
+        one-token requests.  Heap events strictly preceding each
+        arrival (in the reference (time, priority) order) are processed
+        first; events at or beyond the slice's last arrival stay queued
+        for the next slice or the final :meth:`flush`.  Deferred
+        queue-creation timeouts whose deadline the loop is about to
+        reach are pushed first -- only for queues still alive, which is
+        what lets size-sealed queues skip their timeout events
+        entirely.  Only fault mode reads the optional ``deadline_s``
+        column (relative to arrival), to gate retries.
         """
+        rid = request["request_id"]
+        arr = request["arrival_s"]
+        spec_i = request["spec_idx"]
+        vlen = request["valid_len"]
+        olen = request.get("output_len")
+        deadline_s = request.get("deadline_s")
+        if self.start_s is None:
+            self.start_s = float(arr[0])
+            columns = _OUTCOME_COLUMNS
+            if olen is not None:
+                columns += _GENERATIVE_COLUMNS
+            if not self.rows:
+                columns += _REQUEST_COLUMNS
+                if olen is not None:
+                    columns += (("output_len", np.int64, _OLEN),)
+            self.columns = columns
+        if olen is None:
+            olen = np.ones(rid.size, dtype=np.int64)
         heap = self.heap
         queues = self.queues
         deferred = self.deferred_to
@@ -735,7 +762,7 @@ class _DecodeCore:
                 0.0,
                 0.0,
                 0,
-                row_base + i,
+                base + i,
                 qmap[s],
                 0,
                 inf if deadline_s is None else t + float(deadline_s[i]),
@@ -749,8 +776,42 @@ class _DecodeCore:
             if self.ready:
                 self._dispatch(t)
 
-    def finalize(self) -> None:
-        """No further arrivals: apply the tail flush and drain the heap."""
+    def flush(self, final: bool = False) -> None:
+        """Emit the requests that completed or dropped since the last flush.
+
+        ``final`` first ends the stream: no further arrivals, so the
+        tail flush applies, the heap drains, and a sealed batch that a
+        fleet down for good can never run strands its members.  Nothing
+        is emitted when nothing retired.
+        """
+        if final:
+            self._end_of_stream()
+        recs, drops = self.retired, self.dropped
+        if not (recs or drops):
+            return
+        self.retired, self.dropped = [], []
+        if recs:
+            self.completed += len(recs)
+            self.total_tokens += sum(rec[_OLEN] for rec in recs)
+            self.end_s = max(self.end_s, max(rec[_FIN] for rec in recs))
+        if drops:
+            _count_drops(drops, self.dropped_by_reason)
+            self.end_s = max(self.end_s, max(at for _, _, at in drops))
+        # Each column is built only as the emit callback reaches it.
+        columns = (
+            (name, np.array([rec[slot] for rec in recs], dtype=dtype))
+            for name, dtype, slot in self.columns
+        )
+        if self.traces is not None:
+            attempts = np.array([rec[_FLS] + 1 for rec in recs], dtype=np.int64)
+            columns = chain(columns, [("attempts", attempts)])
+        rows = None
+        if self.rows:
+            rows = np.array([rec[_ROW] for rec in recs], dtype=np.int64)
+        lost = [(rec[_ROW], reason, at, rec[_FLS]) for rec, reason, at in drops]
+        self.emit(rows, columns, lost)
+
+    def _end_of_stream(self) -> None:
         self.arrivals_done = True
         if self.in_flight_rejoiners == 0 and self.pending_retries == 0 and self.queues:
             # The end-of-stream flush the monolithic loop would have
@@ -778,71 +839,29 @@ class _DecodeCore:
         assert not self.queues
         assert self.in_flight_rejoiners == 0 and self.pending_retries == 0
 
-
-def _core_result(
-    core: _DecodeCore,
-    request: dict,
-    faults: Optional[FaultSchedule],
-    recorder: Optional[TraceRecorder],
-) -> ColumnarServingResult:
-    """Map a finished core's records onto the rows of the sorted table.
-
-    ``request`` holds the sorted input columns under their result field
-    names.  The fault columns and totals join only under a schedule;
-    there, dropped rows keep NaN times, batch size 0 and device -1.
-    ``recorder`` receives the completed requests' lifecycle spans and
-    the schedule's outages and retries, byte-identical to the
-    reference loop's.
-    """
-    n = request["request_id"].size
-    output_len = request["output_len"]
-    recs = core.completed
-    rows = np.array([rec[_ROW] for rec in recs], dtype=np.int64)
-    columns = _OUTCOME_COLUMNS
-    if output_len is not None:
-        columns += _GENERATIVE_COLUMNS
-    outcome = {}
-    for name, dtype, slot in columns:
-        col = np.full(n, _DROPPED_FILL.get(name, np.nan), dtype=dtype)
-        col[rows] = [rec[slot] for rec in recs]
-        outcome[name] = col
-    finish = outcome["finish_s"]
-    start_s = float(request["arrival_s"][0])
-    fault_columns: dict = {}
-    if faults is None:
-        end_s = float(finish.max())
-    else:
-        dropped = [rec for rec, _, _ in core.dropped]
-        drops = [(rec[_ROW], reason, at) for rec, reason, at in core.dropped]
-        attempts = np.zeros(n, dtype=np.int64)
-        attempts[rows] = [rec[_FLS] + 1 for rec in recs]
-        attempts[[rec[_ROW] for rec in dropped]] = [rec[_FLS] for rec in dropped]
-        fault_columns, end_s = _fault_columns(
-            core, faults, drops, attempts, finish, start_s, core.retry_events
+    def totals(self) -> dict:
+        """The run totals, as :class:`~repro.serving.engine.
+        StreamedServingResult` fields."""
+        totals = dict(
+            completed=self.completed,
+            start_s=self.start_s,
+            end_s=self.end_s,
+            device_busy_s=list(self.busy_s),
+            device_energy_pj=list(self.energy_pj),
+            batches=self.batches,
+            prefill_batches=self.prefill_batches,
+            decode_batches=self.decode_batches,
+            size_triggered_batches=self.size_triggered,
+            timeout_triggered_batches=self.timeout_triggered,
+            total_tokens=self.total_tokens,
         )
-    result = ColumnarServingResult(
-        **request,
-        **outcome,
-        **fault_columns,
-        completed=len(recs),
-        start_s=start_s,
-        end_s=end_s,
-        device_busy_s=list(core.busy_s),
-        device_energy_pj=list(core.energy_pj),
-        batches=core.batches,
-        prefill_batches=core.prefill_batches,
-        decode_batches=core.decode_batches,
-        size_triggered_batches=core.size_triggered,
-        timeout_triggered_batches=core.timeout_triggered,
-        total_tokens=len(recs) if output_len is None else int(output_len[rows].sum()),
-    )
-    if recorder is not None:
-        _record_spans(recorder, result)
-        if faults is not None:
-            _emit_fault_trace(
-                recorder, faults, core.num_devices, start_s, end_s, core.retry_events
+        if self.faults is not None:
+            totals.update(
+                _fault_totals(
+                    self, self.faults, self.start_s, self.end_s, self.dropped_by_reason
+                )
             )
-    return result
+        return totals
 
 
 def simulate_decode_table(
@@ -856,90 +875,17 @@ def simulate_decode_table(
     faults=None,
     retry=None,
 ) -> ColumnarServingResult:
-    """Run one deployment over a generative columnar stream; fast path.
+    """:func:`~repro.serving.engine.simulate_table` on the decode core.
 
-    Identical knobs and semantics to building ``num_devices``
-    :class:`~repro.serving.devices.SprintDevice` plus a
-    :class:`~repro.serving.batching.ContinuousBatcher` and calling
-    :meth:`~repro.serving.scheduler.GenerativeServingSimulator.run`;
-    per-request timestamps, busy/energy folds, and batch counters are
-    bitwise equal.  Tables without an ``output_len`` column run as
-    one-token requests (pure prefill) and return a prefill-shaped
-    result, which :meth:`~repro.serving.engine.ColumnarServingResult.
-    to_result` turns into a :class:`~repro.serving.scheduler.
-    ServingResult`.
-
-    ``faults`` (a :class:`~repro.serving.faults.FaultSchedule`) is the
-    fault hook: the core dispatches only to devices that are up, loses
-    batches whose device fails mid-service, and retries or drops their
-    members under ``retry`` (default :class:`~repro.serving.faults.
-    RetryPolicy`).  The result then covers every offered request and
-    carries the drop columns and fault totals; it stays bitwise equal
-    to the fault-threaded reference loop.  A prefill table under a
-    schedule runs on the batch engine instead
-    (:func:`~repro.serving.engine.simulate_table`), with the same
-    result.
-
-    ``recorder`` emits the sampled requests' lifecycle spans post-hoc
-    from the finished columns (prefill batching/dispatch, decode phase,
-    finish at the last token), bitwise identical to the reference
-    loop's.
+    Kept for its name; bitwise equal to :meth:`~repro.serving.
+    scheduler.GenerativeServingSimulator.run` over a
+    :class:`~repro.serving.batching.ContinuousBatcher`.  A fault-free
+    table without an ``output_len`` column runs here as one-token
+    requests and gives a prefill-shaped result; under a ``faults``
+    schedule it runs on the batch engine, as in ``simulate_table``.
     """
-    if len(table) == 0:
-        raise ValueError("request stream must not be empty")
-    _validate_knobs(num_devices, max_batch_size, max_wait_s)
-    retry = _fault_hook(faults, retry, num_devices)
-    if faults is not None and table.output_len is None:
-        # Prefill batch formation depends on arrivals and retries only:
-        # the batch engine takes the schedule.
-        return simulate_table(
-            table,
-            cost_model,
-            num_devices=num_devices,
-            max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
-            setup_cycles=setup_cycles,
-            recorder=recorder,
-            faults=faults,
-            retry=retry,
-        )
-    if has_duplicate_ids(table.request_id):
-        raise ValueError("duplicate request id in stream")
-
-    order = np.lexsort((table.request_id, table.arrival_s))
-    request = dict(
-        specs=table.specs,
-        request_id=table.request_id[order],
-        arrival_s=table.arrival_s[order],
-        spec_idx=table.spec_idx[order],
-        valid_len=table.valid_len[order],
-        output_len=None if table.output_len is None else table.output_len[order],
-        deadline_s=None if table.deadline_s is None else table.deadline_s[order],
-    )
-    olen = request["output_len"]
-    if olen is None:
-        olen = np.ones(len(table), dtype=np.int64)
-    core = _DecodeCore(
-        table.specs,
-        cost_model,
-        num_devices,
-        max_batch_size,
-        max_wait_s,
-        setup_cycles,
-        faults=faults,
-        retry=retry,
-    )
-    core.run_arrivals(
-        request["request_id"],
-        request["arrival_s"],
-        request["spec_idx"],
-        request["valid_len"],
-        olen,
-        0,
-        request["deadline_s"],
-    )
-    core.finalize()
-    return _core_result(core, request, faults, recorder)
+    knobs = (cost_model, num_devices, max_batch_size, max_wait_s, setup_cycles)
+    return _drive_table(table, knobs, recorder, faults, retry, decode=True)
 
 
 def simulate_decode_stream(
@@ -953,135 +899,12 @@ def simulate_decode_stream(
     faults=None,
     retry=None,
 ) -> StreamedServingResult:
-    """Out-of-core generative simulation over a chunked request stream.
+    """:func:`~repro.serving.engine.simulate_stream` on the decode core.
 
-    The generative twin of :func:`~repro.serving.engine.
-    simulate_stream`: consumes ``RequestTable`` chunks in arrival
-    order, holds only the event-loop frontier (open queues, in-flight
-    step batches, device folds) plus one chunk, and retires completed
-    requests through ``sink`` as :class:`~repro.serving.engine.
-    CompletedChunk` columns in completion order.  Every emitted value
-    and total is bitwise equal to the whole-table
-    :func:`simulate_decode_table` run of the concatenated stream, at
-    any chunk size -- with or without a ``faults`` schedule, which
-    adds the ``attempts`` column and the fault totals.
-
-    Chunks must be non-overlapping and ordered (each chunk's earliest
-    (arrival, id) lexicographically follows the previous chunk's
-    latest), share one spec list, and either all carry an
-    ``output_len`` column or all lack one.  Request-id uniqueness
-    across chunks is the caller's contract, as in the prefill driver,
-    except under a schedule, where the driver checks it.
+    Kept for its name.  Prefill chunks run here as one-token requests;
+    completed requests leave through ``sink`` in completion order, and
+    every value and total is bitwise equal to the whole-table run of
+    the concatenated stream at any chunk size.
     """
-    _validate_knobs(num_devices, max_batch_size, max_wait_s)
-    retry = _fault_hook(faults, retry, num_devices)
-    core: Optional[_DecodeCore] = None
-    specs: Optional[List] = None
-    generative = False
-    columns: tuple = ()
-    seen_ids: Optional[set] = None if faults is None else set()
-    start_s = 0.0
-    end_s = -np.inf
-    row_base = 0
-    completed = 0
-    total_tokens = 0
-    dropped_by_reason = _count_drops(())
-    prev_arrival = -np.inf
-    prev_id = -1
-
-    def _drain() -> None:
-        nonlocal end_s, completed, total_tokens
-        recs = core.completed
-        if recs:
-            cols = {
-                name: np.array([rec[slot] for rec in recs], dtype=dtype)
-                for name, dtype, slot in columns
-            }
-            if faults is not None:
-                cols["attempts"] = np.array(
-                    [rec[_FLS] + 1 for rec in recs], dtype=np.int64
-                )
-            end_s = max(end_s, float(cols["finish_s"].max()))
-            completed += len(recs)
-            total_tokens += int(cols["output_len"].sum()) if generative else len(recs)
-            recs.clear()
-            if sink is not None:
-                sink(CompletedChunk(specs=specs, **cols))
-        if core.dropped:
-            _count_drops(core.dropped, dropped_by_reason)
-            end_s = max(end_s, max(at for _, _, at in core.dropped))
-            core.dropped.clear()
-
-    for chunk in chunks:
-        if len(chunk) == 0:
-            continue
-        if specs is None:
-            specs = list(chunk.specs)
-            generative = chunk.output_len is not None
-            columns = _REQUEST_COLUMNS + _OUTCOME_COLUMNS
-            if generative:
-                columns += (("output_len", np.int64, _OLEN),) + _GENERATIVE_COLUMNS
-            core = _DecodeCore(
-                specs,
-                cost_model,
-                num_devices,
-                max_batch_size,
-                max_wait_s,
-                setup_cycles,
-                faults=faults,
-                retry=retry,
-            )
-        elif list(chunk.specs) != specs:
-            raise ValueError("chunks must share one spec list")
-        if (chunk.output_len is not None) != generative:
-            raise ValueError(_MIXED_CHUNKS)
-        order = np.lexsort((chunk.request_id, chunk.arrival_s))
-        rid = chunk.request_id[order]
-        arr = chunk.arrival_s[order]
-        if row_base == 0:
-            start_s = float(arr[0])
-        if (arr[0], rid[0]) <= (prev_arrival, prev_id):
-            raise ValueError("chunks must be ordered by (arrival_s, request_id)")
-        if has_duplicate_ids(rid):
-            raise ValueError("duplicate request id in chunk")
-        if seen_ids is not None:
-            seen_ids.update(rid.tolist())
-            if len(seen_ids) != row_base + len(chunk):
-                raise ValueError("duplicate request id across chunks")
-        prev_arrival, prev_id = float(arr[-1]), int(rid[-1])
-        if generative:
-            olen = chunk.output_len[order]
-        else:
-            olen = np.ones(len(chunk), dtype=np.int64)
-        core.run_arrivals(
-            rid,
-            arr,
-            chunk.spec_idx[order],
-            chunk.valid_len[order],
-            olen,
-            row_base,
-            None if chunk.deadline_s is None else chunk.deadline_s[order],
-        )
-        row_base += len(chunk)
-        _drain()
-    if core is None:
-        raise ValueError("request stream must not be empty")
-    core.finalize()
-    _drain()
-    fault_totals: dict = {}
-    if faults is not None:
-        fault_totals = _fault_totals(core, faults, start_s, end_s, dropped_by_reason)
-    return StreamedServingResult(
-        completed=completed,
-        start_s=start_s,
-        end_s=end_s,
-        device_busy_s=list(core.busy_s),
-        device_energy_pj=list(core.energy_pj),
-        batches=core.batches,
-        prefill_batches=core.prefill_batches,
-        decode_batches=core.decode_batches,
-        size_triggered_batches=core.size_triggered,
-        timeout_triggered_batches=core.timeout_triggered,
-        total_tokens=total_tokens,
-        **fault_totals,
-    )
+    knobs = (cost_model, num_devices, max_batch_size, max_wait_s, setup_cycles)
+    return _drive_stream(chunks, knobs, sink, faults, retry, decode=True)

@@ -31,11 +31,14 @@ batch granularity over a struct-of-arrays
 Fault-free prefill traffic runs all three steps in one chunked core,
 :class:`_PrefillCore`, over slices of (arrival, id)-sorted rows: a
 slice's rows join their queues, every batch no later arrival can
-change seals and dispatches, and its requests leave.
-:func:`simulate_stream` feeds the core its chunks; :func:`simulate_table`
-feeds it consecutive row slices of the table's sorted columns and
-scatters each flush into the result's columns, so besides its result
-a table run holds about one slice's working set.
+change seals and dispatches, and its requests leave.  Generative
+traffic runs the decode engine's event core, which has the same
+interface (:func:`_core`).  The one table driver, :func:`simulate_table`,
+feeds a core row slices of the table's sorted columns and scatters
+each flush into the result's columns, so besides its result a table
+run holds about one slice's working set.  The one stream driver,
+:func:`simulate_stream`, checks each chunk (:func:`_checked_chunks`),
+feeds it to a core and hands each flush to its sink.
 
 Faults hook into step 2.  Under a fault schedule a prefill table forms
 its vectorised batch chains for the whole table at once, and
@@ -43,7 +46,7 @@ its vectorised batch chains for the whole table at once, and
 loses the batches whose device fails mid-service, retries or drops
 their members, and re-forms only the few batches a retry touches.
 Generative tables, and every stream under a schedule, run the decode
-engine (:mod:`repro.serving.decode`).
+core.
 
 The equivalence contract: for any stream, knobs, and device count,
 :func:`simulate_table` produces per-request records **exactly equal**
@@ -74,7 +77,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -86,10 +89,11 @@ from repro.serving.faults import (
     DROP_RETRIES,
     DROP_STRANDED,
     DroppedRecord,
+    _check_knobs,
+    _count_drops,
+    _drop_columns,
     _emit_fault_trace,
-    _fault_columns,
-    _fault_hook,
-    _validate_knobs,
+    _fault_totals,
 )
 from repro.serving.requests import (
     Request,
@@ -98,11 +102,6 @@ from repro.serving.requests import (
     has_duplicate_ids,
 )
 from repro.serving.scheduler import DecodeRecord, GenerativeResult, ServingResult
-
-#: Raised by both stream drivers: a ``RequestTable`` either has an
-#: ``output_len`` column or not, so a mixed stream has no whole-table run
-#: to be equal to.
-_MIXED_CHUNKS = "chunks must all carry an output_len column, or all lack one"
 
 
 @dataclass(kw_only=True)
@@ -1129,7 +1128,8 @@ class _FaultDispatch:
     # ------------------------------------------------------------------
     def fault_columns(self, outcome: dict, faults, start_s: float):
         """Overlay the re-formed batches and the drops on the scattered
-        outcome columns; returns the fault columns and the end instant."""
+        outcome columns; returns the fault columns and totals, and the
+        end instant."""
         for rows, sealed, start, finish, device in self.reformed:
             outcome["batched_s"][rows] = sealed
             outcome["service_start_s"][rows] = start
@@ -1147,112 +1147,15 @@ class _FaultDispatch:
         outcome["batch_size"][dropped] = 0
         outcome["device_id"][dropped] = -1
         retry_events = [event for _, event in sorted(self.retry_events)]
-        return _fault_columns(
-            self, faults, drops, attempts, outcome["finish_s"], start_s, retry_events
-        )
-
-
-def simulate_table(
-    table: RequestTable,
-    cost_model: ServiceCostModel,
-    num_devices: int = 1,
-    max_batch_size: int = 8,
-    max_wait_s: float = 2e-3,
-    setup_cycles: int = DEFAULT_SETUP_CYCLES,
-    recorder: Optional[TraceRecorder] = None,
-    faults=None,
-    retry=None,
-) -> ColumnarServingResult:
-    """Run one deployment over a columnar stream; the fast path.
-
-    Identical knobs and semantics to building ``num_devices``
-    :class:`~repro.serving.devices.SprintDevice` plus a
-    :class:`~repro.serving.batching.DynamicBatcher` and calling
-    :meth:`~repro.serving.scheduler.ServingSimulator.run`, but
-    batch-granular: O(requests / mean batch size) light Python
-    iterations instead of O(requests) heap events.  Unlike the
-    single-use reference simulator, this function carries no run state
-    and may be called repeatedly.
-
-    Generative tables (an ``output_len`` column present) route to the
-    event-driven decode engine, :func:`~repro.serving.decode.
-    simulate_decode_table` -- same knobs, same bitwise-vs-reference
-    contract, and the same result type with the generative columns
-    filled.  A fault-free prefill table runs the chunked prefill core
-    of :func:`simulate_stream` (:class:`_PrefillCore`) over
-    consecutive row slices of its sorted columns, scattering each
-    flush's outcomes into the result's columns, so besides its result
-    the run holds one slice's working set.  Under a ``faults`` schedule
-    (a :class:`~repro.serving.faults.FaultSchedule`; ``retry``
-    customizes its :class:`~repro.serving.faults.RetryPolicy`, default
-    ``RetryPolicy()``) a prefill table forms every batch chain at once
-    and :class:`_FaultDispatch` dispatches them only to devices that
-    are up, retries or drops lost batches' members, and re-forms only
-    the batches a retry touches; the result then covers every offered
-    request with the fault columns filled.
-
-    ``recorder`` opts into sim-time tracing: the sampled requests'
-    lifecycle spans are emitted from the finished columns after the
-    simulation proper, so tracing cannot perturb a single computed
-    value -- results are bitwise identical with tracing on or off (and
-    the emitted spans bitwise match the reference loop's).
-    """
-    if table.output_len is not None:
-        # Generative decode-step readiness depends on device timing, so
-        # batch formation cannot be precomputed: the event-driven core
-        # runs.
-        from repro.serving.decode import simulate_decode_table
-
-        return simulate_decode_table(
-            table,
-            cost_model,
-            num_devices=num_devices,
-            max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
-            setup_cycles=setup_cycles,
-            recorder=recorder,
-            faults=faults,
-            retry=retry,
-        )
-    if faults is None and retry is not None:
-        raise ValueError("a retry policy requires a fault schedule")
-    if len(table) == 0:
-        raise ValueError("request stream must not be empty")
-    _validate_knobs(num_devices, max_batch_size, max_wait_s)
-    retry = _fault_hook(faults, retry, num_devices)
-    if has_duplicate_ids(table.request_id):
-        raise ValueError("duplicate request id in stream")
-
-    order = np.lexsort((table.request_id, table.arrival_s))
-    columns = dict(
-        specs=table.specs,
-        request_id=table.request_id[order],
-        arrival_s=table.arrival_s[order],
-        spec_idx=table.spec_idx[order],
-        valid_len=table.valid_len[order],
-        deadline_s=None if table.deadline_s is None else table.deadline_s[order],
-    )
-    del order  # as long as the table: free it before the run
-    knobs = (cost_model, num_devices, max_batch_size, max_wait_s, setup_cycles)
-    if faults is None:
-        result = _table_through_core(columns, *knobs)
-    else:
-        result = _table_under_faults(columns, *knobs, faults, retry)
-    if recorder is not None:
-        _record_spans(recorder, result)
-        if faults is not None:
-            _emit_fault_trace(
-                recorder,
-                faults,
-                num_devices,
-                result.start_s,
-                result.end_s,
-                result.retry_events,
-            )
-    return result
+        columns = _drop_columns(drops, attempts.size, retry_events)
+        # Each row either finished or dropped: fmax skips the other NaN.
+        end_s = float(np.fmax(outcome["finish_s"], columns["dropped_s"]).max())
+        totals = _fault_totals(self, faults, start_s, end_s, _count_drops(drops))
+        return dict(columns, attempts=attempts, **totals), end_s
 
 
 def _table_under_faults(
+    specs,
     columns: dict,
     cost_model: ServiceCostModel,
     num_devices: int,
@@ -1262,7 +1165,11 @@ def _table_under_faults(
     faults,
     retry,
 ) -> ColumnarServingResult:
-    """A prefill table under a fault schedule, in three whole-table phases."""
+    """A prefill table under a fault schedule, in three whole-table phases.
+
+    ``columns`` holds the table's request columns in (arrival, id)
+    order (:func:`_sorted_columns`).
+    """
     request_id = columns["request_id"]
     arrival_s = columns["arrival_s"]
     spec_idx = columns["spec_idx"]
@@ -1277,7 +1184,7 @@ def _table_under_faults(
     # may carry the same model under several indices (a mix that
     # repeats a model), and those requests share one queue.
     # ------------------------------------------------------------------
-    queue_specs, queue_of_spec = _queue_map(columns["specs"])
+    queue_specs, queue_of_spec = _queue_map(specs)
     rows_list = _group_rows(spec_idx, queue_of_spec, len(queue_specs))
     active = [qid for qid in range(len(queue_specs)) if rows_list[qid].size]
 
@@ -1333,7 +1240,7 @@ def _table_under_faults(
     fault = _FaultDispatch(faults, retry, num_devices, max_batch_size, max_wait_s)
     batches = (sealed_s, size_sealed, member_count, service_s, energy_pj)
     batch_start, batch_finish, batch_device = fault.run(
-        (arrival_s, request_id, columns["deadline_s"]),
+        (arrival_s, request_id, columns.get("deadline_s")),
         [
             (queue_specs[qid], rows, f[0])
             for qid, rows, f in zip(active, model_rows, form_columns)
@@ -1369,6 +1276,7 @@ def _table_under_faults(
     )
     completed = n - fault_columns["dropped"]
     return ColumnarServingResult(
+        specs=specs,
         **columns,
         **outcome,
         **fault_columns,
@@ -1386,27 +1294,27 @@ def _table_under_faults(
     )
 
 
+
+
 # ----------------------------------------------------------------------
-# The chunked prefill core, and the two drivers that feed it.
+# The chunked prefill core.
 # ----------------------------------------------------------------------
 
 
 #: Column layout of a per-queue batch "part": batch-level arrays first
 #: (sealed, by_size, tie_arrival, tie_id, service, energy, counts),
 #: then the member-level arrays :meth:`_PrefillCore.admit` took
-#: (arrival, tie key, valid_len, then the caller's own), aligned with
-#: ``counts``.
+#: (arrival, tie key, valid_len, then the spec index when it carries
+#: request columns), aligned with ``counts``.
 _BATCH_COLS = 7
 
-#: Per-request outcome columns and their dtypes, in the order
-#: :meth:`_PrefillCore.flush` emits their per-batch values.
-_OUTCOMES = {
-    "batched_s": np.float64,
-    "service_start_s": np.float64,
-    "finish_s": np.float64,
-    "batch_size": np.int64,
-    "device_id": np.int64,
-}
+#: Per-request outcome columns, in the order :meth:`_PrefillCore.flush`
+#: holds their per-batch values.
+_OUTCOMES = ("batched_s", "service_start_s", "finish_s", "batch_size", "device_id")
+
+#: The members of a core that emits request columns: the id is the tie
+#: key.
+_MEMBERS = ("arrival_s", "request_id", "valid_len", "spec_idx")
 
 
 @dataclass
@@ -1430,16 +1338,13 @@ class _PrefillCore:
     times, the running busy/energy folds and the counters.
     :meth:`admit` appends a slice's rows to their queues' pending
     tails; :meth:`flush` seals and prices whatever the slice made
-    certain, dispatches it, and hands the dispatched batches to
-    ``emit(counts, values, members)``: their member counts, their
-    per-batch values of the :data:`_OUTCOMES` columns, and their
-    members' admitted columns, batch by batch.  :func:`simulate_stream`
-    feeds it one chunk at a time and :func:`simulate_table` consecutive
-    views of its sorted columns.  Formation holds back every batch a
-    later slice could still change, and dispatch carries its state
-    across flushes, so the flush sequence is bitwise equal to one
-    whole-stream pass at any slicing.  Slices must follow each other
-    in (arrival, id) order.
+    certain, dispatches it, and emits the dispatched batches' requests
+    batch by batch.  Formation holds back every batch a later slice
+    could still change, and dispatch carries its state across flushes,
+    so the flush sequence is bitwise equal to one whole-stream pass at
+    any slicing.  Slices must follow each other in (arrival, id)
+    order.  The interface is every core's (:func:`_core`); this one
+    runs without a fault schedule only.
     """
 
     def __init__(
@@ -1451,7 +1356,11 @@ class _PrefillCore:
         max_wait_s: float,
         setup_cycles: int,
         emit: Callable[..., None],
+        rows: bool = False,
+        faults=None,
+        retry=None,
     ):
+        assert faults is None and retry is None
         queue_specs, self.queue_of_spec = _queue_map(specs)
         self.queues = [_QueueState(spec) for spec in queue_specs]
         self.knobs = (
@@ -1465,21 +1374,33 @@ class _PrefillCore:
         self.busy_s = [0.0] * num_devices
         self.energy_by_device = [0.0] * num_devices
         self.completed = self.batches = self.size_triggered = 0
+        self.start_s: Optional[float] = None
         self.end_s = -np.inf
         self.last_arrival_s = -np.inf
         self.emit = emit
+        self.rows = rows
 
-    def admit(self, spec_idx: np.ndarray, *members: np.ndarray) -> None:
+    def admit(self, request: Dict[str, np.ndarray], base: int) -> None:
         """Append one sorted slice's rows to their queues' pending tails.
 
-        ``members`` are the slice's member columns: arrival, tie key
-        and valid length, then any the caller wants back from
-        :meth:`flush`.  The tie key breaks same-instant seal ties (see
-        :func:`_form_batches`), so among equal arrivals it must rise as
-        the request id does: the id itself, or the row's index in the
-        sorted stream.
+        A row's members are its arrival, a tie key and its valid
+        length, which formation reads, plus its spec index when the
+        core emits request columns.  The tie key breaks same-instant
+        seal ties (see :func:`_form_batches`), so among equal arrivals
+        it must rise as the request id does: it is the row's stream
+        index when the core emits rows, and the id otherwise.
         """
-        rows_list = _group_rows(spec_idx, self.queue_of_spec, len(self.queues))
+        arrival = request["arrival_s"]
+        if self.start_s is None:
+            self.start_s = float(arrival[0])
+        if self.rows:
+            key = np.arange(base, base + arrival.size)
+            members = (arrival, key, request["valid_len"])
+        else:
+            members = tuple(request[name] for name in _MEMBERS)
+        rows_list = _group_rows(
+            request["spec_idx"], self.queue_of_spec, len(self.queues)
+        )
         for q, rows in zip(self.queues, rows_list):
             if not rows.size:
                 continue
@@ -1487,7 +1408,7 @@ class _PrefillCore:
             if q.pend is not None:
                 new = tuple(map(np.concatenate, zip(q.pend, new)))
             q.pend = new
-        self.last_arrival_s = float(members[0][-1])
+        self.last_arrival_s = float(arrival[-1])
 
     def _seal(self, q: _QueueState, horizon_s, last_arrival_s):
         """Seal and price what is certain in one queue: its part, or None."""
@@ -1526,7 +1447,8 @@ class _PrefillCore:
         later batch seals at or after it -- at it only as a timeout,
         ranked after this flush's size seals, or as a size seal
         anchored on a later row.  Nothing is emitted when nothing
-        seals.
+        seals.  Each outcome column is repeated out of its per-batch
+        values only as the emit callback reaches it.
         """
         horizon_s = None if final else self.last_arrival_s
         last_arrival_s = self.last_arrival_s if final else None
@@ -1556,13 +1478,20 @@ class _PrefillCore:
         self.batches += int(sealed.size)
         self.size_triggered += int(np.count_nonzero(by_size))
         self.end_s = max(self.end_s, float(np.max(finish)))
-        self.emit(counts, (sealed, start, finish, counts, device), members)
+        values = (sealed, start, finish, counts, device)
+        outcome = (
+            (name, np.repeat(value, counts)) for name, value in zip(_OUTCOMES, values)
+        )
+        if self.rows:
+            self.emit(members[1], outcome, ())
+        else:
+            self.emit(None, chain(zip(_MEMBERS, members), outcome), ())
 
-    def totals(self, start_s: float) -> dict:
+    def totals(self) -> dict:
         """The run totals, as :class:`StreamedServingResult` fields."""
         return dict(
             completed=self.completed,
-            start_s=start_s,
+            start_s=self.start_s,
             end_s=self.end_s,
             device_busy_s=self.busy_s,
             device_energy_pj=self.energy_by_device,
@@ -1575,67 +1504,225 @@ class _PrefillCore:
         )
 
 
-#: Rows per slice that :func:`simulate_table` feeds :class:`_PrefillCore`.
-#: The run's working set beyond its result is about one slice's, and a
-#: slice amortises the per-flush Python work over its rows.  Measured on
-#: the 300k-request ``prefill_bursty`` table (2-CPU VM): 65,536-row
-#: slices held 8.5 MB beyond the result, against 40.4 MB for the
-#: whole-table engine, at its pass time; 16,384- and 8,192-row slices
-#: passed 6% and 16% slower, 131,072-row ones no faster.
+# ----------------------------------------------------------------------
+# The table driver and the stream driver, over both cores.
+# ----------------------------------------------------------------------
+
+
+#: Rows per slice that :func:`simulate_table` feeds a core.  The run's
+#: working set beyond its result is about one slice's, and a slice
+#: amortises the per-flush Python work over its rows.  Measured on the
+#: 300k-request ``prefill_bursty`` table (2-CPU VM): 65,536-row slices
+#: held 8.5 MB beyond the result, against 40.4 MB for the whole-table
+#: engine, at its pass time; 16,384- and 8,192-row slices passed 6% and
+#: 16% slower, 131,072-row ones no faster.
 _SLICE_ROWS = 65_536
 
+#: An integer outcome column's value on a dropped row; times are NaN.
+_DROPPED_FILL = {"batch_size": 0, "device_id": -1, "decode_slots": 0, "attempts": 0}
 
-def _table_through_core(
-    columns: dict,
-    cost_model: ServiceCostModel,
-    num_devices: int,
-    max_batch_size: int,
-    max_wait_s: float,
-    setup_cycles: int,
-) -> ColumnarServingResult:
-    """A fault-free prefill table, as :data:`_SLICE_ROWS`-row slices.
 
-    Each slice is a view of the sorted columns, and each row's tie key
-    is its sorted index: rows are sorted by (arrival, id), so the index
-    orders same-instant ties as the id does, and it names the row a
-    dispatched member's outcome scatters to.  The last slice goes
-    straight to the end-of-stream flush, so a table of one slice is
-    sealed by that flush alone.
+def _sorted_columns(table: RequestTable) -> Dict[str, np.ndarray]:
+    """A table's request columns in (arrival, id) order, the reference
+    loop's record order, under their result field names; an absent
+    optional column is left out."""
+    order = np.lexsort((table.request_id, table.arrival_s))
+    names = "request_id arrival_s spec_idx valid_len output_len deadline_s".split()
+    columns = {name: getattr(table, name) for name in names}
+    return {name: col[order] for name, col in columns.items() if col is not None}
+
+
+def _core(decode: bool):
+    """The chunked core a driver feeds: :class:`_PrefillCore`, or the
+    decode module's ``_DecodeCore``, looked up there at each call so
+    that a prefill run never imports it.
+
+    Both are built as ``core(specs, *knobs, emit, rows=False,
+    faults=None, retry=None)``.  ``admit(request, base)`` feeds one
+    sorted slice (:func:`_sorted_columns`) whose first row has stream
+    index ``base``; ``flush(final=False)`` hands what completed or
+    dropped since the last flush to ``emit(rows, columns, drops)``,
+    ``final`` ending the stream first; ``totals()`` gives the
+    :class:`StreamedServingResult` fields.  ``columns`` yields (name,
+    array) pairs, a value per completed request: the outcome columns,
+    plus the request columns unless the core was built with ``rows``,
+    which then gives their stream indices (else None).  ``drops``
+    lists (row, reason code, instant, lost attempts).
     """
-    arrival_s = columns["arrival_s"]
-    spec_idx = columns["spec_idx"]
-    valid_len = columns["valid_len"]
-    n = arrival_s.size
-    # The outcome columns are allocated at the first flush, after its
-    # formation temporaries are gone, so a table of one slice peaks no
-    # higher than a whole-table pass would.
-    outcome: Dict[str, np.ndarray] = {}
+    if not decode:
+        return _PrefillCore
+    from repro.serving.decode import _DecodeCore
 
-    def scatter(counts, values, members) -> None:
-        rows = members[1]
-        for (name, dtype), value in zip(_OUTCOMES.items(), values):
-            if name not in outcome:
-                outcome[name] = np.empty(n, dtype=dtype)
-            outcome[name][rows] = np.repeat(value, counts)
+    return _DecodeCore
 
-    core = _PrefillCore(
-        columns["specs"],
-        cost_model,
-        num_devices,
-        max_batch_size,
-        max_wait_s,
-        setup_cycles,
-        scatter,
-    )
-    for lo in range(0, n, _SLICE_ROWS):
-        hi = min(lo + _SLICE_ROWS, n)
-        core.admit(
-            spec_idx[lo:hi], arrival_s[lo:hi], np.arange(lo, hi), valid_len[lo:hi]
+
+def simulate_table(
+    table: RequestTable,
+    cost_model: ServiceCostModel,
+    num_devices: int = 1,
+    max_batch_size: int = 8,
+    max_wait_s: float = 2e-3,
+    setup_cycles: int = DEFAULT_SETUP_CYCLES,
+    recorder: Optional[TraceRecorder] = None,
+    faults=None,
+    retry=None,
+) -> ColumnarServingResult:
+    """Run one deployment over a columnar stream; the fast path.
+
+    Identical knobs and semantics to building ``num_devices``
+    :class:`~repro.serving.devices.SprintDevice` plus a
+    :class:`~repro.serving.batching.DynamicBatcher` and calling
+    :meth:`~repro.serving.scheduler.ServingSimulator.run`, but
+    batch-granular: O(requests / mean batch size) light Python
+    iterations instead of O(requests) heap events.  Unlike the
+    single-use reference simulator, this function carries no run state
+    and may be called repeatedly.
+
+    The table runs through a chunked core as consecutive row slices of
+    its sorted columns, each flush scattered into the result's
+    columns, so besides its result the run holds one slice's working
+    set.  A prefill table runs the prefill core (:class:`_PrefillCore`).
+    A generative table (an ``output_len`` column present) runs the
+    decode engine's event core, since decode-step readiness depends on
+    device timing -- same knobs, same bitwise-vs-reference contract,
+    and the same result type with the generative columns filled.
+
+    Under a ``faults`` schedule (a :class:`~repro.serving.faults.
+    FaultSchedule`; ``retry`` customizes its :class:`~repro.serving.
+    faults.RetryPolicy`, default ``RetryPolicy()``) the decode core
+    takes the schedule as its fault hook, while a prefill table forms
+    every batch chain at once and :class:`_FaultDispatch` dispatches
+    them only to devices that are up, retries or drops lost batches'
+    members, and re-forms only the batches a retry touches.  The
+    result then covers every offered request with the fault columns
+    filled.
+
+    ``recorder`` opts into sim-time tracing: the sampled requests'
+    lifecycle spans are emitted from the finished columns after the
+    simulation proper, so tracing cannot perturb a single computed
+    value -- results are bitwise identical with tracing on or off (and
+    the emitted spans bitwise match the reference loop's).
+    """
+    knobs = (cost_model, num_devices, max_batch_size, max_wait_s, setup_cycles)
+    return _drive_table(table, knobs, recorder, faults, retry, decode=False)
+
+
+def _drive_table(
+    table: RequestTable, knobs: tuple, recorder, faults, retry, decode: bool
+) -> ColumnarServingResult:
+    """The table driver: :func:`simulate_table` with its ``knobs``
+    (cost model, devices, batch size and wait bounds, set-up cycles),
+    and with ``decode`` the decode core for a fault-free prefill table
+    too.
+
+    The last slice goes straight to the end-of-stream flush, so a table
+    of one slice is sealed by that flush alone.
+    """
+    if len(table) == 0:
+        raise ValueError("request stream must not be empty")
+    retry = _check_knobs(knobs, faults, retry)
+    if has_duplicate_ids(table.request_id):
+        raise ValueError("duplicate request id in stream")
+    columns = _sorted_columns(table)
+    generative = table.output_len is not None
+    if faults is not None and not generative:
+        result = _table_under_faults(table.specs, columns, *knobs, faults, retry)
+    else:
+        n = len(table)
+        # The outcome columns are allocated at the first flush, after
+        # its formation temporaries are gone, so a table of one slice
+        # peaks no higher than a whole-table pass would.
+        outcome: Dict[str, np.ndarray] = {}
+        drops: list = []
+
+        def scatter(rows, done, dropped) -> None:
+            for name, value in done:
+                col = outcome.get(name)
+                if col is None:
+                    col = outcome[name] = np.empty(n, dtype=value.dtype)
+                    if faults is not None:
+                        col.fill(_DROPPED_FILL.get(name, np.nan))
+                col[rows] = value
+            for row, _, _, attempts in dropped:
+                outcome["attempts"][row] = attempts
+            drops.extend(dropped)
+
+        core = _core(decode or generative)(
+            table.specs, *knobs, scatter, rows=True, faults=faults, retry=retry
         )
-        core.flush(final=hi == n)
-    return ColumnarServingResult(
-        **columns, **outcome, **core.totals(float(arrival_s[0]))
-    )
+        for lo in range(0, n, _SLICE_ROWS):
+            hi = min(lo + _SLICE_ROWS, n)
+            core.admit({name: col[lo:hi] for name, col in columns.items()}, lo)
+            core.flush(final=hi == n)
+        if faults is not None:
+            outcome.update(_drop_columns(drops, n, core.retry_events))
+        result = ColumnarServingResult(
+            specs=table.specs, **columns, **outcome, **core.totals()
+        )
+    if recorder is not None:
+        _record_spans(recorder, result)
+        if faults is not None:
+            _emit_fault_trace(
+                recorder,
+                faults,
+                len(faults),
+                result.start_s,
+                result.end_s,
+                result.retry_events,
+            )
+    return result
+
+
+def _checked_chunks(
+    chunks: Iterable[RequestTable], unique_ids: bool
+) -> Iterator[Tuple[List, int, Dict[str, np.ndarray]]]:
+    """The one chunk check of every stream run: yields ``(specs, base,
+    request)`` per non-empty chunk -- the spec list, the stream index
+    of its first row, its columns in (arrival, id) order.
+
+    The stream must hold at least one request, under one spec list and
+    one shape (a ``RequestTable`` has an ``output_len`` column or not,
+    so a mixed stream has no whole-table run to equal).  Each chunk's
+    first (arrival, id) must follow the previous chunk's last, and no
+    id may repeat within a chunk -- nor, with ``unique_ids`` (a fault
+    schedule), across chunks, which holds every id seen; otherwise
+    that is the caller's contract, so memory stays O(chunk).
+    """
+    specs: Optional[List] = None
+    generative = False
+    seen: Optional[set] = set() if unique_ids else None
+    base = 0
+    last = (-np.inf, -1)
+    for chunk in chunks:
+        if len(chunk) == 0:
+            continue
+        if specs is None:
+            specs = list(chunk.specs)
+            generative = chunk.output_len is not None
+        elif list(chunk.specs) != specs:
+            raise ValueError("chunks must share one spec list")
+        if (chunk.output_len is not None) != generative:
+            raise ValueError(
+                "chunks must all carry an output_len column, or all lack one"
+            )
+        request = _sorted_columns(chunk)
+        arrival, request_id = request["arrival_s"], request["request_id"]
+        if (float(arrival[0]), int(request_id[0])) <= last:
+            raise ValueError(
+                "chunks must be ordered: each chunk's first (arrival_s, "
+                "request_id) must follow the previous chunk's last"
+            )
+        if has_duplicate_ids(request_id):
+            raise ValueError("duplicate request id in chunk")
+        if seen is not None:
+            seen.update(request_id.tolist())
+            if len(seen) != base + len(chunk):
+                raise ValueError("duplicate request id across chunks")
+        last = (float(arrival[-1]), int(request_id[-1]))
+        yield specs, base, request
+        base += len(chunk)
+    if specs is None:
+        raise ValueError("request stream must not be empty")
 
 
 def simulate_stream(
@@ -1652,123 +1739,54 @@ def simulate_stream(
     """Out-of-core serving simulation over a chunked request stream.
 
     Consumes ``RequestTable`` chunks in arrival order (e.g. from
-    :class:`repro.serving.stream.RequestStream`) and feeds each, once
-    validated and sorted, to the chunked prefill core
-    (:class:`_PrefillCore`), which carries only the O(devices + open
-    batches) frontier between chunks: per-queue unsealed tails, device
-    free times, and running busy/energy folds.  Completed requests
-    leave immediately as :class:`CompletedChunk` columns through
-    ``sink`` -- peak memory is one chunk plus the frontier, independent
-    of stream length.  :func:`simulate_table` runs a fault-free prefill
-    table through the same core.
+    :class:`repro.serving.stream.RequestStream`), checks and sorts each
+    one (:func:`_checked_chunks`), and feeds it to the chunked core
+    :func:`simulate_table` would run, which carries only the
+    O(devices + open batches) frontier between chunks.  Completed
+    requests leave after every chunk as :class:`CompletedChunk`
+    columns through ``sink`` -- peak memory is one chunk plus the
+    frontier, independent of stream length.
 
-    Generative streams (the first non-empty chunk carries an
-    ``output_len`` column) and runs with a ``faults`` schedule route to
-    the decode engine's chunked driver,
-    :func:`~repro.serving.decode.simulate_decode_stream`, whose chunks
-    and totals fill the generative or fault columns of the same types.
-    Prefill chunks under a schedule run there too, as one-token
-    requests, while :func:`simulate_table` runs a prefill table under a
-    schedule on the batch engine; the fault tests diff the two.
+    A generative stream (its chunks carry an ``output_len`` column)
+    fills the generative columns and totals of the same types, and a
+    ``faults`` schedule the fault ones.  Under a schedule every stream
+    runs the decode core, prefill chunks as one-token requests, while
+    :func:`simulate_table` runs a prefill table under a schedule on
+    the batch engine; the fault tests diff the two.
 
     The equivalence contract matches :func:`simulate_table`: for the
     same concatenated stream and knobs, every per-request column value,
     device busy/energy total, and batch counter is **bitwise equal**
     to the whole-table run (and hence to the reference event loop),
-    at every chunk size.
-
-    Chunks must be non-overlapping and ordered: each chunk's earliest
-    (arrival, id) must lexicographically follow the previous chunk's
-    latest, all chunks must share one spec list, and either every
-    chunk has an ``output_len`` column or none has.  Request-id
-    uniqueness is enforced within a chunk; across chunks it is the
-    caller's contract (checking it globally would break the O(1)
-    memory bound).
+    at every chunk size.  :func:`_checked_chunks` states what a stream
+    of chunks must satisfy.
     """
-    # Peek the first non-empty chunk to route generative streams.
-    iterator = iter(chunks)
-    first = next(iterator, None)
-    while first is not None and len(first) == 0:
-        first = next(iterator, None)
-    chunks = iter(()) if first is None else chain([first], iterator)
-    if faults is not None or (first is not None and first.output_len is not None):
-        from repro.serving.decode import simulate_decode_stream
+    knobs = (cost_model, num_devices, max_batch_size, max_wait_s, setup_cycles)
+    return _drive_stream(chunks, knobs, sink, faults, retry, decode=False)
 
-        return simulate_decode_stream(
-            chunks,
-            cost_model,
-            num_devices=num_devices,
-            max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
-            setup_cycles=setup_cycles,
-            sink=sink,
-            faults=faults,
-            retry=retry,
-        )
-    if retry is not None:
-        raise ValueError("a retry policy requires a fault schedule")
-    _validate_knobs(num_devices, max_batch_size, max_wait_s)
 
-    specs: Optional[List] = None
-    core: Optional[_PrefillCore] = None
-    start_s = 0.0
-    prev_arrival = -np.inf
-    prev_id = -1
+def _drive_stream(
+    chunks: Iterable[RequestTable], knobs: tuple, sink, faults, retry, decode: bool
+) -> StreamedServingResult:
+    """The stream driver: :func:`simulate_stream` with its ``knobs`` (as
+    :func:`_drive_table` takes them), and with ``decode`` the decode core
+    for a prefill stream too."""
+    retry = _check_knobs(knobs, faults, retry)
+    core = None
+    specs: List = []
 
-    def emit(counts, values, members) -> None:
-        if sink is None:
-            return
-        arrival, request_id, valid_len, spec_idx = members
-        sink(
-            CompletedChunk(
-                specs=specs,
-                arrival_s=arrival,
-                request_id=request_id,
-                valid_len=valid_len,
-                spec_idx=spec_idx,
-                **{name: np.repeat(v, counts) for name, v in zip(_OUTCOMES, values)},
-            )
-        )
+    def emit(rows, done, drops) -> None:
+        if sink is not None:
+            chunk = CompletedChunk(specs=specs, **dict(done))
+            if len(chunk):
+                sink(chunk)
 
-    for chunk in chunks:
-        if len(chunk) == 0:
-            continue
-        if chunk.output_len is not None:
-            raise ValueError(_MIXED_CHUNKS)
-        order = np.lexsort((chunk.request_id, chunk.arrival_s))
-        arrival = chunk.arrival_s[order]
-        request_id = chunk.request_id[order]
-        spec_idx = chunk.spec_idx[order]
-        valid_len = chunk.valid_len[order]
-        if has_duplicate_ids(request_id):
-            raise ValueError("duplicate request id in chunk")
-        if specs is None:
-            specs = list(chunk.specs)
-            core = _PrefillCore(
-                specs,
-                cost_model,
-                num_devices,
-                max_batch_size,
-                max_wait_s,
-                setup_cycles,
-                emit,
-            )
-            start_s = float(arrival[0])
-        elif list(chunk.specs) != specs:
-            raise ValueError("chunks disagree on the spec list")
-        first_a, first_i = float(arrival[0]), int(request_id[0])
-        if first_a < prev_arrival or (first_a == prev_arrival and first_i <= prev_id):
-            raise ValueError(
-                "chunks out of order: a chunk must start strictly "
-                "after the previous chunk's last (arrival, id)"
-            )
-        prev_arrival = float(arrival[-1])
-        prev_id = int(request_id[-1])
-        core.admit(spec_idx, arrival, request_id, valid_len, spec_idx)
+    for specs, base, request in _checked_chunks(chunks, faults is not None):
+        if core is None:
+            on_decode = decode or faults is not None or "output_len" in request
+            core = _core(on_decode)(specs, *knobs, emit, faults=faults, retry=retry)
+        core.admit(request, base)
         core.flush()
-
-    if core is None:
-        raise ValueError("request stream must not be empty")
     # End of stream: the pending tails seal at the global last arrival.
     core.flush(final=True)
-    return StreamedServingResult(**core.totals(start_s))
+    return StreamedServingResult(**core.totals())

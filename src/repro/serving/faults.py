@@ -29,12 +29,12 @@ Failure semantics
 
 Both serving paths understand fault schedules: the per-request
 reference loop (:mod:`repro.serving.scheduler`) defines the semantics,
-and the columnar engines take the schedule and retry policy as a fault
-hook -- the ``faults=`` / ``retry=`` knobs of every ``simulate_*``
-driver.  A prefill table runs on the batch engine
-(:func:`repro.serving.engine.simulate_table`), whose outage-aware
-dispatch re-forms only the batches a retry touches; generative tables
-and every chunked stream run on the decode engine's event core
+and the columnar drivers (:func:`repro.serving.engine.simulate_table`
+and :func:`repro.serving.engine.simulate_stream`) take the schedule and
+retry policy as a fault hook, their ``faults=`` / ``retry=`` knobs.  A
+prefill table runs on the batch engine, whose outage-aware dispatch
+re-forms only the batches a retry touches; generative tables and every
+chunked stream run on the decode engine's event core
 (:class:`repro.serving.decode._DecodeCore`).  Both are pinned
 bitwise-equal to the reference under every schedule (and equal to the
 no-fault engines when the schedule is empty).  Fault runs come back as
@@ -269,23 +269,22 @@ class DroppedRecord:
     attempts: int
 
 
-def _validate_knobs(num_devices, max_batch_size, max_wait_s):
-    """The one knob check behind every columnar driver."""
+def _check_knobs(
+    knobs: tuple, faults: Optional[FaultSchedule], retry: Optional[RetryPolicy]
+) -> Optional[RetryPolicy]:
+    """The one knob check behind both columnar drivers; returns the retry
+    policy the run uses.
+
+    ``knobs`` is (cost model, device count, batch size bound, wait
+    bound, set-up cycles).  ``retry=None`` under a schedule means the
+    default :class:`RetryPolicy` (3 attempts, 1 ms base backoff doubled
+    each time); a policy without a schedule is an error.
+    """
+    _, num_devices, max_batch_size, max_wait_s, _ = knobs
     _require_integer("num_devices", num_devices)
     if num_devices < 1:
         raise ValueError("at least one device required")
     _validate_batching(max_batch_size, max_wait_s)
-
-
-def _fault_hook(
-    faults: Optional[FaultSchedule], retry: Optional[RetryPolicy], num_devices: int
-) -> Optional[RetryPolicy]:
-    """Check a run's fault knobs; returns the retry policy it runs with.
-
-    ``retry=None`` under a schedule means the default
-    :class:`RetryPolicy` (3 attempts, 1 ms base backoff doubled each
-    time); a policy without a schedule is an error.
-    """
     if faults is None:
         if retry is not None:
             raise ValueError("a retry policy requires a fault schedule")
@@ -330,33 +329,23 @@ def _fault_totals(
     )
 
 
-def _fault_columns(
-    engine, faults, drops, attempts, finish_s, start_s, retry_events
-) -> Tuple[dict, float]:
-    """A finished fault-mode table run's fault columns and totals, and its
-    end instant.
+def _drop_columns(drops, n: int, retry_events) -> dict:
+    """A fault-mode table run's per-row drop columns and its retry events.
 
-    ``drops`` lists (row, reason code, instant) in drop order,
-    ``attempts`` holds every row's dispatch attempts (a dropped row's
-    lost ones), and ``engine`` is as for :func:`_fault_totals`.
+    ``drops`` lists (row, reason code, instant, ...) in drop order, and
+    ``n`` is the table's row count.
     """
-    n = attempts.size
-    drop_order = np.array([row for row, _, _ in drops], dtype=np.int64)
+    drop_order = np.array([drop[0] for drop in drops], dtype=np.int64)
     drop_reason = np.zeros(n, dtype=np.int8)
-    drop_reason[drop_order] = [reason for _, reason, _ in drops]
+    drop_reason[drop_order] = [drop[1] for drop in drops]
     dropped_s = np.full(n, np.nan)
-    dropped_s[drop_order] = [at for _, _, at in drops]
-    # Each row either finished or dropped: fmax skips the other NaN.
-    end_s = float(np.fmax(finish_s, dropped_s).max())
-    columns = dict(
-        attempts=attempts,
+    dropped_s[drop_order] = [drop[2] for drop in drops]
+    return dict(
         drop_reason=drop_reason,
         dropped_s=dropped_s,
         drop_order=drop_order,
         retry_events=list(retry_events),
-        **_fault_totals(engine, faults, start_s, end_s, _count_drops(drops)),
     )
-    return columns, end_s
 
 
 def _emit_fault_trace(
@@ -400,19 +389,10 @@ def simulate_faulty_table(
     Kept for its name; ``simulate_table(..., faults=, retry=)`` is the
     entry point.  ``retry=None`` means the default :class:`RetryPolicy`.
     """
-    from repro.serving.engine import simulate_table
+    from repro.serving.engine import _drive_table
 
-    return simulate_table(
-        table,
-        cost_model,
-        num_devices=num_devices,
-        max_batch_size=max_batch_size,
-        max_wait_s=max_wait_s,
-        setup_cycles=setup_cycles,
-        recorder=recorder,
-        faults=faults,
-        retry=retry,
-    )
+    knobs = (cost_model, num_devices, max_batch_size, max_wait_s, setup_cycles)
+    return _drive_table(table, knobs, recorder, faults, retry, decode=False)
 
 
 def simulate_faulty_stream(
@@ -426,23 +406,16 @@ def simulate_faulty_stream(
     setup_cycles: int = DEFAULT_SETUP_CYCLES,
     sink: Optional[Callable[[CompletedChunk], None]] = None,
 ) -> StreamedServingResult:
-    """:func:`~repro.serving.decode.simulate_decode_stream` under ``faults``.
+    """:func:`~repro.serving.engine.simulate_stream` under ``faults``.
 
     Kept for its name; ``simulate_stream(..., faults=, retry=)`` is the
-    entry point.  Chunking never changes the computation, so totals and
-    per-request values are bitwise equal to :func:`simulate_faulty_table`
-    on the concatenated stream at any chunk size.
+    entry point.  Every stream under a schedule runs the decode core,
+    prefill chunks as one-token requests.  Chunking never changes the
+    computation, so totals and per-request values are bitwise equal to
+    :func:`simulate_faulty_table` on the concatenated stream at any
+    chunk size, though a prefill table runs on the batch engine.
     """
-    from repro.serving.decode import simulate_decode_stream
+    from repro.serving.engine import _drive_stream
 
-    return simulate_decode_stream(
-        chunks,
-        cost_model,
-        num_devices=num_devices,
-        max_batch_size=max_batch_size,
-        max_wait_s=max_wait_s,
-        setup_cycles=setup_cycles,
-        sink=sink,
-        faults=faults,
-        retry=retry,
-    )
+    knobs = (cost_model, num_devices, max_batch_size, max_wait_s, setup_cycles)
+    return _drive_stream(chunks, knobs, sink, faults, retry, decode=False)

@@ -318,10 +318,6 @@ def summarize(
         mean_batch = result.total_tokens / result.batches if result.batches else 0.0
     else:
         mean_batch = float(np.mean(sizes)) if sizes.size else 0.0
-    duration = result.duration_s
-    span = duration if duration > 0 else float("inf")
-    busy = np.asarray(result.device_busy_s, dtype=np.float64)
-    utilization = float(np.mean(busy / span)) if busy.size else 0.0
     violations = int(np.count_nonzero(latencies > sla_s)) if sla_s is not None else 0
 
     def _stats(samples) -> LatencyStats:
@@ -331,42 +327,21 @@ def summarize(
         sketch.add_many(samples)
         return LatencyStats.from_sketch(sketch)
 
-    fault_kwargs: dict = {}
+    fault_counts = None
     if faulted:
         retried_lat = latencies[attempts >= 2]
-        downtime = np.asarray(result.device_downtime_s, dtype=np.float64)
-        fault_kwargs = dict(
-            faulted=True,
-            dropped_requests=sum(dropped_by_reason.values()),
-            dropped_by_reason=dropped_by_reason,
-            retries=result.retries,
-            retried_completed=int(retried_lat.size),
-            failed_batches=result.failed_batches,
-            wasted_energy_uj=result.wasted_energy_pj / 1e6,
-            availability=(
-                float(1.0 - np.mean(downtime / span)) if downtime.size else 1.0
-            ),
-            retried_latency=_stats(retried_lat),
-        )
-    return ServingReport(
-        config=config,
-        mode=mode,
-        pattern=pattern,
-        offered_rps=offered_rps,
-        requests=result.completed,
-        duration_s=duration,
-        latency=_stats(latencies),
-        queue_wait=_stats(waits),
-        throughput_rps=result.completed / span,
-        utilization=utilization,
-        mean_batch_size=mean_batch,
-        energy_uj=float(sum(result.device_energy_pj)) / 1e6,
-        sla_s=sla_s,
-        sla_violations=violations,
-        ttft=_stats(ttfts) if generative else None,
-        tbt=_stats(tbts) if generative else None,
-        total_tokens=result.total_tokens if generative else 0,
-        **fault_kwargs,
+        fault_counts = (dropped_by_reason, int(retried_lat.size), _stats(retried_lat))
+    return _report(
+        result,
+        dict(config=config, mode=mode, pattern=pattern, offered_rps=offered_rps),
+        sla_s,
+        _stats(latencies),
+        _stats(waits),
+        _stats(ttfts) if generative else None,
+        _stats(tbts) if generative else None,
+        mean_batch,
+        violations,
+        fault_counts,
     )
 
 
@@ -462,46 +437,81 @@ def summarize_stream(
         faults=faults,
         retry=retry,
     )
-    duration = result.duration_s
-    span = duration if duration > 0 else float("inf")
-    busy = np.asarray(result.device_busy_s, dtype=np.float64)
     if generative:
         mean_batch = result.total_tokens / result.batches if result.batches else 0.0
     else:
         mean_batch = batch_size_sum / result.completed if result.completed else 0.0
-    fault_kwargs: dict = {}
+    fault_counts = None
     if result.faulted:
+        retried = LatencyStats.from_sketch(retried_sketch)
+        fault_counts = (dict(result.dropped_by_reason), retried_counter.value, retried)
+    return _report(
+        result,
+        dict(config=config, mode=mode, pattern=pattern, offered_rps=offered_rps),
+        sla_s,
+        LatencyStats.from_sketch(latency_sketch),
+        LatencyStats.from_sketch(wait_sketch),
+        LatencyStats.from_sketch(ttft_sketch) if generative else None,
+        LatencyStats.from_sketch(tbt_sketch) if generative else None,
+        mean_batch,
+        violations,
+        fault_counts,
+    )
+
+
+def _report(
+    result,
+    labels: dict,
+    sla_s: Optional[float],
+    latency: LatencyStats,
+    queue_wait: LatencyStats,
+    ttft: Optional[LatencyStats],
+    tbt: Optional[LatencyStats],
+    mean_batch: float,
+    violations: int,
+    fault_counts: Optional[tuple],
+) -> ServingReport:
+    """The report builder of :func:`summarize` and :func:`summarize_stream`.
+
+    ``labels`` holds config, mode, pattern and offered rate.  ``ttft``
+    and ``tbt`` are set on generative runs only, and ``fault_counts``
+    (drops by reason, retried completions, their latency stats) under
+    a fault schedule only.
+    """
+    duration = result.duration_s
+    span = duration if duration > 0 else float("inf")
+    busy = np.asarray(result.device_busy_s, dtype=np.float64)
+    fault_kwargs: dict = {}
+    if fault_counts is not None:
+        dropped_by_reason, retried_completed, retried_latency = fault_counts
         downtime = np.asarray(result.device_downtime_s, dtype=np.float64)
         fault_kwargs = dict(
             faulted=True,
-            dropped_requests=result.dropped,
-            dropped_by_reason=dict(result.dropped_by_reason),
+            dropped_requests=sum(dropped_by_reason.values()),
+            dropped_by_reason=dropped_by_reason,
             retries=result.retries,
-            retried_completed=retried_counter.value,
+            retried_completed=retried_completed,
             failed_batches=result.failed_batches,
             wasted_energy_uj=result.wasted_energy_pj / 1e6,
             availability=(
                 float(1.0 - np.mean(downtime / span)) if downtime.size else 1.0
             ),
-            retried_latency=LatencyStats.from_sketch(retried_sketch),
+            retried_latency=retried_latency,
         )
     return ServingReport(
-        config=config,
-        mode=mode,
-        pattern=pattern,
-        offered_rps=offered_rps,
+        **labels,
         requests=result.completed,
         duration_s=duration,
-        latency=LatencyStats.from_sketch(latency_sketch),
-        queue_wait=LatencyStats.from_sketch(wait_sketch),
+        latency=latency,
+        queue_wait=queue_wait,
         throughput_rps=result.completed / span,
         utilization=float(np.mean(busy / span)) if busy.size else 0.0,
         mean_batch_size=mean_batch,
         energy_uj=float(sum(result.device_energy_pj)) / 1e6,
         sla_s=sla_s,
         sla_violations=violations,
-        ttft=LatencyStats.from_sketch(ttft_sketch) if generative else None,
-        tbt=LatencyStats.from_sketch(tbt_sketch) if generative else None,
-        total_tokens=result.total_tokens if generative else 0,
+        ttft=ttft,
+        tbt=tbt,
+        total_tokens=result.total_tokens if ttft is not None else 0,
         **fault_kwargs,
     )

@@ -34,10 +34,12 @@ import numpy as np
 from repro.serving.arrivals import (
     ArrivalProcess,
     ModelMix,
+    _check_generator_args,
     _clone_generator,
     _normalize_mix,
     sample_output_lens,
 )
+from repro.serving.batching import _require_integer
 from repro.serving.requests import RequestTable
 
 #: Default rows per emitted chunk: large enough to keep the engine's
@@ -69,8 +71,8 @@ class RequestStream:
     mean_output_tokens: float = None
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be positive")
+        _check_generator_args(self.count, self.start_id, self.mean_output_tokens)
+        _require_integer("chunk_size", self.chunk_size)
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be positive")
         self._specs, self._weights = _normalize_mix(self.mix)

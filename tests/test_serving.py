@@ -21,6 +21,7 @@ from repro.serving import (
     LatencyStats,
     PoissonProcess,
     Request,
+    RequestStream,
     RequestTable,
     RetryPolicy,
     ServiceCostModel,
@@ -30,6 +31,7 @@ from repro.serving import (
     TraceProcess,
     generate_request_table,
     generate_requests,
+    sample_output_lens,
     summarize,
 )
 from repro.experiments import serving as serving_experiment
@@ -181,6 +183,61 @@ class TestNonFiniteInputs:
         table = RequestTable.from_requests([request])
         assert table.deadline_s.tolist() == [math.inf]
         assert table.to_requests() == [dataclasses.replace(request, deadline_s=None)]
+
+
+class TestGeneratorArguments:
+    """Each generator argument is checked where it enters, with a
+    ValueError that names it, instead of failing deep in numpy or being
+    truncated or clipped without a word."""
+
+    process = PoissonProcess(100.0)
+
+    def test_table_fractional_count(self):
+        with pytest.raises(ValueError, match="count"):
+            generate_request_table(self.process, "BERT-B", count=10.5)
+
+    def test_requests_fractional_count(self):
+        with pytest.raises(ValueError, match="count"):
+            generate_requests(self.process, "BERT-B", count=10.5)
+
+    def test_stream_fractional_count_fails_when_built(self):
+        with pytest.raises(ValueError, match="count"):
+            RequestStream(self.process, "BERT-B", count=10.5)
+
+    def test_stream_fractional_chunk_size_fails_when_built(self):
+        with pytest.raises(ValueError, match="chunk_size"):
+            RequestStream(self.process, "BERT-B", count=10, chunk_size=2.5)
+
+    def test_table_fractional_start_id(self):
+        with pytest.raises(ValueError, match="start_id"):
+            generate_request_table(self.process, "BERT-B", count=10, start_id=0.5)
+
+    def test_stream_fractional_start_id(self):
+        with pytest.raises(ValueError, match="start_id"):
+            RequestStream(self.process, "BERT-B", count=10, start_id=0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_table_non_finite_mean_output_tokens(self, bad):
+        with pytest.raises(ValueError, match="mean_output_tokens"):
+            generate_request_table(
+                self.process, "BERT-B", count=10, mean_output_tokens=bad
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_stream_non_finite_mean_output_tokens(self, bad):
+        with pytest.raises(ValueError, match="mean_output_tokens"):
+            RequestStream(self.process, "BERT-B", count=10, mean_output_tokens=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_sample_output_lens_non_finite_mean(self, bad):
+        with pytest.raises(ValueError, match="mean_output_tokens"):
+            sample_output_lens(np.zeros(3), bad, np.full(3, 5))
+
+    def test_numpy_integers_accepted(self):
+        table = generate_request_table(
+            self.process, "BERT-B", count=np.int64(5), start_id=np.int64(3)
+        )
+        assert table.request_id.tolist() == [3, 4, 5, 6, 7]
 
 
 def _scalar_mmpp(process, count, rng):

@@ -13,7 +13,8 @@ Four contracts pinned here:
    reference loop exactly, across patterns x seeds x device counts x
    wait bounds, including mixed prefill/decode queues and
    duplicate-name spec lists -- and the chunked stream driver must
-   equal the whole-table run at any chunk size.
+   equal the whole-table run at any chunk size, as must the table
+   driver at any slice size, with or without a fault schedule.
 3. **Degeneration** -- with every ``output_len == 1`` the generative
    machinery reduces exactly to the prefill-only engines (same floats,
    same batches).
@@ -34,15 +35,18 @@ from hypothesis import strategies as st
 from repro.core.configs import S_SPRINT
 from repro.core.system import ExecutionMode
 from repro.models.zoo import get_model
+from repro.obs.trace import TraceConfig, TraceRecorder
 from repro.serving import (
     BurstyProcess,
     ContinuousBatcher,
     DynamicBatcher,
+    FaultSchedule,
     GenerativeServingSimulator,
     PoissonProcess,
     Request,
     RequestStream,
     RequestTable,
+    RetryPolicy,
     ServiceCostModel,
     ServingResult,
     ServingSimulator,
@@ -57,6 +61,7 @@ from repro.serving import (
     summarize,
     summarize_stream,
 )
+from repro.serving import engine
 from repro.serving.decode import simulate_decode_stream
 
 SEEDS = (0, 1, 7)
@@ -340,6 +345,102 @@ class TestDegeneration:
         )
         assert table.output_len is not None
         assert np.all(table.output_len == 1)
+
+
+#: Outage edges of the sliced-table property: a 0.5 ms grid over the
+#: first 40 ms, where the drawn cases run.
+SLICE_OUTAGE_GRID_S = 5e-4
+
+
+@st.composite
+def sliced_decode_cases(draw):
+    """A decode case, its fleet, and either no fault schedule or a
+    drawn one with its retry policy."""
+    table = draw(decode_cases())
+    num_devices = draw(st.integers(1, 3))
+    if not draw(st.booleans()):
+        return table, num_devices, None, None
+    intervals = []
+    for _ in range(num_devices):
+        slots = draw(st.lists(st.integers(0, 80), unique=True, max_size=6))
+        times = [SLICE_OUTAGE_GRID_S * e for e in sorted(slots)] + [np.inf]
+        intervals.append([(times[k], times[k + 1]) for k in range(0, len(slots), 2)])
+    retry = RetryPolicy(
+        max_attempts=draw(st.integers(1, 3)),
+        backoff_base_s=draw(st.sampled_from((0.0, 1e-3))),
+    )
+    return table, num_devices, FaultSchedule.from_intervals(intervals), retry
+
+
+class TestSlicedDecodeTable:
+    """The table driver feeds the decode core row slices too: shrunk to
+    1, 7 and 64 rows, a drawn generative table equals the reference
+    loop and the stream driver, fault-free and under a schedule."""
+
+    @given(
+        case=sliced_decode_cases(),
+        slice_rows=st.sampled_from((1, 7, 64)),
+        chunk_size=st.integers(1, 8),
+        max_batch_size=st.integers(1, 8),
+        max_wait_s=st.sampled_from((0.0, 2e-3)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sliced_decode_table_equals_reference_and_stream(
+        self, cost_model, case, slice_rows, chunk_size, max_batch_size,
+        max_wait_s,
+    ):
+        table, num_devices, faults, retry = case
+        knobs = dict(
+            num_devices=num_devices,
+            max_batch_size=max_batch_size,
+            max_wait_s=max_wait_s,
+            faults=faults,
+            retry=retry,
+        )
+        config = TraceConfig(head=0, stride=1)  # every request
+        fast_trace, reference_trace = TraceRecorder(config), TraceRecorder(config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_SLICE_ROWS", slice_rows)
+            fast = simulate_table(table, cost_model, recorder=fast_trace, **knobs)
+        reference = GenerativeServingSimulator(
+            [SprintDevice(i, cost_model) for i in range(num_devices)],
+            ContinuousBatcher(max_batch_size, max_wait_s),
+            reference_trace,
+            faults=faults,
+            retry=retry,
+        ).run(table.to_requests())
+        assert fast.to_result() == reference
+        assert fast_trace.to_chrome_trace() == reference_trace.to_chrome_trace()
+
+        chunks = [
+            table.slice(lo, min(lo + chunk_size, len(table)))
+            for lo in range(0, len(table), chunk_size)
+        ]
+        collected = []
+        streamed = simulate_stream(
+            chunks, cost_model, sink=collected.append, **knobs
+        )
+        for field in dataclasses.fields(streamed):
+            name = field.name
+            assert getattr(streamed, name) == getattr(fast, name), name
+        names = [
+            "request_id", "batched_s", "service_start_s", "first_token_s",
+            "finish_s", "batch_size", "device_id", "decode_slots",
+        ]
+        done = slice(None)
+        if faults is not None:
+            names.append("attempts")
+            done = fast.drop_reason == 0
+        for name in names:
+            col = np.concatenate(
+                [getattr(c, name) for c in collected] or [np.empty(0)]
+            )
+            ids = np.concatenate(
+                [c.request_id for c in collected] or [np.empty(0)]
+            )
+            # The drawn ids rise with arrival: id order is row order.
+            order = np.argsort(ids, kind="stable")
+            assert np.array_equal(col[order], getattr(fast, name)[done]), name
 
 
 class TestChunkedDecodeStream:

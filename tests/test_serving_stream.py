@@ -16,6 +16,8 @@ engine pins against the reference loop, extended to streaming:
   table: at slices of 1, 7 and 64 rows it equals the reference loop and
   the stream driver bitwise, and it holds about one slice beyond its
   result;
+* one validator checks every stream's chunks, so each defect reads the
+  same for every traffic shape and driver;
 * :func:`summarize_stream` matches the exact whole-table ``summarize``
   on every exact field, and within the sketch's documented relative
   error bound on percentiles.
@@ -48,6 +50,7 @@ from repro.serving import (
     TraceProcess,
     generate_request_table,
     shared_cost_model,
+    simulate_decode_stream,
     simulate_stream,
     simulate_table,
     summarize,
@@ -292,6 +295,96 @@ class TestStreamDriverBitwise:
         faults = FaultSchedule.none(1) if faulted else None
         with pytest.raises(ValueError, match="all carry an output_len column"):
             simulate_stream(chunks, cost_model, faults=faults)
+
+
+# ----------------------------------------------------------------------
+# One chunk check for every stream shape and driver
+# ----------------------------------------------------------------------
+#: Each defect's key phrase; its message is one for every shape.
+CHUNK_DEFECTS = {
+    "out_of_order": "ordered",
+    "spec_mismatch": "spec list",
+    "duplicate_in_chunk": "duplicate request id in chunk",
+    "mixed_shapes": "all carry an output_len column",
+    "empty": "empty",
+    "duplicate_across_chunks": "duplicate request id across chunks",
+}
+
+
+def with_columns(chunk, **columns):
+    """``chunk`` with some of its columns, or its specs, replaced."""
+    fields = dict(
+        specs=chunk.specs,
+        request_id=chunk.request_id,
+        arrival_s=chunk.arrival_s,
+        spec_idx=chunk.spec_idx,
+        valid_len=chunk.valid_len,
+        output_len=chunk.output_len,
+    )
+    fields.update(columns)
+    return RequestTable(**fields)
+
+
+def bad_stream(defect, a, b):
+    """Two consecutive chunks ``a``, ``b`` of one stream, with ``defect``."""
+    if defect == "out_of_order":
+        return [b, a]
+    if defect == "spec_mismatch":
+        return [a, with_columns(b, specs=[get_model("BERT-L")])]
+    if defect == "mixed_shapes":
+        output_len = np.ones(len(b), np.int64) if b.output_len is None else None
+        return [a, with_columns(b, output_len=output_len)]
+    if defect == "empty":
+        none = np.empty(0, np.int64)
+        empty = with_columns(
+            a,
+            request_id=none,
+            arrival_s=np.empty(0),
+            spec_idx=none,
+            valid_len=none,
+            output_len=None,
+        )
+        return [empty]
+    ids = b.request_id.copy()
+    ids[0] = ids[1] if defect == "duplicate_in_chunk" else a.request_id[0]
+    return [a, with_columns(b, request_id=ids)]
+
+
+class TestChunkValidation:
+    """Every stream run checks its chunks in one place, so a defect
+    reads the same whatever the traffic shape and the driver."""
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        prefill = generate_request_table(
+            PoissonProcess(100.0), "BERT-B", count=40, seed=0
+        )
+        generative = generate_request_table(
+            PoissonProcess(100.0), "BERT-B", count=40, seed=0, mean_output_tokens=4.0
+        )
+        return prefill, generative
+
+    @pytest.mark.parametrize("defect", sorted(CHUNK_DEFECTS))
+    def test_one_message_per_defect(self, cost_model, tables, defect):
+        prefill, generative = tables
+        schedule = FaultSchedule.none(1)
+        runs = {
+            "prefill": (simulate_stream, prefill, None),
+            "generative": (simulate_stream, generative, None),
+            "prefill_under_faults": (simulate_stream, prefill, schedule),
+            "decode_stream": (simulate_decode_stream, prefill, None),
+        }
+        messages = {}
+        for shape, (driver, table, faults) in runs.items():
+            if defect == "duplicate_across_chunks":
+                # Ids across chunks are checked under a schedule only.
+                faults = schedule
+            chunks = bad_stream(defect, *table_chunks(table, 20))
+            with pytest.raises(ValueError) as raised:
+                driver(chunks, cost_model, faults=faults)
+            messages[shape] = str(raised.value)
+        assert len(set(messages.values())) == 1, messages
+        assert CHUNK_DEFECTS[defect] in messages["prefill"]
 
 
 # ----------------------------------------------------------------------
