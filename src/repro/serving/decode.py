@@ -40,12 +40,13 @@ future step can ever join, pending queues flush immediately.
 The core takes the fault hook (:mod:`repro.serving.faults`): given a
 :class:`~repro.serving.faults.FaultSchedule` (``faults=``) and a
 :class:`~repro.serving.faults.RetryPolicy` (``retry=``), it dispatches
-only to devices that are up, loses batches whose device fails
-mid-service, and retries or drops their members -- one step at a
-time, with macro-stepping off.  Generative traffic runs here with or
-without a schedule, and so does every stream under one: prefill chunks
-run as the ``output_len == 1`` degenerate case, while a prefill
-*table* under a schedule runs on the batch engine, whose batch
+through the batch engine's fleet model (:class:`~repro.serving.faults.
+Fleet`), which starts batches only on devices that are up, loses those
+whose device fails mid-service, and retries or drops their members --
+one step at a time, with macro-stepping off.  Generative traffic runs
+here with or without a schedule, and so does every stream under one:
+prefill chunks run as the ``output_len == 1`` degenerate case, while a
+prefill *table* under a schedule runs on the batch engine, whose batch
 formation depends on arrivals and retries only.  The fault tests diff
 the two engines on prefill traffic.
 
@@ -74,13 +75,7 @@ from repro.serving.engine import (
     _drive_table,
     _queue_map,
 )
-from repro.serving.faults import (
-    DROP_DEADLINE,
-    DROP_RETRIES,
-    DROP_STRANDED,
-    _count_drops,
-    _fault_totals,
-)
+from repro.serving.faults import DROP_STRANDED, Fleet
 from repro.serving.requests import RequestTable
 
 
@@ -143,11 +138,12 @@ class _DecodeCore:
 
     ``faults`` (a :class:`~repro.serving.faults.FaultSchedule`) and
     ``retry`` (the :class:`~repro.serving.faults.RetryPolicy` it
-    requires) switch on fault mode: dispatch skips devices that are
-    down, a batch whose device fails mid-service is lost, and its
-    members retry or land in ``self.dropped`` as (record, reason code,
-    drop instant).  Macro-stepping stays off under a schedule, because
-    a macro-run dispatches implicitly and cannot see an outage.
+    requires) switch on fault mode, run by a
+    :class:`~repro.serving.faults.Fleet`: a batch starts only on a
+    device that is up, one whose device fails mid-service is lost, and
+    its members retry or drop into the fleet's drop log, which
+    :meth:`flush` drains.  Macro-stepping stays off under a schedule,
+    because a macro-run dispatches implicitly and cannot see an outage.
     """
 
     def __init__(
@@ -171,7 +167,6 @@ class _DecodeCore:
         self.queue_specs, queue_of_spec = _queue_map(specs)
         self.queue_of_spec = queue_of_spec.tolist()
         self.cost_model = cost_model
-        self.num_devices = num_devices
         self.max_batch_size = max_batch_size
         self.max_wait_s = max_wait_s
         self.zero_wait = max_wait_s == 0
@@ -207,6 +202,21 @@ class _DecodeCore:
         self.min_free_at = 0.0
         self.busy_s = [0.0] * num_devices
         self.energy_pj = [0.0] * num_devices
+        #: Fault mode: the fleet that places, books and loses every
+        #: batch, and retries or drops the members of a lost one (None
+        #: = fault-free).  Its free-time, busy and energy lists stand
+        #: in for the core's own.
+        self.fleet = None
+        if faults is not None:
+            self.fleet = Fleet(faults, retry)
+            self.free_at = self.fleet.free_at
+            self.busy_s = self.fleet.busy_s
+            self.energy_pj = self.fleet.energy_pj
+            # A recovery only re-triggers dispatch (up/down is a pure
+            # function of time), so every one is known up front.
+            for _device, up in faults.recovery_events():
+                heappush(self.heap, (up, 4, self.seq, None))
+                self.seq += 1
         # (queue id, decode?) -> context-indexed per-sample cost
         # vectors (see :meth:`_vectors`), stored as plain Python lists:
         # sealing and macro-stepping price by one list index (cheaper
@@ -237,26 +247,7 @@ class _DecodeCore:
         self.end_s = -np.inf
         self.completed = 0
         self.total_tokens = 0
-        # Fault mode: per-device outage traces (None = fault-free).
-        self.faults = faults
-        self.traces = None if faults is None else faults.traces
-        self.retry = retry
-        #: (record, reason code, drop instant), in event order, not yet
-        #: emitted.
-        self.dropped: list = []
-        self.dropped_by_reason = _count_drops(())
         self.pending_retries = 0
-        self.retries = 0
-        self.failed_batches = 0
-        self.wasted_energy_pj = 0.0
-        #: (request id, retry instant, attempt number, model name).
-        self.retry_events: list = []
-        if faults is not None:
-            # A recovery only re-triggers dispatch (up/down is a pure
-            # function of time), so every one is known up front.
-            for _device, up in faults.recovery_events():
-                heappush(self.heap, (up, 4, self.seq, None))
-                self.seq += 1
 
     # ------------------------------------------------------------------
     def _vectors(self, qid: int, decode: bool, max_ctx: int):
@@ -366,44 +357,45 @@ class _DecodeCore:
             self._seal(key, now, by_size=False)
 
     def _dispatch(self, now: float) -> None:
+        """Start ready batches at ``now`` on the lowest-index free
+        device, in FIFO order, until none is free.
+
+        Under a schedule the fleet decides: a batch starts only when
+        :meth:`~repro.serving.faults.Fleet.place` gives ``now``, and one
+        whose device dies mid-batch is lost at the failure instant.
+        Dispatch instants never decrease, which the fleet requires.
+        """
         ready = self.ready
-        if not ready or self.min_free_at > now:
-            return
+        fleet = self.fleet
         free_at = self.free_at
-        traces = self.traces
         while ready:
-            dev = -1
-            for d in range(self.num_devices):
-                if free_at[d] <= now and (traces is None or traces[d].is_up(now)):
-                    dev = d
-                    break
-            if dev < 0:
-                return
+            if fleet is None:
+                if self.min_free_at > now:
+                    return
+                dev = 0
+                while free_at[dev] > now:
+                    dev += 1
+            else:
+                start, dev = fleet.place(now)
+                if start != now:
+                    return
             batch = ready.popleft()
-            recs = batch[1]
             service = batch[3]
+            energy = batch[4] * len(batch[1])
             finish = now + service
-            if traces is not None:
-                fail = traces[dev].next_down_after(now)
-                if fail < finish:
-                    # Preordained loss: the device dies mid-batch.  It
-                    # stays occupied until the failure; the partial
-                    # work's energy is wasted, not delivered.
-                    lost = fail - now
-                    free_at[dev] = fail
-                    self.min_free_at = min(free_at)
-                    self.busy_s[dev] += lost
-                    self.wasted_energy_pj += batch[4] * len(recs) * (lost / service)
-                    self.failed_batches += 1
+            if fleet is None:
+                free_at[dev] = finish
+                self.min_free_at = min(free_at)
+                self.busy_s[dev] += service
+                self.energy_pj[dev] += energy
+            else:
+                fail = fleet.run(dev, now, service, energy)
+                if fail is not None:
                     heappush(self.heap, (fail, 3, self.seq, batch))
                     self.seq += 1
                     continue
-            free_at[dev] = finish
-            self.min_free_at = min(free_at)
-            self.busy_s[dev] += service
-            self.energy_pj[dev] += batch[4] * len(recs)
             if not batch[0]:
-                for rec in recs:
+                for rec in batch[1]:
                     rec[_PFS] = now
                     rec[_PFD] = dev
             heappush(self.heap, (finish, 0, self.seq, batch))
@@ -571,13 +563,13 @@ class _DecodeCore:
         return True
 
     def _handle_heap_event(self, limit: float) -> None:
-        now, priority, _, batch = heappop(self.heap)
+        now, priority, seq, batch = heappop(self.heap)
         if priority == 0:  # DEVICE_DONE
             if (
                 batch[0]
                 and batch[6] >= 2
                 and not self.ready
-                and self.traces is None
+                and self.fleet is None
                 and self._macro_run(batch, now, limit)
             ):
                 return
@@ -649,8 +641,22 @@ class _DecodeCore:
         elif priority == 2:  # BATCH_TIMEOUT
             if self.queues:
                 self._flush_due(now)
-        elif priority == 3:  # BATCH_FAILED
-            self._retry_or_drop(batch, now)
+        elif priority == 3:  # BATCH_FAILED: each member retries or drops
+            self.in_flight_rejoiners -= batch[9]
+            for m, (rec, ctx) in enumerate(zip(batch[1], batch[2])):
+                f = rec[_FLS] = rec[_FLS] + 1
+                retry_at = self.fleet.retry_or_drop(
+                    (now, seq, m),
+                    rec[_ROW],
+                    f,
+                    rec[_ADL],
+                    rec[_RID],
+                    self.queue_specs[rec[_QID]].name,
+                )
+                if retry_at is not None:
+                    self.pending_retries += 1
+                    heappush(self.heap, (retry_at, 5, self.seq, (rec, ctx)))
+                    self.seq += 1
         elif priority == 5:  # RETRY: re-admit at the stored context
             self.pending_retries -= 1
             rec, ctx = batch
@@ -670,30 +676,6 @@ class _DecodeCore:
                 self._seal(key, now, by_size=False)
         if self.ready:
             self._dispatch(now)
-
-    def _retry_or_drop(self, batch, now: float) -> None:
-        """BATCH_FAILED: each member retries under the policy or drops."""
-        recs, ctxs = batch[1], batch[2]
-        self.in_flight_rejoiners -= batch[9]
-        retry = self.retry
-        for k in range(len(recs)):
-            rec = recs[k]
-            f = rec[_FLS] + 1
-            rec[_FLS] = f
-            if f >= retry.max_attempts:
-                self.dropped.append((rec, DROP_RETRIES, now))
-                continue
-            retry_at = now + retry.backoff_s(f)
-            if retry_at > rec[_ADL]:
-                self.dropped.append((rec, DROP_DEADLINE, now))
-                continue
-            self.retries += 1
-            self.pending_retries += 1
-            self.retry_events.append(
-                (rec[_RID], retry_at, f + 1, self.queue_specs[rec[_QID]].name)
-            )
-            heappush(self.heap, (retry_at, 5, self.seq, (rec, ctxs[k])))
-            self.seq += 1
 
     # ------------------------------------------------------------------
     def admit(self, request: Dict[str, np.ndarray], base: int) -> None:
@@ -786,30 +768,31 @@ class _DecodeCore:
         """
         if final:
             self._end_of_stream()
-        recs, drops = self.retired, self.dropped
+        fleet = self.fleet
+        recs = self.retired
+        drops = () if fleet is None else fleet.drops
         if not (recs or drops):
             return
-        self.retired, self.dropped = [], []
+        self.retired = []
         if recs:
             self.completed += len(recs)
             self.total_tokens += sum(rec[_OLEN] for rec in recs)
             self.end_s = max(self.end_s, max(rec[_FIN] for rec in recs))
         if drops:
-            _count_drops(drops, self.dropped_by_reason)
-            self.end_s = max(self.end_s, max(at for _, _, at in drops))
+            fleet.drops = []
+            self.end_s = max(self.end_s, max(drop[3] for drop in drops))
         # Each column is built only as the emit callback reaches it.
         columns = (
             (name, np.array([rec[slot] for rec in recs], dtype=dtype))
             for name, dtype, slot in self.columns
         )
-        if self.traces is not None:
+        if fleet is not None:
             attempts = np.array([rec[_FLS] + 1 for rec in recs], dtype=np.int64)
             columns = chain(columns, [("attempts", attempts)])
         rows = None
         if self.rows:
             rows = np.array([rec[_ROW] for rec in recs], dtype=np.int64)
-        lost = [(rec[_ROW], reason, at, rec[_FLS]) for rec, reason, at in drops]
-        self.emit(rows, columns, lost)
+        self.emit(rows, columns, [drop[1:] for drop in drops])
 
     def _end_of_stream(self) -> None:
         self.arrivals_done = True
@@ -831,11 +814,14 @@ class _DecodeCore:
             self._handle_heap_event(inf)
         # Fleet down for good with sealed work still queued: those
         # batches can never run, so their members strand.
+        stranded = 0
         while self.ready:
             batch = self.ready.popleft()
             self.in_flight_rejoiners -= batch[9]
             for rec in batch[1]:
-                self.dropped.append((rec, DROP_STRANDED, batch[8]))
+                key = (inf, stranded)
+                self.fleet.drop(key, rec[_ROW], DROP_STRANDED, batch[8], rec[_FLS])
+                stranded += 1
         assert not self.queues
         assert self.in_flight_rejoiners == 0 and self.pending_retries == 0
 
@@ -855,12 +841,8 @@ class _DecodeCore:
             timeout_triggered_batches=self.timeout_triggered,
             total_tokens=self.total_tokens,
         )
-        if self.faults is not None:
-            totals.update(
-                _fault_totals(
-                    self, self.faults, self.start_s, self.end_s, self.dropped_by_reason
-                )
-            )
+        if self.fleet is not None:
+            totals.update(self.fleet.totals(self.start_s, self.end_s))
         return totals
 
 

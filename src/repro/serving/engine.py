@@ -42,11 +42,12 @@ feeds it to a core and hands each flush to its sink.
 
 Faults hook into step 2.  Under a fault schedule a prefill table forms
 its vectorised batch chains for the whole table at once, and
-:class:`_FaultDispatch` dispatches them only to devices that are up,
-loses the batches whose device fails mid-service, retries or drops
-their members, and re-forms only the few batches a retry touches.
-Generative tables, and every stream under a schedule, run the decode
-core.
+:class:`_FaultDispatch` dispatches them in the reference's seal order
+and re-forms only the few batches a retry touches.  Where a batch may
+start, what a lost batch costs and whether each member retries or
+drops is the fleet model's (:class:`~repro.serving.faults.Fleet`),
+which the decode core shares.  Generative tables, and every stream
+under a schedule, run the decode core.
 
 The equivalence contract: for any stream, knobs, and device count,
 :func:`simulate_table` produces per-request records **exactly equal**
@@ -73,7 +74,6 @@ and the fault totals; the other columns and their names are shared.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain
@@ -84,16 +84,13 @@ import numpy as np
 from repro.obs.trace import TraceRecorder
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
 from repro.serving.faults import (
-    DROP_DEADLINE,
     DROP_REASON_NAMES,
-    DROP_RETRIES,
     DROP_STRANDED,
     DroppedRecord,
+    Fleet,
     _check_knobs,
-    _count_drops,
     _drop_columns,
     _emit_fault_trace,
-    _fault_totals,
 )
 from repro.serving.requests import (
     Request,
@@ -725,25 +722,19 @@ class _Reform:
 
 
 class _FaultDispatch:
-    """Phase 2 under a fault schedule: outage-aware dispatch with retries.
+    """Phase 2 under a fault schedule: chain order and re-formation.
 
     Dispatches phase 1's arrival-only batch chains in the global seal
-    order, like :func:`_dispatch`, under two more rules:
-
-    * **Availability.**  A batch sealed at ``s`` starts at the earliest
-      instant at or after ``max(s, free_at[d])`` at which device ``d``
-      is up, over all devices, ties to the lowest index.  Each such
-      instant is a seal, completion or recovery event of the reference
-      loop, so this is its event-time dispatch.  ``free_at`` holds
-      *effective* free times, with the outages that start while a
-      device idles or that kill its batch folded in, so the hot loop
-      is :func:`_place_batches` with one more value as its horizon:
-      ``nda``, the earliest outage start not folded in.  A fault-free
-      choice that starts and finishes before it is exact; the batch
-      that reaches it is placed exactly (:meth:`_run_batch`).
-    * **Loss.**  A batch whose device's next outage starts before it
-      finishes is lost at that instant, with the decode core's float
-      expressions; each member then retries or drops under the policy.
+    order, like :func:`_dispatch`, through a
+    :class:`~repro.serving.faults.Fleet`, which places each batch only
+    on a device that is up, books it or its loss, and retries or drops
+    a lost batch's members.  The fleet's free times are *effective*
+    ones, with the outages that start while a device idles or that
+    kill its batch folded in, so the hot loop is :func:`_place_batches`
+    over them with one more value as its horizon: the fleet's ``nda``,
+    the earliest outage start not folded in.  A fault-free choice that
+    starts and finishes before it is exact; the batch that reaches it
+    goes through the fleet (:meth:`_run_batch`).
 
     A retry re-joins its queue, so from the queue's first undispatched
     chain batch on a scalar batcher (:class:`_Reform`) applies the
@@ -759,24 +750,12 @@ class _FaultDispatch:
     rows that were lost.
     """
 
-    def __init__(self, faults, retry, num_devices, max_batch_size, max_wait_s):
-        self.traces = faults.traces
-        self.retry = retry
-        self.num_devices = num_devices
+    def __init__(self, fleet: Fleet, max_batch_size, max_wait_s):
+        self.fleet = fleet
         self.max_batch_size = max_batch_size
         self.max_wait_s = max_wait_s
-        self.free_at = [0.0] * num_devices
-        self.busy_s = [0.0] * num_devices
-        self.energy_by_device = [0.0] * num_devices
-        self.ptr = [0] * num_devices
-        self._absorb(0.0)
         self.dispatched = self.extra_batches = self.extra_size_triggered = 0
-        self.retries = self.failed_batches = 0
-        self.wasted_energy_pj = 0.0
         self.failures: Dict[int, int] = {}
-        #: ((failure instant, dispatch index, member), row, reason, instant)
-        self.drops: list = []
-        self.retry_events: list = []
         #: (retry instant, priority, (failure instant, dispatch index,
         #: member), row): the reference's RETRY order.
         self.heap: list = []
@@ -828,6 +807,7 @@ class _FaultDispatch:
         until a retry is pending; returns the next position."""
         order = self.order
         nb = order.size
+        fleet = self.fleet
         # The next loss may be a few batches away: blocks grow from
         # small, so a resumed run converts little that it abandons.
         block = 256
@@ -845,11 +825,11 @@ class _FaultDispatch:
             base = self.dispatched
             while True:
                 lo = len(starts)
-                _place_batches(batches, self.free_at, self.nda, starts, devices)
+                _place_batches(batches, fleet.free_at, fleet.nda, starts, devices)
                 j = len(starts)
                 placed = np.asarray(devices[lo:], dtype=np.int64)
-                _fold(self.busy_s, placed, service_block[lo:j])
-                _fold(self.energy_by_device, placed, self.energy_pj[idx[lo:j]])
+                _fold(fleet.busy_s, placed, service_block[lo:j])
+                _fold(fleet.energy_pj, placed, self.energy_pj[idx[lo:j]])
                 if j == idx.size:
                     break
                 # Batch j reaches the next outage: place it exactly,
@@ -983,99 +963,39 @@ class _FaultDispatch:
             self.eos = all(e[2][0] >= self.t_last for e in self.heap)
         return self.eos
 
-    def _absorb(self, x: float) -> None:
-        """Raise each device's free time to its first up instant at or
-        after ``x``, the start of the batch just placed, then refresh
-        ``nda``.
-
-        Later batches start at or after ``x`` (dispatch is FIFO), so the
-        earlier instants can no longer matter.
-        """
-        nda = float("inf")
-        for d, trace in enumerate(self.traces):
-            downs, ups = trace.down_s, trace.up_s
-            k = self.ptr[d]
-            t = self.free_at[d] = max(self.free_at[d], x)
-            while k < len(downs) and ups[k] <= t:
-                k += 1
-            if k < len(downs) and downs[k] <= t:
-                self.free_at[d] = ups[k]
-                k += 1
-            self.ptr[d] = k
-            if k < len(downs) and downs[k] < nda:
-                nda = downs[k]
-        self.nda = nda
-
-    def _place(self, sealed: float) -> Tuple[float, int]:
-        """Exact start and device of the next batch; device -1 when the
-        fleet never comes back."""
-        best = float("inf")
-        device = -1
-        for d, free in enumerate(self.free_at):
-            t = free if free > sealed else sealed
-            trace = self.traces[d]
-            k = bisect_right(trace.down_s, t) - 1
-            if k >= 0 and t < trace.up_s[k]:
-                t = trace.up_s[k]
-            if t < best:
-                best, device = t, d
-        if device >= 0:
-            self._absorb(best)
-        return best, device
-
     def _run_batch(self, sealed, service, energy, rows, cursor):
-        """Place one batch exactly; ``(start, finish, device)`` or None
-        when it is lost or stranded."""
-        start, device = self._place(sealed)
+        """Place one batch through the fleet; ``(start, finish, device)``,
+        or None when it is lost (each member then retries or drops) or
+        stranded."""
+        fleet = self.fleet
+        start, device = fleet.place(sealed)
         dispatched = self.dispatched
         self.dispatched += 1
         if device < 0:
             # Stranded: dropped after every loss, in seal order.
             for m, row in enumerate(rows):
                 key = (np.inf, dispatched, m)
-                self.drops.append((key, row, DROP_STRANDED, sealed))
+                fleet.drop(key, row, DROP_STRANDED, sealed, self.failures.get(row, 0))
             return None
-        finish = start + service
-        fail = self.traces[device].next_down_after(start)
-        if fail < finish:
-            self._lose(rows, start, device, fail, service, energy, dispatched, cursor)
-            return None
-        self.free_at[device] = finish
-        self.busy_s[device] += service
-        self.energy_by_device[device] += energy
-        return start, finish, device
-
-    def _lose(self, rows, start, device, fail, service, energy, dispatched, cursor):
-        """The device dies mid-batch: account the loss (the decode core's
-        float expressions), then retry or drop each member."""
-        lost = fail - start
-        trace = self.traces[device]
-        k = bisect_right(trace.down_s, start)
-        self.free_at[device] = trace.up_s[k]
-        self.ptr[device] = k + 1
-        self._absorb(start)
-        self.busy_s[device] += lost
-        self.wasted_energy_pj += energy * (lost / service)
-        self.failed_batches += 1
-        retry = self.retry
+        fail = fleet.run(device, start, service, energy)
+        if fail is None:
+            return start, start + service, device
         for m, row in enumerate(rows):
-            f = self.failures.get(row, 0) + 1
-            self.failures[row] = f
-            key = (fail, dispatched, m)
-            if f >= retry.max_attempts:
-                self.drops.append((key, row, DROP_RETRIES, fail))
-                continue
-            retry_at = fail + retry.backoff_s(f)
-            if retry_at > float(self.arrival_s[row]) + float(self.deadline_s[row]):
-                self.drops.append((key, row, DROP_DEADLINE, fail))
-                continue
+            f = self.failures[row] = self.failures.get(row, 0) + 1
             q = self.queue_of_row(row)
-            self.retries += 1
-            self.retry_events.append(
-                (key, (int(self.request_id[row]), retry_at, f + 1, self.specs[q].name))
+            key = (fail, dispatched, m)
+            retry_at = fleet.retry_or_drop(
+                key,
+                row,
+                f,
+                float(self.arrival_s[row]) + float(self.deadline_s[row]),
+                int(self.request_id[row]),
+                self.specs[q].name,
             )
-            heappush(self.heap, (retry_at, _RETRY, key, row))
-            self._reform_queue(q, cursor).retries += 1
+            if retry_at is not None:
+                heappush(self.heap, (retry_at, _RETRY, key, row))
+                self._reform_queue(q, cursor).retries += 1
+        return None
 
     def _reform_queue(self, q: int, cursor: int) -> _Reform:
         """The queue's scalar batcher, started at its first chain batch
@@ -1126,7 +1046,7 @@ class _FaultDispatch:
         del self.reform[q]
 
     # ------------------------------------------------------------------
-    def fault_columns(self, outcome: dict, faults, start_s: float):
+    def fault_columns(self, outcome: dict, start_s: float):
         """Overlay the re-formed batches and the drops on the scattered
         outcome columns; returns the fault columns and totals, and the
         end instant."""
@@ -1139,18 +1059,17 @@ class _FaultDispatch:
         attempts = np.ones(self.arrival_s.size, dtype=np.int64)
         for row, failures in self.failures.items():
             attempts[row] += failures
-        drops = [(row, reason, at) for _, row, reason, at in sorted(self.drops)]
-        dropped = [row for row, _, _ in drops]
+        drops = [drop[1:] for drop in sorted(self.fleet.drops)]
+        dropped = [drop[0] for drop in drops]
         attempts[dropped] -= 1
         for name in ("batched_s", "service_start_s", "finish_s"):
             outcome[name][dropped] = np.nan
         outcome["batch_size"][dropped] = 0
         outcome["device_id"][dropped] = -1
-        retry_events = [event for _, event in sorted(self.retry_events)]
-        columns = _drop_columns(drops, attempts.size, retry_events)
+        columns = _drop_columns(drops, attempts.size, self.fleet.retry_events())
         # Each row either finished or dropped: fmax skips the other NaN.
         end_s = float(np.fmax(outcome["finish_s"], columns["dropped_s"]).max())
-        totals = _fault_totals(self, faults, start_s, end_s, _count_drops(drops))
+        totals = self.fleet.totals(start_s, end_s)
         return dict(columns, attempts=attempts, **totals), end_s
 
 
@@ -1237,7 +1156,8 @@ def _table_under_faults(
         service = (setup_cycles + cost.cycles * size) / frequency_hz
         return service, cost.energy_pj * size
 
-    fault = _FaultDispatch(faults, retry, num_devices, max_batch_size, max_wait_s)
+    fleet = Fleet(faults, retry)
+    fault = _FaultDispatch(fleet, max_batch_size, max_wait_s)
     batches = (sealed_s, size_sealed, member_count, service_s, energy_pj)
     batch_start, batch_finish, batch_device = fault.run(
         (arrival_s, request_id, columns.get("deadline_s")),
@@ -1267,7 +1187,7 @@ def _table_under_faults(
         device_id=batch_device[batch_of_row],
     )
     start_s = float(arrival_s[0])
-    fault_columns, end_s = fault.fault_columns(outcome, faults, start_s)
+    fault_columns, end_s = fault.fault_columns(outcome, start_s)
     # Re-formed batches replace the chain batches they supersede.
     kept = ~fault.superseded
     num_batches = int(np.count_nonzero(kept)) + fault.extra_batches
@@ -1283,8 +1203,8 @@ def _table_under_faults(
         completed=completed,
         start_s=start_s,
         end_s=end_s,
-        device_busy_s=fault.busy_s,
-        device_energy_pj=fault.energy_by_device,
+        device_busy_s=fleet.busy_s,
+        device_energy_pj=fleet.energy_pj,
         batches=num_batches,
         prefill_batches=num_batches,
         decode_batches=0,
@@ -1592,10 +1512,10 @@ def simulate_table(
     faults.RetryPolicy`, default ``RetryPolicy()``) the decode core
     takes the schedule as its fault hook, while a prefill table forms
     every batch chain at once and :class:`_FaultDispatch` dispatches
-    them only to devices that are up, retries or drops lost batches'
-    members, and re-forms only the batches a retry touches.  The
-    result then covers every offered request with the fault columns
-    filled.
+    them and re-forms only the batches a retry touches; both engines
+    place, lose, retry and drop through one
+    :class:`~repro.serving.faults.Fleet`.  The result then covers every
+    offered request with the fault columns filled.
 
     ``recorder`` opts into sim-time tracing: the sampled requests'
     lifecycle spans are emitted from the finished columns after the
@@ -1655,7 +1575,7 @@ def _drive_table(
             core.admit({name: col[lo:hi] for name, col in columns.items()}, lo)
             core.flush(final=hi == n)
         if faults is not None:
-            outcome.update(_drop_columns(drops, n, core.retry_events))
+            outcome.update(_drop_columns(drops, n, core.fleet.retry_events()))
         result = ColumnarServingResult(
             specs=table.specs, **columns, **outcome, **core.totals()
         )
@@ -1752,7 +1672,8 @@ def simulate_stream(
     ``faults`` schedule the fault ones.  Under a schedule every stream
     runs the decode core, prefill chunks as one-token requests, while
     :func:`simulate_table` runs a prefill table under a schedule on
-    the batch engine; the fault tests diff the two.
+    the batch engine; both share one fleet model, and the fault tests
+    diff the two.
 
     The equivalence contract matches :func:`simulate_table`: for the
     same concatenated stream and knobs, every per-request column value,

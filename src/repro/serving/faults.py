@@ -35,22 +35,25 @@ retry policy as a fault hook, their ``faults=`` / ``retry=`` knobs.  A
 prefill table runs on the batch engine, whose outage-aware dispatch
 re-forms only the batches a retry touches; generative tables and every
 chunked stream run on the decode engine's event core
-(:class:`repro.serving.decode._DecodeCore`).  Both are pinned
-bitwise-equal to the reference under every schedule (and equal to the
-no-fault engines when the schedule is empty).  Fault runs come back as
-the one set of columnar result types (:mod:`repro.serving.engine`)
-with their fault columns and totals filled.  This module holds the
-schedule and policy types, the drop records and reason codes, the
-fault totals and trace helpers both engines share, and two thin
-wrappers kept for their names.  Conservation holds by construction:
-``completed + dropped == offered``.
+(:class:`repro.serving.decode._DecodeCore`).  Both fast engines place,
+book, lose, retry and drop through one fleet model, :class:`Fleet`,
+which holds the only copy of those rules outside the reference loop.
+Both are pinned bitwise-equal to the reference under every schedule
+(and equal to the no-fault engines when the schedule is empty).  Fault
+runs come back as the one set of columnar result types
+(:mod:`repro.serving.engine`) with their fault columns and totals
+filled.  This module holds the schedule and policy types, the fleet
+model, the drop records and reason codes, the drop-column and trace
+helpers both engines share, and two thin wrappers kept for their
+names.  Conservation holds by construction: ``completed + dropped ==
+offered``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,12 +103,21 @@ class RetryPolicy:
     backoff_multiplier: float = 2.0
 
     def __post_init__(self):
+        # Written so that NaN fails each check: a NaN or infinite
+        # backoff would put retries at NaN or infinite instants.
+        _require_integer("max_attempts", self.max_attempts)
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be positive")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
+        if not 0 <= self.backoff_base_s < _INF:
+            raise ValueError(
+                f"backoff_base_s must be finite and non-negative, "
+                f"got {self.backoff_base_s!r}"
+            )
+        if not 1.0 <= self.backoff_multiplier < _INF:
+            raise ValueError(
+                f"backoff_multiplier must be finite and >= 1, "
+                f"got {self.backoff_multiplier!r}"
+            )
 
     def backoff_s(self, failure_index: int) -> float:
         """Backoff after the ``failure_index``-th failure (1-based)."""
@@ -180,6 +192,7 @@ class FaultSchedule:
     @classmethod
     def none(cls, num_devices: int) -> "FaultSchedule":
         """An empty schedule: every device is up forever."""
+        _require_integer("num_devices", num_devices)
         if num_devices < 1:
             raise ValueError("at least one device required")
         return cls([DeviceFaultTrace(()) for _ in range(num_devices)])
@@ -201,12 +214,19 @@ class FaultSchedule:
         (outages whose *start* falls before ``horizon_s``), making
         chunked replays exact by construction.
         """
+        _require_integer("num_devices", num_devices)
         if num_devices < 1:
             raise ValueError("at least one device required")
-        if mtbf_s <= 0 or mttr_s <= 0:
-            raise ValueError("mtbf_s and mttr_s must be positive")
-        if horizon_s <= 0:
-            raise ValueError("horizon_s must be positive")
+        # Written so that NaN fails each check.  An infinite MTBF (no
+        # outages) or MTTR (no recovery) is legal; the horizon must be
+        # finite, or the draw never ends.
+        for name, value in (("mtbf_s", mtbf_s), ("mttr_s", mttr_s)):
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if not 0 < horizon_s < _INF:
+            raise ValueError(
+                f"horizon_s must be positive and finite, got {horizon_s!r}"
+            )
         traces = []
         for device in range(num_devices):
             rng = np.random.default_rng([seed, device])
@@ -293,40 +313,158 @@ def _check_knobs(
     return RetryPolicy() if retry is None else retry
 
 
-def _count_drops(drops, by_reason: Optional[Dict[str, int]] = None) -> Dict[str, int]:
-    """Drop counts per reason name over (row, reason code, instant) drops,
-    added onto ``by_reason`` if given."""
-    if by_reason is None:
-        by_reason = dict.fromkeys(DROP_REASON_NAMES.values(), 0)
-    for _, reason, _ in drops:
-        by_reason[DROP_REASON_NAMES[reason]] += 1
-    return by_reason
+class Fleet:
+    """A fleet under a fault schedule: the one copy of its rules that
+    both fast engines place, lose, retry and drop through.
 
+    The state is each device's *effective* free time -- the outages that
+    begin while it idles, or that kill its batch, are folded in -- a
+    pointer to each device's first outage not yet folded, and ``nda``,
+    the earliest such outage start over the fleet.  :meth:`place` must
+    be called at non-decreasing instants -- the batch engine's seal
+    order, the decode core's event times -- so earlier instants can no
+    longer matter, which is what makes the folding safe.
 
-def _fault_totals(
-    engine,
-    faults: FaultSchedule,
-    start_s: float,
-    end_s: float,
-    dropped_by_reason: Dict[str, int],
-) -> dict:
-    """A finished fault-mode run's totals, given its drop counts.
-
-    ``engine`` is either engine's finished fault state: it carries
-    ``retries``, ``failed_batches``, ``wasted_energy_pj`` and
-    ``num_devices``.
+    * :meth:`place` gives a batch sealed at ``s`` the earliest instant at
+      or after ``max(s, free time)`` at which a device is up, over all
+      devices, ties to the lowest index -- the reference loop's
+      event-time dispatch.  A placement that starts and finishes before
+      ``nda`` touches no outage, so the batch engine places those with
+      the fault-free kernel and the free times alone.
+    * :meth:`run` books a placed batch, or its loss when the device's
+      next outage begins before the batch finishes, with the reference
+      device's float expressions
+      (:meth:`~repro.serving.devices.SprintDevice.lose_step_batch`).
+    * :meth:`retry_or_drop` applies the :class:`RetryPolicy` to one
+      member of a lost batch, and :meth:`drop` logs a drop.  Both logs
+      are keyed so that sorting them gives the reference's event order.
     """
-    return dict(
-        dropped=sum(dropped_by_reason.values()),
-        dropped_by_reason=dropped_by_reason,
-        retries=engine.retries,
-        failed_batches=engine.failed_batches,
-        wasted_energy_pj=engine.wasted_energy_pj,
-        device_downtime_s=[
-            faults.downtime_within(d, start_s, end_s)
-            for d in range(engine.num_devices)
-        ],
-    )
+
+    def __init__(self, faults: FaultSchedule, retry: RetryPolicy):
+        self.traces = faults.traces
+        self.retry = retry
+        num_devices = len(faults)
+        self.free_at = [0.0] * num_devices
+        self.busy_s = [0.0] * num_devices
+        self.energy_pj = [0.0] * num_devices
+        self.ptr = [0] * num_devices
+        self._absorb(0.0)
+        self.retries = self.failed_batches = 0
+        self.wasted_energy_pj = 0.0
+        #: (key, row, reason code, instant, lost attempts) per drop; the
+        #: decode core drains it at every flush.
+        self.drops: list = []
+        self.dropped_by_reason = dict.fromkeys(DROP_REASON_NAMES.values(), 0)
+        #: (key, (request id, retry instant, attempt number, model name)).
+        self.retry_log: list = []
+
+    def _absorb(self, x: float) -> None:
+        """Raise each device's free time to its first up instant at or
+        after ``x``, the start of the batch just placed, then refresh
+        ``nda``."""
+        nda = _INF
+        for d, trace in enumerate(self.traces):
+            downs, ups = trace.down_s, trace.up_s
+            k = self.ptr[d]
+            t = self.free_at[d] = max(self.free_at[d], x)
+            while k < len(downs) and ups[k] <= t:
+                k += 1
+            if k < len(downs) and downs[k] <= t:
+                self.free_at[d] = ups[k]
+                k += 1
+            self.ptr[d] = k
+            if k < len(downs) and downs[k] < nda:
+                nda = downs[k]
+        self.nda = nda
+
+    def place(self, sealed: float) -> Tuple[float, int]:
+        """Start and device of a batch sealed at ``sealed``; device -1
+        (start inf) when the fleet never comes back."""
+        best = _INF
+        device = -1
+        for d, free in enumerate(self.free_at):
+            t = free if free > sealed else sealed
+            trace = self.traces[d]
+            k = bisect_right(trace.down_s, t) - 1
+            if k >= 0 and t < trace.up_s[k]:
+                t = trace.up_s[k]
+            if t < best:
+                best, device = t, d
+        if device >= 0:
+            self._absorb(best)
+        return best, device
+
+    def run(self, device: int, start: float, service: float, energy: float):
+        """Book the batch :meth:`place` just put on ``device`` at
+        ``start``; ``energy`` is the whole batch's.  Returns the failure
+        instant if the device dies mid-batch, else None.
+
+        A lost batch occupies its device until the failure, and its
+        partial energy is wasted, not delivered.
+        """
+        finish = start + service
+        trace = self.traces[device]
+        k = self.ptr[device]
+        fail = trace.down_s[k] if k < len(trace) else _INF
+        if fail < finish:
+            lost = fail - start
+            self.free_at[device] = trace.up_s[k]
+            self.ptr[device] = k + 1
+            self._absorb(start)
+            self.busy_s[device] += lost
+            self.wasted_energy_pj += energy * (lost / service)
+            self.failed_batches += 1
+            return fail
+        self.free_at[device] = finish
+        self.busy_s[device] += service
+        self.energy_pj[device] += energy
+        return None
+
+    def drop(self, key: tuple, row: int, reason: int, at: float, attempts: int) -> None:
+        """Log one dropped request: its stream row, reason code, drop
+        instant and lost attempts."""
+        self.drops.append((key, row, reason, at, attempts))
+        self.dropped_by_reason[DROP_REASON_NAMES[reason]] += 1
+
+    def retry_or_drop(
+        self, key: tuple, row: int, failures: int, deadline_s: float, request_id, model
+    ) -> Optional[float]:
+        """One member of a batch lost at ``key[0]``, its ``failures``-th
+        loss: returns its retry instant, or None if it drops.
+
+        ``key`` -- (failure instant, the lost batch's rank in its
+        engine's event order, member index) -- orders both logs, and
+        ``deadline_s`` is the request's absolute deadline (inf if none).
+        """
+        fail = key[0]
+        if failures >= self.retry.max_attempts:
+            self.drop(key, row, DROP_RETRIES, fail, failures)
+            return None
+        retry_at = fail + self.retry.backoff_s(failures)
+        if retry_at > deadline_s:
+            self.drop(key, row, DROP_DEADLINE, fail, failures)
+            return None
+        self.retries += 1
+        self.retry_log.append((key, (request_id, retry_at, failures + 1, model)))
+        return retry_at
+
+    def retry_events(self) -> list:
+        """The scheduled retries, in the reference's event order."""
+        return [event for _, event in sorted(self.retry_log)]
+
+    def totals(self, start_s: float, end_s: float) -> dict:
+        """The fault totals of a finished run over ``[start_s, end_s]``,
+        as :class:`~repro.serving.engine.StreamedServingResult` fields."""
+        return dict(
+            dropped=sum(self.dropped_by_reason.values()),
+            dropped_by_reason=self.dropped_by_reason,
+            retries=self.retries,
+            failed_batches=self.failed_batches,
+            wasted_energy_pj=self.wasted_energy_pj,
+            device_downtime_s=[
+                trace.downtime_within(start_s, end_s) for trace in self.traces
+            ],
+        )
 
 
 def _drop_columns(drops, n: int, retry_events) -> dict:

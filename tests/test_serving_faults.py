@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.configs import S_SPRINT
 from repro.core.system import ExecutionMode
+from repro.models.zoo import get_model
 from repro.obs.trace import TraceConfig, TraceRecorder
 from repro.serving import (
     BurstyProcess,
@@ -46,6 +47,7 @@ from repro.serving import (
     summarize,
     summarize_stream,
 )
+from repro.serving.faults import Fleet
 
 SEEDS = (0, 1, 7)
 DEVICE_COUNTS = (1, 2, 4)
@@ -305,6 +307,35 @@ class TestFaultEquivalence:
             d.reason == "stranded" for d in fast.dropped
         )
         assert len(fast.records) + len(fast.dropped) == 120
+
+    def test_stranded_generative_fleet_drops_everything_queued(self, cost_model):
+        # The decode core strands what the dead fleet can never run: its
+        # table and stream drivers against the reference loop.
+        table = generate_request_table(
+            PoissonProcess(120.0),
+            "BERT-B",
+            count=120,
+            seed=0,
+            mean_output_tokens=8.0,
+        )
+        cost_model.prime(table.specs[0], table.valid_len)
+        faults = FaultSchedule.from_intervals([[(0.1, np.inf)], [(0.1, np.inf)]])
+        fast, _ = assert_fault_runs_equal(
+            table, cost_model, faults, RetryPolicy(), 2, 2e-3
+        )
+        assert fast.records and fast.dropped
+        assert all(d.reason == "stranded" for d in fast.dropped)
+        assert len(fast.records) + len(fast.dropped) == 120
+        for chunk_size in (1, 7, 50):
+            assert_stream_equals_table(
+                table,
+                cost_model,
+                chunk_size,
+                faults=faults,
+                retry=RetryPolicy(),
+                num_devices=2,
+                max_wait_s=2e-3,
+            )
 
     def test_empty_schedule_equals_fault_free_run(self, cost_model):
         table = generate_request_table(
@@ -601,6 +632,79 @@ class TestFaultProperty:
 
 
 # ----------------------------------------------------------------------
+# the fleet model alone
+# ----------------------------------------------------------------------
+#: Prompt lengths the fleet property prices: batch services of 0.8 to
+#: 21 ms, long enough that many batches straddle an outage's start.
+FLEET_LENGTHS = (64, 128)
+
+
+def first_up(trace, t):
+    """Brute force: the first instant at or after ``t`` at which the
+    device is up -- ``t`` itself, or the end of an outage after it."""
+    candidates = [t] + [up for up in trace.up_s if up > t]
+    return next(instant for instant in candidates if trace.is_up(instant))
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestFleet:
+    @given(
+        intervals=st.lists(outage_intervals(), min_size=1, max_size=3),
+        batches=st.lists(
+            st.tuples(
+                st.integers(0, OUTAGE_SLOTS),
+                st.sampled_from(FLEET_LENGTHS),
+                st.integers(1, 8),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_place_and_run_equal_brute_force(self, cost_model, intervals, batches):
+        """Batches sealed at non-decreasing instants: every placement is
+        the brute-force scan's, and every booking or loss is the
+        reference device's (:meth:`SprintDevice.start_step_batch`,
+        :meth:`SprintDevice.lose_step_batch`), bitwise."""
+        faults = FaultSchedule.from_intervals(intervals)
+        fleet = Fleet(faults, RetryPolicy())
+        devices = [SprintDevice(d, cost_model) for d in range(len(intervals))]
+        spec = get_model("BERT-B")
+        wasted = 0.0
+        for slot, length, size in sorted(batches):
+            sealed = OUTAGE_GRID_S * slot
+            # Each device's first up instant at or after its raw free
+            # time (its last batch's finish or failure) and the seal.
+            firsts = [
+                first_up(trace, max(sealed, device.busy_until_s))
+                for trace, device in zip(faults.traces, devices)
+            ]
+            start, d = fleet.place(sealed)
+            if min(firsts) == np.inf:
+                assert (start, d) == (np.inf, -1)  # stranded
+                continue
+            assert (start, d) == (min(firsts), firsts.index(min(firsts)))
+            device, trace = devices[d], faults.traces[d]
+            service = device.step_service_time_s(spec, length, size, False)
+            energy = cost_model.sample_cost(spec, length).energy_pj * size
+            fail = fleet.run(d, start, service, energy)
+            down = trace.next_down_after(start)
+            if down < start + service:
+                assert fail == down
+                wasted += device.lose_step_batch(spec, length, size, False, start, down)
+                assert fleet.free_at[d] == first_up(trace, device.busy_until_s)
+            else:
+                assert fail is None
+                device.start_step_batch(spec, length, size, False, start)
+                assert fleet.free_at[d] == device.busy_until_s
+            assert _bits(fleet.busy_s) == _bits([dev.busy_s for dev in devices])
+            assert _bits(fleet.energy_pj) == _bits([dev.energy_pj for dev in devices])
+            assert _bits([fleet.wasted_energy_pj]) == _bits([wasted])
+
+
+# ----------------------------------------------------------------------
 # conservation properties: every fault run, any schedule
 # ----------------------------------------------------------------------
 class TestConservation:
@@ -894,6 +998,10 @@ class TestValidation:
             )
         with pytest.raises(ValueError, match="device"):
             FaultSchedule.none(0)
+        with pytest.raises(ValueError, match="num_devices"):
+            FaultSchedule.none(2.5)
+        with pytest.raises(ValueError, match="num_devices"):
+            FaultSchedule.exponential(2.5, mtbf_s=1.0, mttr_s=0.5, horizon_s=10.0)
 
     def test_negative_wait_rejected(self, cost_model, table):
         with pytest.raises(ValueError, match="max_wait_s"):
@@ -926,6 +1034,30 @@ class TestValidation:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(backoff_base_s=-1.0)
+        with pytest.raises(ValueError, match="max_attempts"):
+            RetryPolicy(max_attempts=2.5)
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="backoff_base_s"):
+                RetryPolicy(backoff_base_s=value)
+            with pytest.raises(ValueError, match="backoff_multiplier"):
+                RetryPolicy(backoff_multiplier=value)
+
+    def test_exponential_schedule_bounds_validation(self):
+        # NaN fails every check, and an infinite horizon is rejected: the
+        # draw would never end.  An infinite MTBF (no outages) or MTTR
+        # (a device that never recovers) stays legal.
+        bounds = dict(mtbf_s=1.0, mttr_s=0.5, horizon_s=10.0)
+        for name, value in [
+            ("mtbf_s", np.nan),
+            ("mttr_s", np.nan),
+            ("horizon_s", np.nan),
+            ("horizon_s", np.inf),
+        ]:
+            with pytest.raises(ValueError, match=name):
+                FaultSchedule.exponential(2, **dict(bounds, **{name: value}))
+        assert not len(FaultSchedule.exponential(2, **dict(bounds, mtbf_s=np.inf)).traces[0])
+        never = FaultSchedule.exponential(2, **dict(bounds, mttr_s=np.inf))
+        assert all(trace.up_s == (np.inf,) for trace in never.traces)
 
     def test_request_deadline_validation(self, table):
         from repro.serving import Request
