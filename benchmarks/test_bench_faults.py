@@ -5,12 +5,12 @@ stream, ``simulate_table`` called with ``faults=None`` (the default
 every existing caller hits) must stay within 10% of the direct
 fast-path call -- threading the fault machinery through the engines
 cannot slow the no-fault path.  The same alternating loop times fault
-mode on an *empty* schedule, which runs the batch engine's
-outage-aware dispatch (bitwise-equal results), and holds it within 3x
-of the direct path: a prefill table that fell back to the decode
-engine's event core would read ~20x.  Both ratios are appended to
-``benchmarks/BENCH_faults.json``; the empty-schedule seconds keep
-their historical key, ``empty_schedule_fault_core_s``.
+mode on an *empty* schedule, which runs the chunked prefill core's
+outage-aware dispatch, slice by slice (bitwise-equal results), and
+holds it within 3x of the direct path: a prefill table that fell back
+to the decode engine's event core would read ~20x.  Both ratios are
+appended to ``benchmarks/BENCH_faults.json``; the empty-schedule
+seconds keep their historical key, ``empty_schedule_fault_core_s``.
 
 The strict gates (and the JSON append) only arm under
 ``SPRINT_BENCH_GATE`` -- tier-1 collects this file too, and a loaded

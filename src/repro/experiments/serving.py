@@ -246,9 +246,9 @@ def simulate_point(point: ServingPoint) -> ServingReport:
     """One point, summarized.
 
     ``engine="fast"`` (the default) runs the point's request table
-    through :func:`~repro.serving.engine.simulate_table`: the columnar
-    batch engine, its outage-aware dispatch under faults, or the decode
-    engine for generative tables.  ``"reference"`` walks the
+    through :func:`~repro.serving.engine.simulate_table`: the chunked
+    prefill core, with its outage-aware dispatch under faults, or the
+    decode core for generative tables.  ``"reference"`` walks the
     per-request event loop instead; both produce identical reports --
     the reference exists to define the semantics and for equivalence
     testing.  ``"stream"`` runs the same point out-of-core: a chunked

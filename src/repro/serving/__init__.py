@@ -56,11 +56,11 @@ batch, affected requests re-enter their queue under a
 once their per-request deadline passes, and :func:`summarize` /
 :func:`summarize_stream` report availability, goodput, retries, and
 wasted energy.  Both drivers take ``faults=`` / ``retry=`` and stay
-bitwise-equal to the fault-threaded reference loop: a prefill table
-runs on the batch engine, whose dispatch then skips down devices and
-re-forms only the batches a retry touches, while generative tables
-and every stream run the decode core with the schedule as its fault
-hook.
+bitwise-equal to the fault-threaded reference loop on the same cores
+as without a schedule: prefill traffic, table or stream, runs the
+prefill core, whose dispatch then skips down devices and re-forms only
+the batches a retry touches, and generative traffic the decode core
+with the schedule as its fault hook.
 
 Every columnar run returns one of three types, one per role, whatever
 its traffic shape: :class:`ColumnarServingResult` (a whole table),

@@ -40,20 +40,20 @@ future step can ever join, pending queues flush immediately.
 The core takes the fault hook (:mod:`repro.serving.faults`): given a
 :class:`~repro.serving.faults.FaultSchedule` (``faults=``) and a
 :class:`~repro.serving.faults.RetryPolicy` (``retry=``), it dispatches
-through the batch engine's fleet model (:class:`~repro.serving.faults.
-Fleet`), which starts batches only on devices that are up, loses those
-whose device fails mid-service, and retries or drops their members --
-one step at a time, with macro-stepping off.  Generative traffic runs
-here with or without a schedule, and so does every stream under one:
-prefill chunks run as the ``output_len == 1`` degenerate case, while a
-prefill *table* under a schedule runs on the batch engine, whose batch
-formation depends on arrivals and retries only.  The fault tests diff
-the two engines on prefill traffic.
+through the fleet model it shares with the prefill core
+(:class:`~repro.serving.faults.Fleet`), which starts batches only on
+devices that are up, loses those whose device fails mid-service, and
+retries or drops their members -- one step at a time, with
+macro-stepping off.  Generative traffic runs here with or without a
+schedule; prefill traffic, table or stream, runs on the prefill core,
+whose batch formation depends on arrivals and retries only.
 
 :func:`simulate_decode_table` and :func:`simulate_decode_stream` are
 kept for their names: the two drivers on this core, for prefill
-traffic too, which then runs as one-token requests and gives a
-prefill-shaped result.
+traffic too, with or without a schedule, which then runs as the
+``output_len == 1`` degenerate case and gives a prefill-shaped
+result.  That makes this core the second engine the fault tests diff
+the prefill core against on prefill draws.
 """
 
 from __future__ import annotations
@@ -861,10 +861,10 @@ def simulate_decode_table(
 
     Kept for its name; bitwise equal to :meth:`~repro.serving.
     scheduler.GenerativeServingSimulator.run` over a
-    :class:`~repro.serving.batching.ContinuousBatcher`.  A fault-free
-    table without an ``output_len`` column runs here as one-token
-    requests and gives a prefill-shaped result; under a ``faults``
-    schedule it runs on the batch engine, as in ``simulate_table``.
+    :class:`~repro.serving.batching.ContinuousBatcher`.  A table
+    without an ``output_len`` column runs here as one-token requests,
+    with or without a ``faults`` schedule, and gives a prefill-shaped
+    result.
     """
     knobs = (cost_model, num_devices, max_batch_size, max_wait_s, setup_cycles)
     return _drive_table(table, knobs, recorder, faults, retry, decode=True)

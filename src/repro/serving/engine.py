@@ -28,26 +28,27 @@ batch granularity over a struct-of-arrays
    :func:`~repro.serving.metrics.summarize` consumes the result's
    columns directly.
 
-Fault-free prefill traffic runs all three steps in one chunked core,
-:class:`_PrefillCore`, over slices of (arrival, id)-sorted rows: a
-slice's rows join their queues, every batch no later arrival can
-change seals and dispatches, and its requests leave.  Generative
-traffic runs the decode engine's event core, which has the same
-interface (:func:`_core`).  The one table driver, :func:`simulate_table`,
-feeds a core row slices of the table's sorted columns and scatters
-each flush into the result's columns, so besides its result a table
-run holds about one slice's working set.  The one stream driver,
-:func:`simulate_stream`, checks each chunk (:func:`_checked_chunks`),
-feeds it to a core and hands each flush to its sink.
+Prefill traffic, with or without a fault schedule, runs all three
+steps in one chunked core, :class:`_PrefillCore`, over slices of
+(arrival, id)-sorted rows: a slice's rows join their queues, every
+batch no later arrival can change seals and dispatches, and its
+requests leave.  Generative traffic runs the decode engine's event
+core, which has the same interface (:func:`_core`).  The one table
+driver, :func:`simulate_table`, feeds a core row slices of the table's
+sorted columns and scatters each flush into the result's columns, so
+besides its result a table run holds about one slice's working set.
+The one stream driver, :func:`simulate_stream`, checks each chunk
+(:func:`_checked_chunks`), feeds it to a core and hands each flush to
+its sink.
 
-Faults hook into step 2.  Under a fault schedule a prefill table forms
-its vectorised batch chains for the whole table at once, and
-:class:`_FaultDispatch` dispatches them in the reference's seal order
-and re-forms only the few batches a retry touches.  Where a batch may
-start, what a lost batch costs and whether each member retries or
-drops is the fleet model's (:class:`~repro.serving.faults.Fleet`),
-which the decode core shares.  Generative tables, and every stream
-under a schedule, run the decode core.
+Faults hook into step 2.  Under a fault schedule a flush's batch
+chains are still the arrival-only ones, and :class:`_FaultDispatch`
+dispatches them in the reference's seal order, re-forms only the few
+batches a retry touches, and holds back what a later row could still
+change: a retry, or a re-formed batch, due past the next arrival.
+Where a batch may start, what a lost batch costs and whether each
+member retries or drops is the fleet model's
+(:class:`~repro.serving.faults.Fleet`), which the decode core shares.
 
 The equivalence contract: for any stream, knobs, and device count,
 :func:`simulate_table` produces per-request records **exactly equal**
@@ -56,7 +57,8 @@ floating-point expressions are evaluated in the same order, only
 batched.  ``tests/test_serving_engine.py`` pins this across arrival
 patterns, execution modes, seeds, device counts, and wait bounds,
 ``tests/test_serving_stream.py`` at every slice and chunk size, and
-``tests/test_serving_faults.py`` under fault schedules.
+``tests/test_serving_faults.py`` under fault schedules, at every slice
+and chunk size too.
 
 Every columnar run, whatever its traffic shape (prefill, generative,
 or under a fault schedule) and whichever engine ran it, comes back as
@@ -74,10 +76,11 @@ and the fault totals; the other columns and their names are shared.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -289,6 +292,7 @@ class ColumnarServingResult(CompletedChunk, StreamedServingResult):
                     )
                     for row in self.drop_order
                 ],
+                dropped_by_reason=dict(self.dropped_by_reason),
                 device_downtime_s=list(self.device_downtime_s),
                 retry_events=list(self.retry_events),
             )
@@ -538,7 +542,7 @@ def _form_queue(
     last_arrival_s: Optional[float] = None,
     horizon_s: Optional[float] = None,
 ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray, np.ndarray, int]:
-    """Phase 1 for one queue: seal batches and price them.
+    """Step 1 for one queue: seal batches and price them.
 
     Returns ``(formed, service_s, energy_pj, consumed)`` where
     ``formed`` is :func:`_form_batches` output (sans consumed count),
@@ -702,30 +706,60 @@ _TIMEOUT = 2
 _RETRY = 5
 
 
+class _Row(NamedTuple):
+    """A request on the fault dispatcher's scalar paths (lost, or
+    admitted by a re-formed queue): the members
+    :meth:`_PrefillCore.admit` holds under a schedule, then its queue."""
+
+    row: int
+    arrival_s: float
+    valid_len: int
+    request_id: int
+    spec_idx: int
+    #: Absolute deadline: arrival plus the request's deadline (inf if none).
+    deadline_s: float
+    queue: int
+
+
+#: The chain part of a flush that seals from no queue, under a schedule:
+#: the batch columns of :data:`_BATCH_COLS`, then :class:`_Row`'s members.
+_EMPTY_PART = tuple(
+    np.empty(0, dtype) for dtype in "f8 ? f8 i8 f8 f8 i8 i8 f8 i8 i8 i8 f8".split()
+)
+
+
+def _extend(col: np.ndarray, values) -> np.ndarray:
+    """``col`` followed by the scalars ``values``, in ``col``'s dtype."""
+    return np.concatenate((col, np.array(values, dtype=col.dtype)))
+
+
 class _Reform:
     """One queue's scalar batcher while retries re-form its batches:
-    the first chain batch it replaces, the next arrival to admit (an
-    index into the queue's rows), the open batch's rows in admission
-    order, its oldest member's ready instant, the key of the event that
-    opened it (the reference batcher's queue order), and the retries
-    scheduled into the queue but not yet admitted."""
+    the first chain batch of the flush it replaces, the next row to
+    admit (an index into the queue's rows of the flush), the open
+    batch's rows in admission order, its oldest member's ready instant,
+    the key of the event that opened it (the reference batcher's queue
+    order), and the retries scheduled into the queue but not yet
+    admitted."""
 
     __slots__ = ("first", "pos", "members", "ready", "created", "retries")
 
     def __init__(self, first: int, pos: int):
         self.first = first
         self.pos = pos
-        self.members: List[int] = []
+        self.members: List[_Row] = []
         self.ready = 0.0
         self.created: tuple = ()
         self.retries = 0
 
 
 class _FaultDispatch:
-    """Phase 2 under a fault schedule: chain order and re-formation.
+    """Dispatch under a fault schedule, one flush at a time: chain order
+    and re-formation.
 
-    Dispatches phase 1's arrival-only batch chains in the global seal
-    order, like :func:`_dispatch`, through a
+    Each flush hands over the arrival-only batch chains it sealed, which
+    are the fault-free core's, and this dispatches them in the global
+    seal order, like :func:`_dispatch`, through a
     :class:`~repro.serving.faults.Fleet`, which places each batch only
     on a device that is up, books it or its loss, and retries or drops
     a lost batch's members.  The fleet's free times are *effective*
@@ -739,79 +773,145 @@ class _FaultDispatch:
     A retry re-joins its queue, so from the queue's first undispatched
     chain batch on a scalar batcher (:class:`_Reform`) applies the
     reference rules to the merged arrivals and retries, until the queue
-    sits on a chain batch start again with no retry pending.  While any
-    retry is pending the next batch is the one with the smallest seal
-    key -- (instant, event priority, event key, phase within the event,
-    opening event) -- over the chains and the re-formed queues, which
-    is the reference's seal order.  This is causal: a retry lands after
-    its lost batch started, so a loss is known before any batch it can
-    change is next, and so is the pending-retry count that decides the
-    end-of-stream flush.  Per-request fault state is kept only for the
-    rows that were lost.
+    sits on a chain batch start, or on its unsealed tail, again with no
+    retry pending.  While any queue re-forms the next batch is the one
+    with the smallest seal key -- (instant, event priority, event key,
+    phase within the event, opening event) -- over the chains and the
+    re-formed queues, which is the reference's seal order.  This is
+    causal: a retry lands after its lost batch started, so a loss is
+    known before any batch it can change is next, and so is the
+    pending-retry count that decides the end-of-stream flush.
+
+    A flush dispatches only what ranks before its bound, the key of the
+    next row's arrival: every chain batch it sealed does, and a later
+    row's batches and arrivals do not.  A retry or re-formed timeout at
+    or past the bound waits, with the re-formed queues and the
+    per-request state of the rows that were lost, for the next flush;
+    the final flush applies both end-of-stream rules and dispatches
+    everything.
     """
 
-    def __init__(self, fleet: Fleet, max_batch_size, max_wait_s):
+    def __init__(self, fleet: Fleet, specs, knobs: tuple, rows: bool):
         self.fleet = fleet
-        self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_s
-        self.dispatched = self.extra_batches = self.extra_size_triggered = 0
+        self.specs = specs
+        #: :class:`_PrefillCore`'s knobs: cost model, batch size and wait
+        #: bounds, set-up cycles, clock frequency.
+        self.knobs = knobs
+        _, self.max_batch_size, self.max_wait_s, _, _ = knobs
+        #: The member columns a flush returns: the stream index, then the
+        #: request columns unless the core emits rows.
+        self.width = 1 if rows else 5
+        self.dispatched = self.batches = self.size_triggered = 0
         self.failures: Dict[int, int] = {}
         #: (retry instant, priority, (failure instant, dispatch index,
         #: member), row): the reference's RETRY order.
         self.heap: list = []
         self.reform: Dict[int, _Reform] = {}
-        #: (rows, sealed, start, finish, device) of re-formed batches run.
+        #: (sealed, start, finish, size, device) per re-formed batch the
+        #: flush ran to completion, and their rows in order.
         self.reformed: list = []
+        self.reformed_rows: List[_Row] = []
+        #: The last arrival and the end-of-stream flush at it (a seal key
+        #: less its opening event; empty, so no queue opens before it,
+        #: until the final flush), and whether that flush happens: None
+        #: until a batch it would seal is next.
+        self.t_last = np.inf
+        self.eos_key: tuple = ()
+        self.eos: Optional[bool] = None
 
-    def run(self, request, queues, batches, price, queue_of_row):
-        """Dispatch every batch; returns chain ``(start, finish, device)``.
+    def flush(self, pends, parts, last_arrival_s: float, admitted: int, final):
+        """Dispatch one flush's chain batches, merged with the re-formed
+        queues and the retries in seal-key order, up to the next row's
+        arrival: row ``admitted`` at or after ``last_arrival_s``, or the
+        end of the stream when ``final``.
 
-        ``request`` holds the sorted request columns, ``queues`` one
-        ``(spec, rows, chain starts)`` per active queue, ``batches`` the
-        chain columns in queue order, ``price(spec, rows)`` a re-formed
-        batch's (service, energy) and ``queue_of_row`` a row's queue.
+        ``pends`` holds each queue's rows the flush sealed from (its
+        member columns, or None), and ``parts`` each queue's sealed
+        chain part (:meth:`_PrefillCore._seal`, or None).  Returns the
+        completed batches' outcome values, their members' leading
+        ``width`` columns and each member's attempts.
         """
-        self.arrival_s, self.request_id, self.deadline_s = request
-        if self.deadline_s is None:
-            self.deadline_s = np.broadcast_to(np.inf, self.arrival_s.shape)
-        self.specs, self.rows, self.chain_start = (list(c) for c in zip(*queues))
-        self.offsets = np.cumsum([0] + [starts.size for starts in self.chain_start])
-        self.member_start = np.concatenate(self.chain_start)
-        self.price = price
-        self.queue_of_row = queue_of_row
-        sealed, by_size, counts, service, energy, tie_arrival, tie_id = batches
+        bound = None if final else (last_arrival_s, _ARRIVAL, admitted)
+        if final:
+            self.t_last = last_arrival_s
+            self.eos_key = (last_arrival_s, _ARRIVAL, admitted - 1, 2)
+        self.pends = pends
+        self.consumed = [0 if p is None else p[_BATCH_COLS].size for p in parts]
+        self.offsets = np.cumsum([0] + [0 if p is None else p[0].size for p in parts])
+        parts = [p for p in parts if p is not None] or [_EMPTY_PART]
+        cols = [c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*parts)]
+        sealed, by_size, tie_a, tie_i, service, energy, counts = cols[:_BATCH_COLS]
         self.sealed_s, self.size_sealed, self.member_count = sealed, by_size, counts
         self.service_s, self.energy_pj = service, energy
+        #: Each chain batch's first row, an index into its queue's pend.
+        self.member_start = np.concatenate([np.cumsum(p[6]) - p[6] for p in parts])
         nb = sealed.size
-        self.order = np.lexsort((tie_id, tie_arrival, ~by_size, sealed))
+        self.order = np.lexsort((tie_i, tie_a, ~by_size, sealed))
         self.rank = np.empty(nb, dtype=np.int64)
         self.rank[self.order] = np.arange(nb)
         self.superseded = np.zeros(nb, dtype=bool)
         self.batch_start = np.empty(nb, dtype=np.float64)
         self.batch_finish = np.empty(nb, dtype=np.float64)
-        self.batch_device = np.empty(nb, dtype=np.int64)
-        n = self.arrival_s.size
-        self.t_last = float(self.arrival_s[n - 1])
-        #: The end-of-stream flush at the last arrival (a seal key less
-        #: its opening event), and whether it happens: None until a
-        #: batch it would seal is next.
-        self.eos_key = (self.t_last, _ARRIVAL, n - 1, 2)
-        self.eos: Optional[bool] = None
+        self.batch_device = np.full(nb, -1, dtype=np.int64)
+        for q, st in list(self.reform.items()):
+            if not (st.members or st.retries):
+                self._hand_back(q, st)
         p = 0
         while p < nb or self.heap or self.reform:
-            p = self._merge(self._hot(p))
-        return self.batch_start, self.batch_finish, self.batch_device
+            p = self._merge(self._hot(p), bound)
+            if self.heap or self.reform:
+                break  # the rest waits for a later flush
+        kept = ~self.superseded
+        self.batches += int(np.count_nonzero(kept))
+        self.size_triggered += int(np.count_nonzero(by_size & kept))
+        for q, st in self.reform.items():
+            st.first = 0
+            st.pos -= self.consumed[q]
+        # Completed chain batches (lost and superseded ones have no
+        # device), then the re-formed ones; a chain batch's members
+        # never failed.
+        start, finish, device = self.batch_start, self.batch_finish, self.batch_device
+        done = device >= 0
+        keep = np.repeat(done, counts)
+        reformed = list(zip(*self.reformed)) or [()] * 5
+        values = [
+            _extend(v[done], e)
+            for v, e in zip((sealed, start, finish, counts, device), reformed)
+        ]
+        rows = self.reformed_rows
+        fields = list(zip(*rows)) or [()] * self.width
+        member_cols = cols[_BATCH_COLS : _BATCH_COLS + self.width]
+        members = [_extend(m[keep], e) for m, e in zip(member_cols, fields)]
+        attempts = _extend(
+            np.ones(np.count_nonzero(keep), dtype=np.int64),
+            [1 + self.failures.pop(row.row, 0) for row in rows],
+        )
+        self.reformed, self.reformed_rows = [], []
+        self.pends = self.sealed_s = self.service_s = self.energy_pj = None
+        return values, members, attempts
+
+    def drops(self, horizon_s: Optional[float]) -> list:
+        """The logged drops no later flush can precede, in the reference's
+        order, as (row, reason code, instant, lost attempts): those at or
+        before ``horizon_s`` -- a later flush's batch seals at or after
+        it, so it fails after it -- or all at the final flush (None)."""
+        drops = sorted(self.fleet.drops)
+        cut = len(drops)
+        if horizon_s is not None:
+            cut = bisect_right([drop[0][0] for drop in drops], horizon_s)
+        self.fleet.drops = drops[cut:]
+        return [drop[1:] for drop in drops[:cut]]
 
     def _hot(self, p: int) -> int:
         """Chain batches in global order from position ``p``, block-wise,
-        until a retry is pending; returns the next position."""
+        while no queue re-forms; returns the next position."""
         order = self.order
         nb = order.size
         fleet = self.fleet
         # The next loss may be a few batches away: blocks grow from
         # small, so a resumed run converts little that it abandons.
         block = 256
-        while p < nb and not self.heap:
+        while p < nb and not (self.heap or self.reform):
             hi = min(p + block, nb)
             block = min(2 * block, _DISPATCH_BLOCK)
             kept = np.flatnonzero(~self.superseded[order[p:hi]])
@@ -839,7 +939,7 @@ class _FaultDispatch:
                     sealed[j],
                     service[j],
                     float(self.energy_pj[idx[j]]),
-                    self._chain_rows(int(idx[j])),
+                    int(idx[j]),
                     p + int(kept[j]) + 1,
                 )
                 start, _, device = out or (np.nan, 0.0, -1)
@@ -857,8 +957,9 @@ class _FaultDispatch:
             p = hi if m == idx.size else p + int(kept[m - 1]) + 1
         return p
 
-    def _merge(self, p: int) -> int:
-        """Dispatch in seal-key order while any retry is pending."""
+    def _merge(self, p: int, bound) -> int:
+        """Dispatch in seal-key order while any queue re-forms, up to
+        ``bound``; returns the next chain position."""
         order = self.order
         nb = order.size
         w = self.max_wait_s
@@ -874,9 +975,9 @@ class _FaultDispatch:
                     chain, chain_key = b, self._chain_key(b)
                 events.append((chain_key, "chain", -1))
             for qid, st in self.reform.items():
-                if st.pos < self.rows[qid].size:
-                    r = int(self.rows[qid][st.pos])
-                    key = (float(self.arrival_s[r]), _ARRIVAL, r)
+                pend = self.pends[qid]
+                if pend is not None and st.pos < pend[0].size:
+                    key = (float(pend[1][st.pos]), _ARRIVAL, int(pend[0][st.pos]))
                     events.append((key, "arrival", qid))
                 if st.members and w > 0:
                     key = (st.ready + w, _TIMEOUT, 0, 0, st.created)
@@ -885,9 +986,13 @@ class _FaultDispatch:
                     events.append((self.eos_key + (st.created,), "eos", qid))
             if self.heap:
                 events.append((self.heap[0][:3], "retry", -1))
+            if not events:
+                return p
             best, kind, q = min(events, key=lambda event: event[0])
+            if bound is not None and best >= bound:
+                return p
             if kind == "chain":
-                qid = int(np.searchsorted(self.offsets, chain, side="right")) - 1
+                qid = self._queue_of(chain)
                 if qid in self.reform:
                     # Re-formation covers this queue's rows from here on.
                     self.superseded[chain] = True
@@ -901,7 +1006,7 @@ class _FaultDispatch:
                         float(self.sealed_s[chain]),
                         float(self.service_s[chain]),
                         float(self.energy_pj[chain]),
-                        self._chain_rows(chain),
+                        chain,
                         p,
                     )
                     if out is not None:
@@ -910,8 +1015,9 @@ class _FaultDispatch:
                         self.batch_device[chain] = out[2]
             elif kind == "arrival":
                 st = self.reform[q]
+                row = self._row(q, st.pos)
                 st.pos += 1
-                self._admit(q, st, best[2], best[0], best, p)
+                self._admit(q, st, row, best[0], best, p)
             elif kind == "timeout":
                 self._seal(q, self.reform[q], best[0], False, p)
             elif kind == "eos":
@@ -919,10 +1025,9 @@ class _FaultDispatch:
                     self._seal(q, self.reform[q], self.t_last, False, p)
             else:
                 at, _, key, row = heappop(self.heap)
-                q = self.queue_of_row(row)
-                st = self.reform[q]
+                st = self.reform[row.queue]
                 st.retries -= 1
-                self._admit(q, st, row, at, (at, _RETRY, key), p)
+                self._admit(row.queue, st, row, at, (at, _RETRY, key), p)
                 if at >= self.t_last and all(e[2][0] > at for e in self.heap):
                     # No retry pending after the last arrival: every open
                     # queue flushes, in creation order.
@@ -936,23 +1041,28 @@ class _FaultDispatch:
         return p
 
     # ------------------------------------------------------------------
-    def _chain_rows(self, b: int) -> List[int]:
-        q = int(np.searchsorted(self.offsets, b, side="right")) - 1
+    def _queue_of(self, b: int) -> int:
+        return int(np.searchsorted(self.offsets, b, side="right")) - 1
+
+    def _row(self, q: int, i: int) -> _Row:
+        return _Row(*(col[i].item() for col in self.pends[q]), q)
+
+    def _chain_rows(self, b: int) -> List[_Row]:
+        q = self._queue_of(b)
         lo = int(self.member_start[b])
-        return self.rows[q][lo : lo + int(self.member_count[b])].tolist()
+        return [self._row(q, i) for i in range(lo, lo + int(self.member_count[b]))]
 
     def _chain_key(self, b: int) -> tuple:
         """Seal key of chain batch ``b`` (see the class docstring)."""
-        q = int(np.searchsorted(self.offsets, b, side="right")) - 1
-        rows = self.rows[q]
+        index, arrival = self.pends[self._queue_of(b)][:2]
         lo = int(self.member_start[b])
         sealed = float(self.sealed_s[b])
         if self.size_sealed[b]:
-            return (sealed, _ARRIVAL, int(rows[lo + int(self.member_count[b]) - 1]), 0)
-        r = int(rows[lo])
+            return (sealed, _ARRIVAL, int(index[lo + int(self.member_count[b]) - 1]), 0)
+        r = int(index[lo])
         if self.max_wait_s == 0:
             return (sealed, _ARRIVAL, r, 1)
-        created = (float(self.arrival_s[r]), _ARRIVAL, r)
+        created = (float(arrival[lo]), _ARRIVAL, r)
         if sealed == self.t_last:
             return self.eos_key + (created,)
         return (sealed, _TIMEOUT, 0, 0, created)
@@ -966,52 +1076,60 @@ class _FaultDispatch:
     def _run_batch(self, sealed, service, energy, rows, cursor):
         """Place one batch through the fleet; ``(start, finish, device)``,
         or None when it is lost (each member then retries or drops) or
-        stranded."""
+        stranded.  ``rows`` lists its members, or is the index of the
+        chain batch it is, whose members are read only then."""
         fleet = self.fleet
         start, device = fleet.place(sealed)
         dispatched = self.dispatched
         self.dispatched += 1
+        fail = None if device < 0 else fleet.run(device, start, service, energy)
+        if device >= 0 and fail is None:
+            return start, start + service, device
+        if isinstance(rows, int):
+            rows = self._chain_rows(rows)
         if device < 0:
             # Stranded: dropped after every loss, in seal order.
             for m, row in enumerate(rows):
                 key = (np.inf, dispatched, m)
-                fleet.drop(key, row, DROP_STRANDED, sealed, self.failures.get(row, 0))
+                failures = self.failures.pop(row.row, 0)
+                fleet.drop(key, row.row, DROP_STRANDED, sealed, failures)
             return None
-        fail = fleet.run(device, start, service, energy)
-        if fail is None:
-            return start, start + service, device
         for m, row in enumerate(rows):
-            f = self.failures[row] = self.failures.get(row, 0) + 1
-            q = self.queue_of_row(row)
+            f = self.failures[row.row] = self.failures.get(row.row, 0) + 1
             key = (fail, dispatched, m)
             retry_at = fleet.retry_or_drop(
                 key,
-                row,
+                row.row,
                 f,
-                float(self.arrival_s[row]) + float(self.deadline_s[row]),
-                int(self.request_id[row]),
-                self.specs[q].name,
+                row.deadline_s,
+                row.request_id,
+                self.specs[row.queue].name,
             )
-            if retry_at is not None:
+            if retry_at is None:
+                del self.failures[row.row]
+            else:
                 heappush(self.heap, (retry_at, _RETRY, key, row))
-                self._reform_queue(q, cursor).retries += 1
+                self._reform_queue(row.queue, cursor).retries += 1
         return None
 
     def _reform_queue(self, q: int, cursor: int) -> _Reform:
         """The queue's scalar batcher, started at its first chain batch
-        at or after global position ``cursor`` if it has none yet."""
+        at or after global position ``cursor`` -- or at its unsealed
+        tail -- if it has none yet."""
         st = self.reform.get(q)
         if st is None:
             lo, hi = int(self.offsets[q]), int(self.offsets[q + 1])
             first = int(np.searchsorted(self.rank[lo:hi], cursor))
             while lo + first < hi and self.superseded[lo + first]:
                 first += 1
-            starts = self.chain_start[q]
-            pos = int(starts[first]) if first < starts.size else self.rows[q].size
+            if lo + first < hi:
+                pos = int(self.member_start[lo + first])
+            else:
+                pos = self.consumed[q]
             st = self.reform[q] = _Reform(first, pos)
         return st
 
-    def _admit(self, q, st: _Reform, row: int, now: float, created, cursor) -> None:
+    def _admit(self, q, st: _Reform, row: _Row, now: float, created, cursor) -> None:
         if not st.members:
             st.ready = now
             st.created = created
@@ -1024,196 +1142,38 @@ class _FaultDispatch:
     def _seal(self, q, st: _Reform, now: float, by_size: bool, cursor) -> None:
         rows = st.members
         st.members = []
-        self.extra_batches += 1
-        self.extra_size_triggered += by_size
-        service, energy = self.price(self.specs[q], rows)
+        self.batches += 1
+        self.size_triggered += by_size
+        service, energy = self._price(self.specs[q], rows)
         out = self._run_batch(now, service, energy, rows, cursor)
         if out is not None:
-            self.reformed.append((rows, now) + out)
-        if st.members or st.retries:
-            return
-        # Hand back to the chain once the queue sits on a chain batch
-        # start (one the end-of-stream rule still seals as formed).
-        starts = self.chain_start[q]
+            self.reformed.append((now, out[0], out[1], len(rows), out[2]))
+            self.reformed_rows.extend(rows)
+        if not (st.members or st.retries):
+            self._hand_back(q, st)
+
+    def _price(self, spec, rows: List[_Row]) -> Tuple[float, float]:
+        """A re-formed batch's (service, energy), with :func:`_form_queue`'s
+        expressions."""
+        cost_model, _, _, setup_cycles, frequency_hz = self.knobs
+        cost = cost_model.sample_cost(spec, max(row.valid_len for row in rows))
+        size = len(rows)
+        return (setup_cycles + cost.cycles * size) / frequency_hz, cost.energy_pj * size
+
+    def _hand_back(self, q: int, st: _Reform) -> None:
+        """Hand an idle queue back to its chain once it sits on a chain
+        batch start (one the end-of-stream rule still seals as formed)
+        or on its unsealed tail, where the chain resumes."""
+        lo, hi = int(self.offsets[q]), int(self.offsets[q + 1])
+        starts = self.member_start[lo:hi]
         j = int(np.searchsorted(starts, st.pos))
-        lo = int(self.offsets[q])
-        if st.pos < self.rows[q].size:
+        if st.pos != self.consumed[q]:
             if j == starts.size or starts[j] != st.pos:
                 return
             if self.eos is False and self._chain_key(lo + j)[:4] == self.eos_key:
                 return
         self.superseded[lo + st.first : lo + j] = True
         del self.reform[q]
-
-    # ------------------------------------------------------------------
-    def fault_columns(self, outcome: dict, start_s: float):
-        """Overlay the re-formed batches and the drops on the scattered
-        outcome columns; returns the fault columns and totals, and the
-        end instant."""
-        for rows, sealed, start, finish, device in self.reformed:
-            outcome["batched_s"][rows] = sealed
-            outcome["service_start_s"][rows] = start
-            outcome["finish_s"][rows] = finish
-            outcome["batch_size"][rows] = len(rows)
-            outcome["device_id"][rows] = device
-        attempts = np.ones(self.arrival_s.size, dtype=np.int64)
-        for row, failures in self.failures.items():
-            attempts[row] += failures
-        drops = [drop[1:] for drop in sorted(self.fleet.drops)]
-        dropped = [drop[0] for drop in drops]
-        attempts[dropped] -= 1
-        for name in ("batched_s", "service_start_s", "finish_s"):
-            outcome[name][dropped] = np.nan
-        outcome["batch_size"][dropped] = 0
-        outcome["device_id"][dropped] = -1
-        columns = _drop_columns(drops, attempts.size, self.fleet.retry_events())
-        # Each row either finished or dropped: fmax skips the other NaN.
-        end_s = float(np.fmax(outcome["finish_s"], columns["dropped_s"]).max())
-        totals = self.fleet.totals(start_s, end_s)
-        return dict(columns, attempts=attempts, **totals), end_s
-
-
-def _table_under_faults(
-    specs,
-    columns: dict,
-    cost_model: ServiceCostModel,
-    num_devices: int,
-    max_batch_size: int,
-    max_wait_s: float,
-    setup_cycles: int,
-    faults,
-    retry,
-) -> ColumnarServingResult:
-    """A prefill table under a fault schedule, in three whole-table phases.
-
-    ``columns`` holds the table's request columns in (arrival, id)
-    order (:func:`_sorted_columns`).
-    """
-    request_id = columns["request_id"]
-    arrival_s = columns["arrival_s"]
-    spec_idx = columns["spec_idx"]
-    valid_len = columns["valid_len"]
-    n = arrival_s.size
-    last_arrival_s = float(arrival_s[n - 1])
-    frequency_hz = cost_model.config.frequency_ghz * 1e9
-
-    # ------------------------------------------------------------------
-    # Phase 1: per-model batch formation (device-independent).  One
-    # queue per model *name*, like the reference batcher: a spec list
-    # may carry the same model under several indices (a mix that
-    # repeats a model), and those requests share one queue.
-    # ------------------------------------------------------------------
-    queue_specs, queue_of_spec = _queue_map(specs)
-    rows_list = _group_rows(spec_idx, queue_of_spec, len(queue_specs))
-    active = [qid for qid in range(len(queue_specs)) if rows_list[qid].size]
-
-    model_rows: List[np.ndarray] = []
-    model_slices: List[Tuple[int, int]] = []
-    form_columns: List[Tuple[np.ndarray, ...]] = []
-    service_parts: List[np.ndarray] = []
-    energy_parts: List[np.ndarray] = []
-    total = 0
-    for qid in active:
-        rows = rows_list[qid]
-        formed, service, energy, _consumed = _form_queue(
-            arrival_s[rows],
-            request_id[rows],
-            valid_len[rows],
-            queue_specs[qid],
-            cost_model,
-            max_batch_size,
-            max_wait_s,
-            setup_cycles,
-            frequency_hz,
-            last_arrival_s=last_arrival_s,
-        )
-        model_rows.append(rows)
-        model_slices.append((total, total + formed[0].size))
-        form_columns.append(formed)
-        service_parts.append(service)
-        energy_parts.append(energy)
-        total += formed[0].size
-
-    member_count = np.concatenate([f[1] for f in form_columns])
-    sealed_s = np.concatenate([f[2] for f in form_columns])
-    size_sealed = np.concatenate([f[3] for f in form_columns])
-    tie_arrival = np.concatenate([f[4] for f in form_columns])
-    tie_id = np.concatenate([f[5] for f in form_columns])
-    service_s = np.concatenate(service_parts)
-    energy_pj = np.concatenate(energy_parts)
-
-    # ------------------------------------------------------------------
-    # Phase 2: outage-aware dispatch over batches in global seal order.
-    # ------------------------------------------------------------------
-    queue_pos = np.full(len(queue_specs), -1, dtype=np.int64)
-    queue_pos[active] = np.arange(len(active))
-    spec_queue = queue_pos[queue_of_spec]
-
-    def price(spec, rows: List[int]) -> Tuple[float, float]:
-        # _form_queue's expressions, for one re-formed batch.
-        cost = cost_model.sample_cost(spec, int(valid_len[rows].max()))
-        size = len(rows)
-        service = (setup_cycles + cost.cycles * size) / frequency_hz
-        return service, cost.energy_pj * size
-
-    fleet = Fleet(faults, retry)
-    fault = _FaultDispatch(fleet, max_batch_size, max_wait_s)
-    batches = (sealed_s, size_sealed, member_count, service_s, energy_pj)
-    batch_start, batch_finish, batch_device = fault.run(
-        (arrival_s, request_id, columns.get("deadline_s")),
-        [
-            (queue_specs[qid], rows, f[0])
-            for qid, rows, f in zip(active, model_rows, form_columns)
-        ],
-        batches + (tie_arrival, tie_id),
-        price,
-        lambda row: int(spec_queue[spec_idx[row]]),
-    )
-
-    # ------------------------------------------------------------------
-    # Phase 3: per-batch outcomes become per-request columns.  A model's
-    # batches tile its sorted rows in formation order, so one repeat()
-    # per model maps every row to its batch, and each column is one
-    # gather through that map.
-    # ------------------------------------------------------------------
-    batch_of_row = np.empty(n, dtype=np.int64)
-    for rows, (lo, hi) in zip(model_rows, model_slices):
-        batch_of_row[rows] = np.repeat(np.arange(lo, hi), member_count[lo:hi])
-    outcome = dict(
-        batched_s=sealed_s[batch_of_row],
-        service_start_s=batch_start[batch_of_row],
-        finish_s=batch_finish[batch_of_row],
-        batch_size=member_count[batch_of_row],
-        device_id=batch_device[batch_of_row],
-    )
-    start_s = float(arrival_s[0])
-    fault_columns, end_s = fault.fault_columns(outcome, start_s)
-    # Re-formed batches replace the chain batches they supersede.
-    kept = ~fault.superseded
-    num_batches = int(np.count_nonzero(kept)) + fault.extra_batches
-    size_triggered = (
-        int(np.count_nonzero(size_sealed & kept)) + fault.extra_size_triggered
-    )
-    completed = n - fault_columns["dropped"]
-    return ColumnarServingResult(
-        specs=specs,
-        **columns,
-        **outcome,
-        **fault_columns,
-        completed=completed,
-        start_s=start_s,
-        end_s=end_s,
-        device_busy_s=fleet.busy_s,
-        device_energy_pj=fleet.energy_pj,
-        batches=num_batches,
-        prefill_batches=num_batches,
-        decode_batches=0,
-        size_triggered_batches=size_triggered,
-        timeout_triggered_batches=num_batches - size_triggered,
-        total_tokens=completed,
-    )
-
-
 
 
 # ----------------------------------------------------------------------
@@ -1224,17 +1184,16 @@ def _table_under_faults(
 #: Column layout of a per-queue batch "part": batch-level arrays first
 #: (sealed, by_size, tie_arrival, tie_id, service, energy, counts),
 #: then the member-level arrays :meth:`_PrefillCore.admit` took
-#: (arrival, tie key, valid_len, then the spec index when it carries
-#: request columns), aligned with ``counts``.
+#: (:class:`_Row`'s leading fields), aligned with ``counts``.
 _BATCH_COLS = 7
 
 #: Per-request outcome columns, in the order :meth:`_PrefillCore.flush`
 #: holds their per-batch values.
 _OUTCOMES = ("batched_s", "service_start_s", "finish_s", "batch_size", "device_id")
 
-#: The members of a core that emits request columns: the id is the tie
-#: key.
-_MEMBERS = ("arrival_s", "request_id", "valid_len", "spec_idx")
+#: The request columns a core that emits them reads off the members
+#: after the stream index.
+_MEMBERS = ("arrival_s", "valid_len", "request_id", "spec_idx")
 
 
 @dataclass
@@ -1251,7 +1210,7 @@ class _QueueState:
 
 
 class _PrefillCore:
-    """The fault-free prefill engine over slices of (arrival, id)-sorted rows.
+    """The prefill engine over slices of (arrival, id)-sorted rows.
 
     Carries only the O(devices + open batches) frontier between
     slices: one :class:`_QueueState` per model queue, the device free
@@ -1263,8 +1222,14 @@ class _PrefillCore:
     could still change, and dispatch carries its state across flushes,
     so the flush sequence is bitwise equal to one whole-stream pass at
     any slicing.  Slices must follow each other in (arrival, id)
-    order.  The interface is every core's (:func:`_core`); this one
-    runs without a fault schedule only.
+    order.  The interface is every core's (:func:`_core`).
+
+    Under a ``faults`` schedule (``retry`` is its policy) a
+    :class:`_FaultDispatch` dispatches each flush's batches through one
+    :class:`~repro.serving.faults.Fleet`, and also carries the retry
+    heap, the re-formed queues and the lost rows' failure counts; the
+    flush then emits each completed request's ``attempts`` and the
+    drops no later flush can precede.
     """
 
     def __init__(
@@ -1280,7 +1245,6 @@ class _PrefillCore:
         faults=None,
         retry=None,
     ):
-        assert faults is None and retry is None
         queue_specs, self.queue_of_spec = _queue_map(specs)
         self.queues = [_QueueState(spec) for spec in queue_specs]
         self.knobs = (
@@ -1297,44 +1261,57 @@ class _PrefillCore:
         self.start_s: Optional[float] = None
         self.end_s = -np.inf
         self.last_arrival_s = -np.inf
+        #: Rows admitted so far: the next row's stream index.
+        self.admitted = 0
         self.emit = emit
         self.rows = rows
+        self.fault: Optional[_FaultDispatch] = None
+        if faults is not None:
+            self.fleet = Fleet(faults, retry)
+            self.busy_s = self.fleet.busy_s
+            self.energy_by_device = self.fleet.energy_pj
+            self.fault = _FaultDispatch(self.fleet, queue_specs, self.knobs, rows)
 
     def admit(self, request: Dict[str, np.ndarray], base: int) -> None:
         """Append one sorted slice's rows to their queues' pending tails.
 
-        A row's members are its arrival, a tie key and its valid
-        length, which formation reads, plus its spec index when the
-        core emits request columns.  The tie key breaks same-instant
-        seal ties (see :func:`_form_batches`), so among equal arrivals
-        it must rise as the request id does: it is the row's stream
-        index when the core emits rows, and the id otherwise.
+        A row's members are :class:`_Row`'s fields: its stream index,
+        arrival and valid length, which formation reads, then its
+        request id and spec index unless the core emits rows, and under
+        a schedule both of those and its absolute deadline.  The stream
+        index is the tie key that breaks same-instant seal ties (see
+        :func:`_form_batches`): among equal arrivals it rises as the
+        request id does.
         """
         arrival = request["arrival_s"]
         if self.start_s is None:
             self.start_s = float(arrival[0])
-        if self.rows:
-            key = np.arange(base, base + arrival.size)
-            members = (arrival, key, request["valid_len"])
-        else:
-            members = tuple(request[name] for name in _MEMBERS)
+        members = (np.arange(base, base + arrival.size), arrival, request["valid_len"])
+        if self.fault is not None or not self.rows:
+            members += (request["request_id"], request["spec_idx"])
+        if self.fault is not None:
+            deadline = request.get("deadline_s")
+            members += (arrival + (np.inf if deadline is None else deadline),)
         rows_list = _group_rows(
             request["spec_idx"], self.queue_of_spec, len(self.queues)
         )
         for q, rows in zip(self.queues, rows_list):
             if not rows.size:
                 continue
-            new = tuple(col[rows] for col in members)
+            new = members
+            if rows.size < arrival.size:
+                new = tuple(col[rows] for col in members)
             if q.pend is not None:
                 new = tuple(map(np.concatenate, zip(q.pend, new)))
             q.pend = new
         self.last_arrival_s = float(arrival[-1])
+        self.admitted = base + arrival.size
 
     def _seal(self, q: _QueueState, horizon_s, last_arrival_s):
         """Seal and price what is certain in one queue: its part, or None."""
         if q.pend is None:
             return None
-        arr, key, vlen = q.pend[:3]
+        key, arr, vlen = q.pend[:3]
         formed, service, energy, consumed = _form_queue(
             arr,
             key,
@@ -1366,50 +1343,67 @@ class _PrefillCore:
         otherwise a timeout sealed here precedes the horizon, and a
         later batch seals at or after it -- at it only as a timeout,
         ranked after this flush's size seals, or as a size seal
-        anchored on a later row.  Nothing is emitted when nothing
-        seals.  Each outcome column is repeated out of its per-batch
-        values only as the emit callback reaches it.
+        anchored on a later row.
+
+        Under a schedule :meth:`_FaultDispatch.flush` dispatches what
+        ranks before the next row's arrival, its bound, and the
+        completed requests leave with their attempts, together with the
+        drops no later flush can precede.  Nothing is emitted when
+        nothing completes or drops.  Each outcome column is repeated
+        out of its per-batch values only as the emit callback reaches
+        it.
         """
         horizon_s = None if final else self.last_arrival_s
         last_arrival_s = self.last_arrival_s if final else None
-        parts = []
-        for q in self.queues:
-            part = self._seal(q, horizon_s, last_arrival_s)
-            if part is not None:
-                parts.append(part)
-        if not parts:
-            return
-        cols = [c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*parts)]
-        del parts  # the pieces, before dispatch and emit
-        sealed, by_size, tie_a, tie_i, service, energy, counts = cols[:_BATCH_COLS]
-        start, finish, device = _dispatch(
-            sealed,
-            service,
-            energy,
-            by_size,
-            tie_a,
-            tie_i,
-            self.free_at,
-            self.busy_s,
-            self.energy_by_device,
-        )
-        members = cols[_BATCH_COLS:]
-        self.completed += int(members[0].size)
-        self.batches += int(sealed.size)
-        self.size_triggered += int(np.count_nonzero(by_size))
-        self.end_s = max(self.end_s, float(np.max(finish)))
-        values = (sealed, start, finish, counts, device)
-        outcome = (
-            (name, np.repeat(value, counts)) for name, value in zip(_OUTCOMES, values)
-        )
-        if self.rows:
-            self.emit(members[1], outcome, ())
+        pends = [q.pend for q in self.queues]
+        parts = [self._seal(q, horizon_s, last_arrival_s) for q in self.queues]
+        fault = self.fault
+        if fault is None:
+            parts = [part for part in parts if part is not None]
+            if not parts:
+                return
+            cols = [c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*parts)]
+            del parts, pends  # the pieces, before dispatch and emit
+            sealed, by_size, tie_a, tie_i, service, energy, counts = cols[:_BATCH_COLS]
+            start, finish, device = _dispatch(
+                sealed,
+                service,
+                energy,
+                by_size,
+                tie_a,
+                tie_i,
+                self.free_at,
+                self.busy_s,
+                self.energy_by_device,
+            )
+            values = (sealed, start, finish, counts, device)
+            self.batches += int(sealed.size)
+            self.size_triggered += int(np.count_nonzero(by_size))
+            members, extra, drops = cols[_BATCH_COLS:], [], []
         else:
-            self.emit(None, chain(zip(_MEMBERS, members), outcome), ())
+            values, members, attempts = fault.flush(
+                pends, parts, self.last_arrival_s, self.admitted, final
+            )
+            del parts, pends
+            self.batches, self.size_triggered = fault.batches, fault.size_triggered
+            drops = fault.drops(horizon_s)
+            if not (attempts.size or drops):
+                return
+            extra = [("attempts", attempts)]
+        done = int(members[0].size)
+        self.completed += done
+        ends = [float(np.max(values[2]))] if done else []
+        self.end_s = max([self.end_s, *ends, *(drop[2] for drop in drops)])
+        batch = np.repeat(np.arange(values[3].size), values[3])
+        outcome = chain(((name, v[batch]) for name, v in zip(_OUTCOMES, values)), extra)
+        if self.rows:
+            self.emit(members[0], outcome, drops)
+        else:
+            self.emit(None, chain(zip(_MEMBERS, members[1:]), outcome), drops)
 
     def totals(self) -> dict:
         """The run totals, as :class:`StreamedServingResult` fields."""
-        return dict(
+        totals = dict(
             completed=self.completed,
             start_s=self.start_s,
             end_s=self.end_s,
@@ -1422,6 +1416,9 @@ class _PrefillCore:
             timeout_triggered_batches=self.batches - self.size_triggered,
             total_tokens=self.completed,
         )
+        if self.fault is not None:
+            totals.update(self.fleet.totals(self.start_s, self.end_s))
+        return totals
 
 
 # ----------------------------------------------------------------------
@@ -1438,8 +1435,9 @@ class _PrefillCore:
 #: 16% slower, 131,072-row ones no faster.
 _SLICE_ROWS = 65_536
 
-#: An integer outcome column's value on a dropped row; times are NaN.
-_DROPPED_FILL = {"batch_size": 0, "device_id": -1, "decode_slots": 0, "attempts": 0}
+#: An integer outcome column's value on a dropped row; times are NaN
+#: and ``attempts`` counts the lost ones.
+_DROPPED_FILL = {"batch_size": 0, "device_id": -1, "decode_slots": 0}
 
 
 def _sorted_columns(table: RequestTable) -> Dict[str, np.ndarray]:
@@ -1453,9 +1451,11 @@ def _sorted_columns(table: RequestTable) -> Dict[str, np.ndarray]:
 
 
 def _core(decode: bool):
-    """The chunked core a driver feeds: :class:`_PrefillCore`, or the
-    decode module's ``_DecodeCore``, looked up there at each call so
-    that a prefill run never imports it.
+    """The chunked core a driver feeds: :class:`_PrefillCore` for
+    prefill traffic, or the decode module's ``_DecodeCore`` for
+    generative traffic, with or without a fault schedule.  The decode
+    core is looked up there at each call, so that a prefill run never
+    imports it.
 
     Both are built as ``core(specs, *knobs, emit, rows=False,
     faults=None, retry=None)``.  ``admit(request, base)`` feeds one
@@ -1467,7 +1467,8 @@ def _core(decode: bool):
     array) pairs, a value per completed request: the outcome columns,
     plus the request columns unless the core was built with ``rows``,
     which then gives their stream indices (else None).  ``drops``
-    lists (row, reason code, instant, lost attempts).
+    lists (row, reason code, instant, lost attempts), in the
+    reference's drop order across flushes.
     """
     if not decode:
         return _PrefillCore
@@ -1509,11 +1510,11 @@ def simulate_table(
 
     Under a ``faults`` schedule (a :class:`~repro.serving.faults.
     FaultSchedule`; ``retry`` customizes its :class:`~repro.serving.
-    faults.RetryPolicy`, default ``RetryPolicy()``) the decode core
-    takes the schedule as its fault hook, while a prefill table forms
-    every batch chain at once and :class:`_FaultDispatch` dispatches
-    them and re-forms only the batches a retry touches; both engines
-    place, lose, retry and drop through one
+    faults.RetryPolicy`, default ``RetryPolicy()``) the same core takes
+    the schedule as its fault hook: the prefill core dispatches each
+    slice's batches through :class:`_FaultDispatch`, which re-forms
+    only the batches a retry touches, and the decode core steps
+    through it; both place, lose, retry and drop through one
     :class:`~repro.serving.faults.Fleet`.  The result then covers every
     offered request with the fault columns filled.
 
@@ -1532,8 +1533,8 @@ def _drive_table(
 ) -> ColumnarServingResult:
     """The table driver: :func:`simulate_table` with its ``knobs``
     (cost model, devices, batch size and wait bounds, set-up cycles),
-    and with ``decode`` the decode core for a fault-free prefill table
-    too.
+    and with ``decode`` the decode core for a prefill table too, with
+    or without a schedule.
 
     The last slice goes straight to the end-of-stream flush, so a table
     of one slice is sealed by that flush alone.
@@ -1544,41 +1545,38 @@ def _drive_table(
     if has_duplicate_ids(table.request_id):
         raise ValueError("duplicate request id in stream")
     columns = _sorted_columns(table)
-    generative = table.output_len is not None
-    if faults is not None and not generative:
-        result = _table_under_faults(table.specs, columns, *knobs, faults, retry)
-    else:
-        n = len(table)
-        # The outcome columns are allocated at the first flush, after
-        # its formation temporaries are gone, so a table of one slice
-        # peaks no higher than a whole-table pass would.
-        outcome: Dict[str, np.ndarray] = {}
-        drops: list = []
+    n = len(table)
+    # The outcome columns are allocated at the first flush, after its
+    # formation temporaries are gone, so a table of one slice peaks no
+    # higher than a whole-table pass would.
+    outcome: Dict[str, np.ndarray] = {}
+    drops: list = []
 
-        def scatter(rows, done, dropped) -> None:
-            for name, value in done:
-                col = outcome.get(name)
-                if col is None:
-                    col = outcome[name] = np.empty(n, dtype=value.dtype)
-                    if faults is not None:
-                        col.fill(_DROPPED_FILL.get(name, np.nan))
-                col[rows] = value
-            for row, _, _, attempts in dropped:
-                outcome["attempts"][row] = attempts
-            drops.extend(dropped)
+    def scatter(rows, done, dropped) -> None:
+        for name, value in done:
+            col = outcome.get(name)
+            if col is None:
+                col = outcome[name] = np.empty(n, dtype=value.dtype)
+            col[rows] = value
+        drops.extend(dropped)
 
-        core = _core(decode or generative)(
-            table.specs, *knobs, scatter, rows=True, faults=faults, retry=retry
-        )
-        for lo in range(0, n, _SLICE_ROWS):
-            hi = min(lo + _SLICE_ROWS, n)
-            core.admit({name: col[lo:hi] for name, col in columns.items()}, lo)
-            core.flush(final=hi == n)
-        if faults is not None:
-            outcome.update(_drop_columns(drops, n, core.fleet.retry_events()))
-        result = ColumnarServingResult(
-            specs=table.specs, **columns, **outcome, **core.totals()
-        )
+    core = _core(decode or table.output_len is not None)(
+        table.specs, *knobs, scatter, rows=True, faults=faults, retry=retry
+    )
+    for lo in range(0, n, _SLICE_ROWS):
+        hi = min(lo + _SLICE_ROWS, n)
+        core.admit({name: col[lo:hi] for name, col in columns.items()}, lo)
+        core.flush(final=hi == n)
+    if faults is not None:
+        # Every other row completed, so only the dropped ones are filled.
+        dropped = [drop[0] for drop in drops]
+        fill = dict(_DROPPED_FILL, attempts=[drop[3] for drop in drops])
+        for name, col in outcome.items():
+            col[dropped] = fill.get(name, np.nan)
+        outcome.update(_drop_columns(drops, n, core.fleet.retry_events()))
+    result = ColumnarServingResult(
+        specs=table.specs, **columns, **outcome, **core.totals()
+    )
     if recorder is not None:
         _record_spans(recorder, result)
         if faults is not None:
@@ -1669,11 +1667,9 @@ def simulate_stream(
 
     A generative stream (its chunks carry an ``output_len`` column)
     fills the generative columns and totals of the same types, and a
-    ``faults`` schedule the fault ones.  Under a schedule every stream
-    runs the decode core, prefill chunks as one-token requests, while
-    :func:`simulate_table` runs a prefill table under a schedule on
-    the batch engine; both share one fleet model, and the fault tests
-    diff the two.
+    ``faults`` schedule the fault ones.  A stream runs the core its
+    concatenated table would, with or without a schedule: prefill
+    chunks the prefill core, generative ones the decode core.
 
     The equivalence contract matches :func:`simulate_table`: for the
     same concatenated stream and knobs, every per-request column value,
@@ -1704,7 +1700,7 @@ def _drive_stream(
 
     for specs, base, request in _checked_chunks(chunks, faults is not None):
         if core is None:
-            on_decode = decode or faults is not None or "output_len" in request
+            on_decode = decode or "output_len" in request
             core = _core(on_decode)(specs, *knobs, emit, faults=faults, retry=retry)
         core.admit(request, base)
         core.flush()

@@ -31,10 +31,10 @@ Both serving paths understand fault schedules: the per-request
 reference loop (:mod:`repro.serving.scheduler`) defines the semantics,
 and the columnar drivers (:func:`repro.serving.engine.simulate_table`
 and :func:`repro.serving.engine.simulate_stream`) take the schedule and
-retry policy as a fault hook, their ``faults=`` / ``retry=`` knobs.  A
-prefill table runs on the batch engine, whose outage-aware dispatch
-re-forms only the batches a retry touches; generative tables and every
-chunked stream run on the decode engine's event core
+retry policy as a fault hook, their ``faults=`` / ``retry=`` knobs.
+Prefill traffic, table or stream, runs on the chunked prefill core,
+whose outage-aware dispatch re-forms only the batches a retry touches;
+generative traffic runs on the decode engine's event core
 (:class:`repro.serving.decode._DecodeCore`).  Both fast engines place,
 book, lose, retry and drop through one fleet model, :class:`Fleet`,
 which holds the only copy of those rules outside the reference loop.
@@ -321,7 +321,7 @@ class Fleet:
     begin while it idles, or that kill its batch, are folded in -- a
     pointer to each device's first outage not yet folded, and ``nda``,
     the earliest such outage start over the fleet.  :meth:`place` must
-    be called at non-decreasing instants -- the batch engine's seal
+    be called at non-decreasing instants -- the prefill core's seal
     order, the decode core's event times -- so earlier instants can no
     longer matter, which is what makes the folding safe.
 
@@ -329,7 +329,7 @@ class Fleet:
       or after ``max(s, free time)`` at which a device is up, over all
       devices, ties to the lowest index -- the reference loop's
       event-time dispatch.  A placement that starts and finishes before
-      ``nda`` touches no outage, so the batch engine places those with
+      ``nda`` touches no outage, so the prefill core places those with
       the fault-free kernel and the free times alone.
     * :meth:`run` books a placed batch, or its loss when the device's
       next outage begins before the batch finishes, with the reference
@@ -547,11 +547,11 @@ def simulate_faulty_stream(
     """:func:`~repro.serving.engine.simulate_stream` under ``faults``.
 
     Kept for its name; ``simulate_stream(..., faults=, retry=)`` is the
-    entry point.  Every stream under a schedule runs the decode core,
-    prefill chunks as one-token requests.  Chunking never changes the
-    computation, so totals and per-request values are bitwise equal to
-    :func:`simulate_faulty_table` on the concatenated stream at any
-    chunk size, though a prefill table runs on the batch engine.
+    entry point.  A stream runs the core its concatenated table would:
+    prefill chunks the prefill core, generative ones the decode core.
+    Chunking never changes the computation, so totals and per-request
+    values are bitwise equal to :func:`simulate_faulty_table` on the
+    concatenated stream at any chunk size.
     """
     from repro.serving.engine import _drive_stream
 

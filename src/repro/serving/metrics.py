@@ -35,7 +35,6 @@ import numpy as np
 from repro.obs.streaming import Counter, StreamingHistogram
 from repro.serving.devices import DEFAULT_SETUP_CYCLES, ServiceCostModel
 from repro.serving.engine import ColumnarServingResult, simulate_stream
-from repro.serving.faults import DROP_REASON_NAMES
 from repro.serving.requests import RequestTable
 from repro.serving.scheduler import GenerativeResult, ServingResult
 
@@ -294,7 +293,6 @@ def summarize(
             sizes = result.batch_size[keep]
         if faulted:
             attempts = result.attempts[keep]
-            dropped_by_reason = dict(result.dropped_by_reason)
     else:
         records = result.records
         generative = isinstance(result, GenerativeResult)
@@ -310,9 +308,6 @@ def summarize(
             sizes = np.array([rec.batch_size for rec in records], dtype=np.int64)
         if faulted:
             attempts = np.array([rec.attempts for rec in records], dtype=np.int64)
-            dropped_by_reason = dict.fromkeys(DROP_REASON_NAMES.values(), 0)
-            for dropped in result.dropped:
-                dropped_by_reason[dropped.reason] += 1
     if generative:
         tbts = tbts[np.isfinite(tbts)]
         mean_batch = result.total_tokens / result.batches if result.batches else 0.0
@@ -330,6 +325,7 @@ def summarize(
     fault_counts = None
     if faulted:
         retried_lat = latencies[attempts >= 2]
+        dropped_by_reason = dict(result.dropped_by_reason)
         fault_counts = (dropped_by_reason, int(retried_lat.size), _stats(retried_lat))
     return _report(
         result,

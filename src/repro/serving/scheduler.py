@@ -66,6 +66,8 @@ class ServingResult:
     #: :class:`~repro.serving.faults.DroppedRecord` per given-up
     #: request, in drop order.
     dropped: list = field(default_factory=list)
+    #: Dropped requests per reason name (empty on fault-free runs).
+    dropped_by_reason: Dict[str, int] = field(default_factory=dict)
     #: Per-device outage seconds within [start_s, end_s] (empty on
     #: fault-free runs).
     device_downtime_s: List[float] = field(default_factory=list)
@@ -173,6 +175,7 @@ class ServingSimulator:
                 dataclasses.replace(d, request=by_id[d.request.request_id])
                 for d in result.dropped
             ],
+            dropped_by_reason=result.dropped_by_reason,
             device_downtime_s=result.device_downtime_s,
             retry_events=result.retry_events,
         )
@@ -252,6 +255,7 @@ class GenerativeResult:
     failed_batches: int = 0
     wasted_energy_pj: float = 0.0
     dropped: list = field(default_factory=list)
+    dropped_by_reason: Dict[str, int] = field(default_factory=dict)
     device_downtime_s: List[float] = field(default_factory=list)
     retry_events: list = field(default_factory=list)
 
@@ -352,7 +356,7 @@ class GenerativeServingSimulator:
         failed_batches = 0
         wasted_energy_pj = 0.0
         if faults is not None:
-            from repro.serving.faults import DroppedRecord
+            from repro.serving.faults import DROP_REASON_NAMES, DroppedRecord
 
         for r in requests:
             queue.push(r.arrival_s, EventKind.ARRIVAL, r)
@@ -546,6 +550,7 @@ class GenerativeServingSimulator:
             if r.request_id not in dropped_ids
         ]
         assert len(result_records) + len(dropped) == len(requests)
+        dropped_by_reason: Dict[str, int] = {}
         if faults is None:
             end_s = max(rec.finish_s for rec in result_records)
         else:
@@ -553,6 +558,9 @@ class GenerativeServingSimulator:
                 [rec.finish_s for rec in result_records]
                 + [d.dropped_s for d in dropped]
             )
+            dropped_by_reason = dict.fromkeys(DROP_REASON_NAMES.values(), 0)
+            for d in dropped:
+                dropped_by_reason[d.reason] += 1
         if self.recorder is not None:
             for rec in result_records:
                 self.recorder.add_request(
@@ -599,6 +607,7 @@ class GenerativeServingSimulator:
             failed_batches=failed_batches,
             wasted_energy_pj=wasted_energy_pj,
             dropped=dropped,
+            dropped_by_reason=dropped_by_reason,
             device_downtime_s=(
                 []
                 if faults is None

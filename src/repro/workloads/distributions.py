@@ -110,6 +110,7 @@ def calibrated_score_matrix(
     *,
     locality: float = 0.8,
     rng: Optional[np.random.Generator] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Score matrix whose top ``1 - pruning_rate`` entries show locality.
 
@@ -129,8 +130,24 @@ def calibrated_score_matrix(
     drawn one row block at a time, in row order: ``rng`` hands out the
     same normals as one ``(seq_len, seq_len)`` draw and ends in the same
     state, without a second matrix-sized array.
+
+    With ``out``, a contiguous 1-d float64 array of at least
+    ``seq_len ** 2`` elements, the matrix is built in its first
+    ``seq_len ** 2`` elements and returned as a view of them.
     """
     _check_locality(locality)
+    square = seq_len * seq_len
+    if out is None:
+        out = np.empty(square)
+    elif not (
+        out.dtype == np.float64
+        and out.ndim == 1
+        and out.flags.c_contiguous
+        and out.size >= square
+    ):
+        raise ValueError(
+            f"out must be a contiguous 1-d float64 array of at least {square} elements"
+        )
     rng = rng or np.random.default_rng(0)
     key_profile = rng.normal(0.0, 1.0, size=seq_len)
     drift = rng.normal(0.0, _DRIFT_SIGMA, size=(seq_len, 1))
@@ -139,7 +156,7 @@ def calibrated_score_matrix(
         count = len(range(*rows.indices(seq_len)))
         return rng.normal(0.0, 1.0, size=(count, seq_len))
 
-    scores = np.empty((seq_len, seq_len))
+    scores = out[:square].reshape(seq_len, seq_len)
     return _assemble_scores(scores, key_profile, drift, independent_rows, locality)
 
 

@@ -110,15 +110,18 @@ def structured_keep_mask(
     locality: float = 0.8,
     causal: bool = False,
     rng: Optional[np.random.Generator] = None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One ``(s, s)`` keep mask with calibrated rate and spatial locality.
 
     For ``causal`` models the upper triangle is masked before threshold
     calibration, so the pruning rate is met within the causal region.
+    ``out`` is the scratch buffer of the score matrix, as in
+    :func:`~repro.workloads.distributions.calibrated_score_matrix`.
     """
     rng = rng or np.random.default_rng(0)
     scores = calibrated_score_matrix(
-        seq_len, pruning_rate, locality=locality, rng=rng
+        seq_len, pruning_rate, locality=locality, rng=rng, out=out
     )
     return _keep_mask(scores, pruning_rate, causal)
 
@@ -147,6 +150,15 @@ def generate_random_masks(
         np.put_along_axis(mask, kept[:, :keep_per_query], True, axis=1)
         masks.append(mask)
     return masks
+
+
+#: Half-width of the uniform jitter around a workload's padding ratio.
+_PADDING_JITTER = 0.05
+
+
+def _valid_len(seq_len: int, padding_ratio: float) -> int:
+    """Tokens left of ``seq_len`` at ``padding_ratio``, at least 2."""
+    return max(2, int(round(seq_len * (1.0 - padding_ratio))))
 
 
 def generate_workload(
@@ -185,15 +197,26 @@ def generate_workload(
         raise ValueError("padding_ratio must be in [0, 1)")
     rng = np.random.default_rng(seed)
     samples: List[WorkloadSample] = []
+    # Every sample's scores are built in one buffer, sized for the longest
+    # valid length the jitter can draw, so its size depends on the model,
+    # not on the seed.  glibc raises its mmap threshold to the size of a
+    # freed large block; a block whose size moves with the seed decides
+    # whether later large arrays stay resident on the heap, and the peak
+    # RSS of a run of workloads then jumps by up to 30 MB between seeds.
+    longest = seq_len
+    if padding_ratio > 0.0:
+        longest = _valid_len(seq_len, max(0.0, padding_ratio - _PADDING_JITTER))
+    buffer = np.empty(longest * longest)
     for _ in range(num_samples):
         if padding_ratio > 0.0:
-            jitter = rng.uniform(-0.05, 0.05)
+            jitter = rng.uniform(-_PADDING_JITTER, _PADDING_JITTER)
             ratio = float(np.clip(padding_ratio + jitter, 0.0, 0.95))
-            valid_len = max(2, int(round(seq_len * (1.0 - ratio))))
+            valid_len = _valid_len(seq_len, ratio)
         else:
             valid_len = seq_len
         keep = structured_keep_mask(
-            valid_len, pruning_rate, locality=locality, causal=causal, rng=rng
+            valid_len, pruning_rate, locality=locality, causal=causal, rng=rng,
+            out=buffer,
         )
         if valid_len < seq_len:
             padded = np.zeros((seq_len, seq_len), dtype=bool)

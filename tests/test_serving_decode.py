@@ -653,7 +653,7 @@ class TestValidation:
 
     def test_prefill_only_table_rejects_decode_shard(self, cost_model):
         """simulate_decode_table runs a prefill-only table as one-token
-        requests: equal to the batch engine, and a prefill result."""
+        requests: equal to the prefill core, and a prefill result."""
         table = generate_request_table(
             PoissonProcess(60.0), {"BERT-B": 0.5, "ViT-B": 0.5},
             count=60, seed=0,

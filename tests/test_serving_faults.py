@@ -1,14 +1,15 @@
 """Fault-injection suite: equivalence, conservation, and validation.
 
 The fault layer's contract mirrors the engines' own: fault mode on the
-columnar engines -- the batch engine for prefill tables, the decode
-core for generative tables and every chunked stream -- is *exactly*
-equal -- per-request records, drop records, retry events, device
-accounting -- to the fault-threaded reference event loops, across
-arrival patterns, seeds, fleet sizes, outage traces, and retry/deadline
-policies, on fixed grids and on hypothesis-drawn cases.  The
-stream-vs-table properties diff the two engines against each other on
-prefill draws.  On top of that sit conservation
+columnar engines -- the chunked prefill core for prefill tables and
+streams, the decode core for generative ones -- is *exactly* equal --
+per-request records, drop records, retry events, device accounting --
+to the fault-threaded reference event loops, across arrival patterns,
+seeds, fleet sizes, outage traces, and retry/deadline policies, on
+fixed grids and on hypothesis-drawn cases, at every slice and chunk
+size.  Every stream-vs-table diff also runs the decode core's stream
+driver, so prefill draws diff the two engines against each other.  On
+top of that sit conservation
 properties every fault run must satisfy (``completed + dropped ==
 total``, busy time bounded by uptime), byte-identity of fault traces
 across engines, and the no-faults guarantee: an empty schedule changes
@@ -19,7 +20,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.configs import S_SPRINT
@@ -39,6 +40,7 @@ from repro.serving import (
     SprintDevice,
     TraceProcess,
     generate_request_table,
+    simulate_decode_stream,
     simulate_decode_table,
     simulate_faulty_stream,
     simulate_faulty_table,
@@ -47,6 +49,7 @@ from repro.serving import (
     summarize,
     summarize_stream,
 )
+from repro.serving import engine
 from repro.serving.faults import Fleet
 
 SEEDS = (0, 1, 7)
@@ -133,6 +136,7 @@ def assert_fault_runs_equal(table, cost, faults, retry, num_devices,
     assert len(fast.dropped) == len(ref.dropped)
     for a, b in zip(fast.dropped, ref.dropped):
         assert a == b
+    assert fast.dropped_by_reason == ref.dropped_by_reason
     assert fast.start_s == ref.start_s
     assert fast.end_s == ref.end_s
     assert fast.device_busy_s == ref.device_busy_s
@@ -153,38 +157,40 @@ def assert_fault_runs_equal(table, cost, faults, retry, num_devices,
 
 
 def assert_stream_equals_table(table, cost, chunk_size, **kwargs):
-    """Chunk the table through ``simulate_stream``; every total must
-    equal the whole-table run's, and the sink's rows its completed rows.
-    Returns the whole-table result."""
+    """Chunk the table through ``simulate_stream`` and, as a second
+    engine, ``simulate_decode_stream``: each run's totals must equal the
+    whole-table run's, and its sink's rows the completed rows.  Returns
+    the whole-table result."""
     whole = simulate_table(table, cost, **kwargs)
     chunks = [
         table.slice(lo, min(lo + chunk_size, len(table)))
         for lo in range(0, len(table), chunk_size)
     ]
-    collected = []
-    streamed = simulate_stream(chunks, cost, sink=collected.append, **kwargs)
-    for field in dataclasses.fields(streamed):
-        name = field.name
-        assert getattr(streamed, name) == getattr(whole, name), name
-    # The sink's rows, in (arrival, id) order, are the completed rows.
     names = [
         "request_id", "arrival_s", "spec_idx", "valid_len", "batched_s",
         "service_start_s", "finish_s", "batch_size", "device_id", "attempts",
     ]
     if whole.generative:
         names += ["output_len", "first_token_s", "decode_slots"]
-    cols = {
-        name: np.concatenate(
-            [getattr(c, name) for c in collected] or [np.empty(0)]
-        )
-        for name in names
-    }
-    order = np.lexsort((cols["request_id"], cols["arrival_s"]))
     done = whole.drop_reason == 0
-    for name in names:
-        assert np.array_equal(
-            cols[name][order], getattr(whole, name)[done]
-        ), name
+    for driver in (simulate_stream, simulate_decode_stream):
+        collected = []
+        streamed = driver(chunks, cost, sink=collected.append, **kwargs)
+        for field in dataclasses.fields(streamed):
+            name = field.name
+            assert getattr(streamed, name) == getattr(whole, name), (driver, name)
+        # The sink's rows, in (arrival, id) order, are the completed rows.
+        cols = {
+            name: np.concatenate(
+                [getattr(c, name) for c in collected] or [np.empty(0)]
+            )
+            for name in names
+        }
+        order = np.lexsort((cols["request_id"], cols["arrival_s"]))
+        for name in names:
+            assert np.array_equal(
+                cols[name][order], getattr(whole, name)[done]
+            ), (driver, name)
     return whole
 
 
@@ -406,8 +412,9 @@ class TestFaultEquivalence:
 
 class TestFaultRouting:
     def test_prefill_fault_tables_skip_the_decode_core(self, cost_model, monkeypatch):
-        # Prefill tables run the batch engine under a schedule; only
-        # generative tables and the stream driver build the decode core.
+        # Prefill tables and streams run the prefill core under a
+        # schedule; only generative tables and the decode drivers, which
+        # select it for prefill traffic too, build the decode core.
         from repro.serving import decode
 
         class Built(Exception):
@@ -427,11 +434,14 @@ class TestFaultRouting:
         monkeypatch.setattr(decode, "_DecodeCore", refuse)
         simulate_table(prefill, cost_model, **kwargs)
         simulate_faulty_table(prefill, cost_model, faults, num_devices=2)
-        simulate_decode_table(prefill, cost_model, **kwargs)
+        simulate_stream([prefill], cost_model, **kwargs)
+        simulate_faulty_stream([prefill], cost_model, faults, num_devices=2)
         with pytest.raises(Built):
             simulate_table(generative, cost_model, **kwargs)
         with pytest.raises(Built):
-            simulate_stream([prefill], cost_model, **kwargs)
+            simulate_decode_table(prefill, cost_model, **kwargs)
+        with pytest.raises(Built):
+            simulate_decode_stream([prefill], cost_model, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -459,8 +469,10 @@ def outage_intervals(draw):
 
 
 @st.composite
-def fault_cases(draw):
-    """A tie-heavy stream plus the fleet, schedule and retry policy."""
+def fault_cases(draw, output_tokens=(None, 3.0, 24.0)):
+    """A tie-heavy stream plus the fleet, schedule and retry policy;
+    ``output_tokens`` lists the mean output lengths to draw (None: a
+    prefill stream)."""
     num_devices = draw(st.integers(1, 3))
     gaps = draw(st.lists(st.sampled_from(PROPERTY_GAPS_S), min_size=1, max_size=8))
     table = generate_request_table(
@@ -468,7 +480,7 @@ def fault_cases(draw):
         {"BERT-B": 0.5, "ViT-B": 0.5},
         count=draw(st.integers(1, 80)),
         seed=draw(st.integers(0, 2**16)),
-        mean_output_tokens=draw(st.sampled_from((None, 3.0, 24.0))),
+        mean_output_tokens=draw(st.sampled_from(output_tokens)),
         deadline_range_s=draw(st.sampled_from((None, (5e-3, 50e-3)))),
     )
     faults = FaultSchedule.from_intervals(
@@ -553,6 +565,37 @@ def tail_paths(table, result, retry, max_batch_size, max_wait_s):
     return reached
 
 
+#: Twelve BERT-B requests 5 ms apart on a chip that serves batches of
+#: two in ~15 ms: at 7-row slices the first slice's last arrival is at
+#: 35 ms, the table's at 60 ms.
+SLICED_FAULT_TABLE = generate_request_table(
+    TraceProcess([5e-3]), "BERT-B", count=12, seed=0
+)
+#: The batch lost at 34 ms retries at 36 ms, past the first slice.
+RETRY_ACROSS_SLICES = (
+    SLICED_FAULT_TABLE,
+    FaultSchedule.from_intervals([[(0.034, 0.045)]]),
+    RetryPolicy(backoff_base_s=2e-3),
+    1,
+)
+#: A batch of the last slice is lost at 58 ms and retries after the
+#: last arrival.
+LOST_IN_LAST_SLICE = (
+    SLICED_FAULT_TABLE,
+    FaultSchedule.from_intervals([[(0.058, 0.07)]]),
+    RetryPolicy(backoff_base_s=2e-3),
+    1,
+)
+#: Both chips go down for good within the first slice, so every batch
+#: sealed after it strands.
+STRANDED_ACROSS_SLICES = (
+    SLICED_FAULT_TABLE,
+    FaultSchedule.from_intervals([[(0.02, np.inf)], [(0.025, np.inf)]]),
+    RetryPolicy(),
+    2,
+)
+
+
 class TestFaultProperty:
     @given(
         case=fault_cases(),
@@ -576,8 +619,9 @@ class TestFaultProperty:
     def test_stream_equals_table(
         self, cost_model, case, chunk_size, max_batch_size, max_wait_s
     ):
-        # Prefill draws compare the batch engine (table) with the decode
-        # core (stream); generative draws run the decode core in both.
+        # Prefill draws run the prefill core in both drivers and diff it
+        # with the decode core's stream driver; generative draws run the
+        # decode core throughout.
         table, faults, retry, num_devices = case
         assert_stream_equals_table(
             table,
@@ -591,9 +635,10 @@ class TestFaultProperty:
         )
 
     def test_tail_draws_equal_reference_and_stream(self, cost_model):
-        """Outages around the last arrival: the batch engine equals the
-        reference loop and the decode core's stream driver, and the draws
-        reach the re-formation paths at the end of the stream."""
+        """Outages around the last arrival: the prefill core equals the
+        reference loop, its own stream driver and the decode core's, and
+        the draws reach the re-formation paths at the end of the
+        stream."""
         reached = dict.fromkeys(TAIL_PATHS, 0)
 
         @given(
@@ -626,6 +671,57 @@ class TestFaultProperty:
             )
             for path in tail_paths(table, whole, retry, max_batch_size, max_wait_s):
                 reached[path] += 1
+
+        check()
+        assert all(reached.values()), reached
+
+    def test_sliced_table_equals_reference_and_stream(self, cost_model):
+        """Prefill draws at slices of 1, 7 and 64 rows, so that most
+        tables span many: the sliced table equals the reference loop,
+        Chrome trace included, and every column and total equals both
+        stream drivers'; each end-of-stream path is reached at a slice
+        smaller than the table."""
+        reached = dict.fromkeys(TAIL_PATHS, 0)
+        pinned = dict(slice_rows=7, chunk_size=5, max_batch_size=2, max_wait_s=2e-3)
+
+        @given(
+            case=st.one_of(fault_cases(output_tokens=(None,)), tail_fault_cases()),
+            slice_rows=st.sampled_from((1, 7, 64)),
+            chunk_size=st.integers(1, 80),
+            max_batch_size=st.integers(1, 8),
+            max_wait_s=st.sampled_from((0.0, 2e-3)),
+        )
+        @example(case=RETRY_ACROSS_SLICES, **pinned)
+        @example(case=LOST_IN_LAST_SLICE, **pinned)
+        @example(case=STRANDED_ACROSS_SLICES, **pinned)
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        def check(case, slice_rows, chunk_size, max_batch_size, max_wait_s):
+            table, faults, retry, num_devices = case
+            knobs = dict(
+                num_devices=num_devices,
+                max_batch_size=max_batch_size,
+                max_wait_s=max_wait_s,
+            )
+            config = TraceConfig(head=0, stride=1)  # every request
+            fast_trace, reference_trace = TraceRecorder(config), TraceRecorder(config)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine, "_SLICE_ROWS", slice_rows)
+                fast = simulate_table(
+                    table, cost_model, faults=faults, retry=retry,
+                    recorder=fast_trace, **knobs,
+                )
+                assert_stream_equals_table(
+                    table, cost_model, chunk_size, faults=faults, retry=retry, **knobs
+                )
+            reference = run_reference(
+                table, cost_model, faults, retry, num_devices, max_wait_s,
+                max_batch_size, recorder=reference_trace,
+            )
+            assert fast.to_result() == reference
+            assert fast_trace.to_chrome_trace() == reference_trace.to_chrome_trace()
+            if slice_rows < len(table):
+                for path in tail_paths(table, fast, retry, max_batch_size, max_wait_s):
+                    reached[path] += 1
 
         check()
         assert all(reached.values()), reached

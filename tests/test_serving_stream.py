@@ -15,7 +15,8 @@ engine pins against the reference loop, extended to streaming:
 * :func:`simulate_table` feeds the same chunked core row slices of its
   table: at slices of 1, 7 and 64 rows it equals the reference loop and
   the stream driver bitwise, and it holds about one slice beyond its
-  result;
+  result, with or without a fault schedule, and leaves no cyclic
+  garbage;
 * one validator checks every stream's chunks, so each defect reads the
   same for every traffic shape and driver;
 * :func:`summarize_stream` matches the exact whole-table ``summarize``
@@ -23,6 +24,7 @@ engine pins against the reference loop, extended to streaming:
   error bound on percentiles.
 """
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -599,6 +601,8 @@ RESULT_COLUMNS = (
     "batch_size",
     "device_id",
 )
+#: The fault columns a run under a schedule adds to its result.
+FAULT_COLUMNS = ("attempts", "drop_reason", "dropped_s", "drop_order")
 #: Bytes the whole-table engine the chunked core replaced held beyond
 #: its result on ``memory_table(20_000)`` (tracemalloc, numpy 2.4).
 WHOLE_TABLE_TRANSIENT_BYTES = 2_935_257
@@ -610,17 +614,26 @@ def memory_table(count):
     )
 
 
-def transient_bytes(table, cost):
+def memory_faults(table):
+    """Four chips failing every ~2 s for ~0.1 s over the table's span."""
+    horizon_s = 2.0 * float(table.arrival_s.max())
+    return FaultSchedule.exponential(
+        4, mtbf_s=2.0, mttr_s=0.1, horizon_s=horizon_s, seed=1
+    )
+
+
+def transient_bytes(table, cost, faults=None):
     """Peak bytes of one simulate_table call beyond its result."""
-    simulate_table(table, cost, num_devices=4)  # warm the cost buckets
+    simulate_table(table, cost, num_devices=4, faults=faults)  # warm the buckets
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        result = simulate_table(table, cost, num_devices=4)
+        result = simulate_table(table, cost, num_devices=4, faults=faults)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    return peak - sum(getattr(result, name).nbytes for name in RESULT_COLUMNS)
+    columns = RESULT_COLUMNS + (FAULT_COLUMNS if result.faulted else ())
+    return peak - sum(getattr(result, name).nbytes for name in columns)
 
 
 class TestSlicedTableMemory:
@@ -631,6 +644,35 @@ class TestSlicedTableMemory:
         few = transient_bytes(memory_table(4 * 1024), cost_model)
         many = transient_bytes(memory_table(12 * 1024), cost_model)
         assert many <= 1.3 * few, (few, many)
+
+    def test_faulted_transient_bounded_by_one_slice(self, cost_model, monkeypatch):
+        # The same under outages that lose batches in every slice; the
+        # whole-table fault phases' transient grew 3.0x here.
+        monkeypatch.setattr(engine, "_SLICE_ROWS", 1024)
+        small, large = memory_table(4 * 1024), memory_table(12 * 1024)
+        faults = memory_faults(large)
+        result = simulate_table(large, cost_model, num_devices=4, faults=faults)
+        retried = np.flatnonzero((result.attempts > 1) | (result.drop_reason > 0))
+        assert np.unique(retried // 1024).size == 12
+        few = transient_bytes(small, cost_model, memory_faults(small))
+        many = transient_bytes(large, cost_model, faults)
+        assert many <= 1.3 * few, (few, many)
+
+    @pytest.mark.parametrize("faulted", (False, True))
+    def test_run_leaves_no_cyclic_garbage(self, cost_model, faulted):
+        # A reference cycle, such as a core reached through its
+        # dispatcher, would keep each run's columns alive until a full
+        # collection.
+        table = memory_table(2048)
+        faults = memory_faults(table) if faulted else None
+        simulate_table(table, cost_model, num_devices=4, faults=faults)
+        gc.collect()
+        gc.disable()
+        try:
+            simulate_table(table, cost_model, num_devices=4, faults=faults)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_one_slice_peaks_no_higher_than_whole_table(self, cost_model):
         table = memory_table(20_000)

@@ -45,6 +45,32 @@ class TestDistributions:
         b = calibrated_score_matrix(16, 0.5, rng=np.random.default_rng(3))
         np.testing.assert_array_equal(a, b)
 
+    def test_out_buffer_holds_the_same_matrix(self):
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        buffer = np.full(40 * 40, np.nan)
+        for length in (40, 23):
+            a = calibrated_score_matrix(length, 0.6, rng=rng_a)
+            b = calibrated_score_matrix(length, 0.6, rng=rng_b, out=buffer)
+            assert np.shares_memory(b, buffer) and b.shape == (length, length)
+            assert a.tobytes() == b.tobytes()
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty(16 * 16 - 1),
+            np.empty(16 * 16, dtype=np.float32),
+            np.empty((16, 16)),
+            np.empty(2 * 16 * 16)[::2],
+        ],
+        ids=["short", "float32", "2-d", "strided"],
+    )
+    def test_out_buffer_validated(self, out):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="out must be"):
+            calibrated_score_matrix(16, 0.5, rng=rng, out=out)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
 
 class TestStructuredKeepMask:
     def test_pruning_rate_calibrated(self, rng):
@@ -146,6 +172,27 @@ class TestGenerateWorkload:
         b = generate_workload(48, 0.6, num_samples=2, seed=9)
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.keep_mask, sb.keep_mask)
+
+    def test_score_buffer_size_is_independent_of_the_seed(self, monkeypatch):
+        # One buffer per workload, sized for the longest valid length the
+        # jitter can draw (round(64 * (1 - 0.35)) = 42), whatever the seed.
+        from repro.workloads import generator
+
+        built = []
+        original = generator.calibrated_score_matrix
+
+        def spy(seq_len, *args, out=None, **kwargs):
+            built.append((seq_len, out))
+            return original(seq_len, *args, out=out, **kwargs)
+
+        monkeypatch.setattr(generator, "calibrated_score_matrix", spy)
+        for seed in range(8):
+            built.clear()
+            generate_workload(64, 0.7, padding_ratio=0.4, num_samples=3, seed=seed)
+            assert len(built) == 3
+            assert all(out is built[0][1] for _, out in built)
+            assert built[0][1].size == 42 * 42
+            assert all(length <= 42 for length, _ in built)
 
     def test_rejects_bad_padding(self):
         with pytest.raises(ValueError):
