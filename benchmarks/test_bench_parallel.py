@@ -9,16 +9,18 @@ arm on the runner, the skip reason):
   through :func:`~repro.serving.engine.simulate_stream` in chunks must
   sustain at least 0.9x the whole-table :func:`simulate_table`
   request throughput on a single core.  Both drive the same chunked
-  prefill core, so this bounds the stream driver's per-chunk
-  validation against the table's sort and materialisation.  The
-  fully out-of-core end-to-end time (chunked generation included) is
-  recorded informationally.
+  prefill core over the same ordered rows, which neither driver sorts
+  or copies, so this bounds the stream driver's per-chunk validation
+  and hand-off against the table driver's scatter into its result's
+  outcome columns.  The fully out-of-core end-to-end time (chunked
+  generation included) is recorded informationally.
 * **memory** -- a 10^7-request run must fit under a 256 MB peak-RSS
   budget chunked, while the whole-table run demonstrably exceeds it
-  (measured ~1.0 GB, nearly all of it its input table and result):
-  each side runs in a fresh subprocess reporting its own
-  ``ru_maxrss``.  Both sides simulate through the same chunked prefill
-  core; the whole-table side feeds it slices of a materialised table
+  (measured 744 MB, nearly all of it its input table and its result's
+  outcome columns): each side runs in a fresh subprocess reporting its
+  own high-water mark (``VmHWM``).  Both sides simulate through the
+  same chunked prefill core; the whole-table side feeds it slices of
+  a whole generated table, whose request columns its result shares,
   and keeps every request's outcome.
 * **formation** -- a serial :func:`simulate_table` over a 4-queue mix
   must finish within 0.364 s: the time the phase-1 thread pool it
@@ -65,9 +67,10 @@ CHUNK_SIZE = 65_536
 
 MEMORY_REQUESTS = 10_000_000
 #: Peak-RSS budget (MB) for the 10^7-request run: the chunked path
-#: holds ~100 MB at any stream length; the whole-table run peaks around
-#: 1.0 GB (its 4 input and 9 result columns, 104 bytes x 10^7, plus one
-#: slice of the chunked core's working set).
+#: holds ~55 MB at any stream length; the whole-table run peaks around
+#: 744 MB (its 4 input columns, which its result shares, and its 5
+#: outcome columns, 72 bytes x 10^7, plus one slice of the chunked
+#: core's working set).
 MEMORY_BUDGET_MB = 256
 
 FORMATION_CPUS = 4
@@ -93,9 +96,25 @@ def _append(entry: dict) -> None:
 
 
 #: Fresh-subprocess probes: each side of the memory bar measures its
-#: own peak RSS (``ru_maxrss``, KB on Linux) with nothing else resident.
+#: own peak RSS with nothing else resident; this tail prints it (KB).
+#: ``VmHWM`` is the probe's own high-water mark.  ``ru_maxrss`` is only
+#: the fallback where ``/proc`` is absent: on Linux a child carries its
+#: parent's mark across exec, so a probe started by a pytest process
+#: holding ~200 MB would read at least that.
+_PRINT_PEAK_KB = """
+import json
+try:
+    with open("/proc/self/status") as status:
+        peak_kb = next(
+            int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except (OSError, StopIteration):
+    import resource
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"peak_rss_kb": peak_kb}))
+"""
+
 _MEM_DRIVER_WHOLE = """
-import json, resource, sys
+import sys
 from repro.core.configs import S_SPRINT
 from repro.core.system import ExecutionMode
 from repro.serving import (PoissonProcess, generate_request_table,
@@ -107,12 +126,10 @@ cost = shared_cost_model(S_SPRINT, ExecutionMode.SPRINT)
 cost.prime(table.specs[0], table.valid_len)
 result = simulate_table(table, cost)
 assert result.completed == n
-print(json.dumps(
-    {"ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
 _MEM_DRIVER_CHUNKED = """
-import json, resource, sys
+import sys
 from repro.core.configs import S_SPRINT
 from repro.core.system import ExecutionMode
 from repro.serving import (PoissonProcess, RequestStream,
@@ -122,8 +139,6 @@ stream = RequestStream(PoissonProcess(2000.0), "BERT-B", count=n, seed=0)
 cost = shared_cost_model(S_SPRINT, ExecutionMode.SPRINT)
 result = simulate_stream(stream, cost)
 assert result.completed == n
-print(json.dumps(
-    {"ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
 """
 
 
@@ -133,10 +148,10 @@ def _measure_subprocess_mb(driver: str, n: int) -> float:
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     out = subprocess.run(
-        [sys.executable, "-c", driver, str(n)],
+        [sys.executable, "-c", driver + _PRINT_PEAK_KB, str(n)],
         check=True, env=env, cwd=REPO_ROOT, capture_output=True, text=True,
     )
-    return json.loads(out.stdout.strip().splitlines()[-1])["ru_maxrss_kb"] / 1024.0
+    return json.loads(out.stdout.strip().splitlines()[-1])["peak_rss_kb"] / 1024.0
 
 
 def test_bench_chunked_vs_whole_throughput():

@@ -35,8 +35,10 @@ batch no later arrival can change seals and dispatches, and its
 requests leave.  Generative traffic runs the decode engine's event
 core, which has the same interface (:func:`_core`).  The one table
 driver, :func:`simulate_table`, feeds a core row slices of the table's
-sorted columns and scatters each flush into the result's columns, so
-besides its result a table run holds about one slice's working set.
+sorted columns and scatters each flush into the result's outcome
+columns, so besides its result a table run holds about one slice's
+working set; a table already in (arrival, id) order is neither sorted
+nor copied, and its result shares the table's request columns.
 The one stream driver, :func:`simulate_stream`, checks each chunk
 (:func:`_checked_chunks`), feeds it to a core and hands each flush to
 its sink.
@@ -96,6 +98,7 @@ from repro.serving.faults import (
     _emit_fault_trace,
 )
 from repro.serving.requests import (
+    _COLUMN_DTYPES,
     Request,
     RequestRecord,
     RequestTable,
@@ -223,7 +226,13 @@ class ColumnarServingResult(CompletedChunk, StreamedServingResult):
 
     Row ``i`` of every column describes request ``i`` of the input
     table sorted by (arrival, id) -- the reference loop's record order.
-    Under a fault schedule the rows cover every offered request:
+    The request columns (``request_id``, ``arrival_s``, ``spec_idx``,
+    ``valid_len`` and the optional ``output_len`` and ``deadline_s``)
+    are read-only; for an input table already in that order they are
+    views of the table's own arrays, so a later write to the table
+    shows through the result (``RequestTable.slice`` copies when
+    isolation is wanted).  Under a fault schedule the rows cover every
+    offered request:
     ``drop_reason`` is 0 on completed rows, and dropped rows carry NaN
     times, batch size 0 and device -1.  :meth:`to_result` materializes
     the reference loop's result for equivalence tests; analysis paths
@@ -1440,14 +1449,42 @@ _SLICE_ROWS = 65_536
 _DROPPED_FILL = {"batch_size": 0, "device_id": -1, "decode_slots": 0}
 
 
+def _in_order(arrival: np.ndarray, request_id: np.ndarray) -> bool:
+    """Whether rows already run in (arrival, id) order: arrivals never
+    fall, and ids rise among equal arrivals.  One O(n) comparison pass."""
+    if not np.all(arrival[1:] >= arrival[:-1]):
+        return False
+    ties = np.flatnonzero(arrival[1:] == arrival[:-1])
+    return bool(np.all(request_id[ties + 1] > request_id[ties]))
+
+
+def _read_only(col: np.ndarray) -> np.ndarray:
+    """A read-only view of ``col``; ``col`` itself stays writable."""
+    view = col.view()
+    view.flags.writeable = False
+    return view
+
+
 def _sorted_columns(table: RequestTable) -> Dict[str, np.ndarray]:
     """A table's request columns in (arrival, id) order, the reference
     loop's record order, under their result field names; an absent
-    optional column is left out."""
-    order = np.lexsort((table.request_id, table.arrival_s))
-    names = "request_id arrival_s spec_idx valid_len output_len deadline_s".split()
-    columns = {name: getattr(table, name) for name in names}
-    return {name: col[order] for name, col in columns.items() if col is not None}
+    optional column is left out.
+
+    Generated tables and stream chunks already run in that order
+    (:func:`_in_order`), and then the columns are read-only views of
+    the table's own arrays: no sort, no gather, and a result built on
+    them shares its request columns with the table, so a later write
+    to the table shows through the result (``RequestTable.slice``
+    copies when isolation is wanted).  Any other table is sorted
+    into read-only copies, so the request columns a run hands back are
+    read-only whatever the input order.
+    """
+    columns = {name: getattr(table, name) for name in _COLUMN_DTYPES}
+    columns = {name: col for name, col in columns.items() if col is not None}
+    if not _in_order(table.arrival_s, table.request_id):
+        order = np.lexsort((table.request_id, table.arrival_s))
+        columns = {name: col[order] for name, col in columns.items()}
+    return {name: _read_only(col) for name, col in columns.items()}
 
 
 def _core(decode: bool):
@@ -1502,7 +1539,14 @@ def simulate_table(
     The table runs through a chunked core as consecutive row slices of
     its sorted columns, each flush scattered into the result's
     columns, so besides its result the run holds one slice's working
-    set.  A prefill table runs the prefill core (:class:`_PrefillCore`).
+    set.  A table already in (arrival, id) order, as generated tables
+    are, is not copied: the result's request columns are read-only
+    views of the table's own arrays (:func:`_sorted_columns`), so the
+    result allocates only its outcome and fault columns, and a later
+    write to the table shows through it (``RequestTable.slice`` copies
+    when isolation is wanted).  Any other order is sorted into
+    read-only copies.  A prefill table runs the prefill core
+    (:class:`_PrefillCore`).
     A generative table (an ``output_len`` column present) runs the
     decode engine's event core, since decode-step readiness depends on
     device timing -- same knobs, same bitwise-vs-reference contract,
@@ -1536,8 +1580,11 @@ def _drive_table(
     and with ``decode`` the decode core for a prefill table too, with
     or without a schedule.
 
-    The last slice goes straight to the end-of-stream flush, so a table
-    of one slice is sealed by that flush alone.
+    The result takes its request columns from :func:`_sorted_columns`
+    as they are, so it allocates only its outcome and fault columns
+    when the table is ordered.  The last slice goes straight to the
+    end-of-stream flush, so a table of one slice is sealed by that
+    flush alone.
     """
     if len(table) == 0:
         raise ValueError("request stream must not be empty")
@@ -1591,24 +1638,56 @@ def _drive_table(
     return result
 
 
+class _IdRuns:
+    """The ids a stream has seen, as sorted, disjoint runs of
+    consecutive ids: the first and last id of each run, two int64
+    arrays.  A generated stream is one run, so the check across chunks
+    holds O(id runs), not O(stream), and stays exact for any ids."""
+
+    def __init__(self):
+        self.first = self.last = np.empty(0, dtype=np.int64)
+
+    def add(self, ids: np.ndarray) -> bool:
+        """Add one chunk's distinct ids; False if any was seen before."""
+        if not np.all(ids[1:] > ids[:-1]):
+            ids = np.sort(ids)
+        breaks = np.flatnonzero(ids[1:] - 1 != ids[:-1]) + 1
+        first = ids[np.r_[0, breaks]]
+        last = ids[np.r_[breaks - 1, ids.size - 1]]
+        # The first seen run ending at or after a new run's first id is
+        # the only one it can overlap, and otherwise where it goes.
+        at = np.searchsorted(self.last, first)
+        inside = at < self.first.size
+        if np.any(self.first[at[inside]] <= last[inside]):
+            return False
+        first = np.insert(self.first, at, first)
+        last = np.insert(self.last, at, last)
+        starts = np.r_[True, first[1:] - 1 != last[:-1]]
+        self.first = first[starts]
+        self.last = last[np.r_[starts[1:], True]]
+        return True
+
+
 def _checked_chunks(
     chunks: Iterable[RequestTable], unique_ids: bool
 ) -> Iterator[Tuple[List, int, Dict[str, np.ndarray]]]:
     """The one chunk check of every stream run: yields ``(specs, base,
     request)`` per non-empty chunk -- the spec list, the stream index
-    of its first row, its columns in (arrival, id) order.
+    of its first row, its columns in (arrival, id) order
+    (:func:`_sorted_columns`: an ordered chunk's own arrays, read-only).
 
     The stream must hold at least one request, under one spec list and
     one shape (a ``RequestTable`` has an ``output_len`` column or not,
     so a mixed stream has no whole-table run to equal).  Each chunk's
     first (arrival, id) must follow the previous chunk's last, and no
     id may repeat within a chunk -- nor, with ``unique_ids`` (a fault
-    schedule), across chunks, which holds every id seen; otherwise
-    that is the caller's contract, so memory stays O(chunk).
+    schedule), across chunks, which keeps the ids seen as runs of
+    consecutive ids (:class:`_IdRuns`); otherwise that is the caller's
+    contract.  Either way memory stays O(chunk) for a generated stream.
     """
     specs: Optional[List] = None
     generative = False
-    seen: Optional[set] = set() if unique_ids else None
+    seen = _IdRuns() if unique_ids else None
     base = 0
     last = (-np.inf, -1)
     for chunk in chunks:
@@ -1632,10 +1711,8 @@ def _checked_chunks(
             )
         if has_duplicate_ids(request_id):
             raise ValueError("duplicate request id in chunk")
-        if seen is not None:
-            seen.update(request_id.tolist())
-            if len(seen) != base + len(chunk):
-                raise ValueError("duplicate request id across chunks")
+        if seen is not None and not seen.add(request_id):
+            raise ValueError("duplicate request id across chunks")
         last = (float(arrival[-1]), int(request_id[-1]))
         yield specs, base, request
         base += len(chunk)

@@ -175,6 +175,33 @@ def has_duplicate_ids(request_id: np.ndarray) -> bool:
     return bool(np.any(ordered[1:] == ordered[:-1]))
 
 
+#: Each :class:`RequestTable` column's dtype, in field order; the
+#: columnar engine hands the same columns back in its results.
+_COLUMN_DTYPES = {
+    "request_id": np.int64,
+    "arrival_s": np.float64,
+    "spec_idx": np.int64,
+    "valid_len": np.int64,
+    "output_len": np.int64,
+    "deadline_s": np.float64,
+}
+
+
+def _column(name: str, value, dtype) -> np.ndarray:
+    """``value`` as a 1-d ``dtype`` column, or a ValueError naming it.
+
+    An integer column takes whole-valued floats, but never truncates a
+    fraction (nor casts a NaN or an infinity) into an integer.
+    """
+    raw = np.asarray(value)
+    if raw.ndim != 1:
+        raise ValueError(f"column {name} must be 1-d, got shape {raw.shape}")
+    if dtype is np.int64 and raw.dtype.kind == "f":
+        if not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+            raise ValueError(f"column {name} must hold whole numbers")
+    return raw.astype(dtype, copy=False)
+
+
 @dataclass
 class RequestTable:
     """A request stream as struct-of-arrays numpy columns.
@@ -186,10 +213,17 @@ class RequestTable:
     formation, cost lookup, and metrics all stay in vectorized numpy
     instead of touching per-request Python objects.
 
-    Columns are validated on construction (equal lengths, finite
-    ``arrival_s``, positive ``valid_len`` within each spec's
-    ``seq_len``, in-range ``spec_idx``) so the engine can trust them
-    without re-checking per row.
+    Columns are validated on construction (1-d and of equal lengths,
+    whole numbers in the integer columns, finite ``arrival_s``,
+    positive ``valid_len`` within each spec's ``seq_len``, in-range
+    ``spec_idx``) so the engine can trust them without re-checking per
+    row.  An array that already has its column's dtype is kept, not
+    copied.  A run over a table already in (arrival, id) order -- as
+    generated tables and stream chunks are -- hands back read-only
+    views of these arrays as its result's request columns
+    (:func:`~repro.serving.engine.simulate_table`), so a later write to
+    the table shows through the result; :meth:`slice` copies when
+    isolation is wanted.
     """
 
     #: Distinct model specs; ``spec_idx`` indexes into this list.
@@ -207,14 +241,10 @@ class RequestTable:
     deadline_s: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.request_id = np.asarray(self.request_id, dtype=np.int64)
-        self.arrival_s = np.asarray(self.arrival_s, dtype=np.float64)
-        self.spec_idx = np.asarray(self.spec_idx, dtype=np.int64)
-        self.valid_len = np.asarray(self.valid_len, dtype=np.int64)
-        if self.output_len is not None:
-            self.output_len = np.asarray(self.output_len, dtype=np.int64)
-        if self.deadline_s is not None:
-            self.deadline_s = np.asarray(self.deadline_s, dtype=np.float64)
+        for name, dtype in _COLUMN_DTYPES.items():
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, _column(name, value, dtype))
         n = self.request_id.size
         for name in ("arrival_s", "spec_idx", "valid_len"):
             if getattr(self, name).size != n:

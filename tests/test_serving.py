@@ -185,6 +185,48 @@ class TestNonFiniteInputs:
         assert table.to_requests() == [dataclasses.replace(request, deadline_s=None)]
 
 
+def table_columns(**columns):
+    """A valid six-row BERT-B table's columns, some of them replaced."""
+    fields = dict(
+        specs=[get_model("BERT-B")],
+        request_id=np.arange(6),
+        arrival_s=np.arange(6) * 0.01,
+        spec_idx=np.zeros(6, dtype=np.int64),
+        valid_len=np.full(6, 100),
+        output_len=np.full(6, 2),
+        deadline_s=np.full(6, 0.5),
+    )
+    fields.update(columns)
+    return fields
+
+
+class TestRequestTableContract:
+    """A malformed column fails at construction, naming the column,
+    instead of deep in the engine or by silent truncation."""
+
+    @pytest.mark.parametrize("name", [n for n in table_columns() if n != "specs"])
+    def test_rejects_column_that_is_not_1d(self, name):
+        good = table_columns()[name]
+        for bad in (good.reshape(2, 3), good[0]):
+            with pytest.raises(ValueError, match=f"column {name} must be 1-d"):
+                RequestTable(**table_columns(**{name: bad}))
+
+    @pytest.mark.parametrize(
+        "name", ("request_id", "spec_idx", "valid_len", "output_len")
+    )
+    def test_rejects_non_whole_integer_column(self, name):
+        good = table_columns()[name].astype(np.float64)
+        for fraction in (0.7, math.nan, math.inf):
+            bad = good.copy()
+            bad[3] += fraction
+            with pytest.raises(ValueError, match=f"column {name} must hold whole"):
+                RequestTable(**table_columns(**{name: bad}))
+        # Whole-valued floats stay accepted, as int64.
+        table = RequestTable(**table_columns(**{name: good}))
+        assert getattr(table, name).dtype == np.int64
+        assert getattr(table, name).tolist() == good.tolist()
+
+
 class TestGeneratorArguments:
     """Each generator argument is checked where it enters, with a
     ValueError that names it, instead of failing deep in numpy or being

@@ -16,14 +16,18 @@ engine pins against the reference loop, extended to streaming:
   table: at slices of 1, 7 and 64 rows it equals the reference loop and
   the stream driver bitwise, and it holds about one slice beyond its
   result, with or without a fault schedule, and leaves no cyclic
-  garbage;
+  garbage; an ordered table's result shares the table's request
+  columns read-only, and a shuffled table's result is bitwise the same;
 * one validator checks every stream's chunks, so each defect reads the
-  same for every traffic shape and driver;
+  same for every traffic shape and driver; under a schedule its check
+  of ids across chunks agrees with a set of every id seen, on
+  interleaved ids, while holding O(id runs) memory;
 * :func:`summarize_stream` matches the exact whole-table ``summarize``
   on every exact field, and within the sketch's documented relative
   error bound on percentiles.
 """
 
+import dataclasses
 import gc
 import tracemalloc
 
@@ -94,16 +98,24 @@ def assert_tables_equal(a, b):
     assert np.array_equal(a.valid_len, b.valid_len)
 
 
+#: A table's request columns; the last two are optional.
+REQUEST_COLUMNS = (
+    "request_id",
+    "arrival_s",
+    "spec_idx",
+    "valid_len",
+    "output_len",
+    "deadline_s",
+)
+
+
 def permute_rows(table, seed):
     """The same requests as ``table``, rows in a seeded random order."""
     perm = np.random.default_rng(seed).permutation(len(table))
+    columns = {name: getattr(table, name) for name in REQUEST_COLUMNS}
     return RequestTable(
         specs=table.specs,
-        request_id=table.request_id[perm],
-        arrival_s=table.arrival_s[perm],
-        spec_idx=table.spec_idx[perm],
-        valid_len=table.valid_len[perm],
-        output_len=None if table.output_len is None else table.output_len[perm],
+        **{name: None if col is None else col[perm] for name, col in columns.items()},
     )
 
 
@@ -389,6 +401,86 @@ class TestChunkValidation:
         assert CHUNK_DEFECTS[defect] in messages["prefill"]
 
 
+@st.composite
+def interleaved_ids(draw):
+    """One stream's request ids, chunk by chunk: few distinct values, so
+    ids interleave and repeat across chunks, near either int64 end."""
+    offset = draw(st.sampled_from((0, -(2**63), 2**63 - 64)))
+    chunk = st.lists(st.integers(0, 40), min_size=1, max_size=12)
+    chunks = draw(st.lists(chunk, min_size=1, max_size=6))
+    return [[offset + i for i in ids] for ids in chunks]
+
+
+class TestIdRuns:
+    """Under a fault schedule the validator rejects an id repeated
+    across chunks, keeping the ids seen as runs of consecutive ids."""
+
+    def test_cross_chunk_id_check_memory_bounded(self):
+        # A generated stream is one run (1.0x the fault-free peak
+        # here); a set of every id grew ~90 bytes a request (15x).
+        def validator_peak(unique_ids):
+            stream = RequestStream(
+                PoissonProcess(2000.0), "BERT-B", count=200_000, seed=0,
+                chunk_size=8192,
+            )
+            tracemalloc.start()
+            try:
+                for _ in engine._checked_chunks(stream, unique_ids):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        validator_peak(True)  # warm
+        assert validator_peak(True) <= 1.5 * validator_peak(False)
+
+    @given(ids=interleaved_ids())
+    @example(ids=[[0, 2, 4], [1, 3, 5], [6, 8], [7]])
+    @example(ids=[[0, 2], [1], [2]])
+    @example(ids=[[5, 3], [4, 4]])
+    @example(ids=[[2**63 - 1], [2**63 - 3, 2**63 - 2]])
+    @example(ids=[[-(2**63) + 1], [-(2**63)], [-(2**63) + 1]])
+    @settings(max_examples=200, deadline=None)
+    def test_interleaved_ids_match_set_oracle(self, ids):
+        # Ids interleave across chunks, so runs split, merge and
+        # collide; each stream must fail at the chunk, and with the
+        # message, a set of every id seen gives.
+        spec = get_model("BERT-B")
+        chunks, row = [], 0
+        for chunk_ids in ids:
+            n = len(chunk_ids)
+            chunks.append(
+                RequestTable(
+                    specs=[spec],
+                    request_id=np.array(chunk_ids, dtype=np.int64),
+                    arrival_s=np.arange(row, row + n, dtype=np.float64),
+                    spec_idx=np.zeros(n, np.int64),
+                    valid_len=np.full(n, 8),
+                )
+            )
+            row += n
+        seen, expected, passed = set(), None, 0
+        for chunk_ids in ids:
+            if len(set(chunk_ids)) < len(chunk_ids):
+                expected = "duplicate request id in chunk"
+                break
+            if seen & set(chunk_ids):
+                expected = "duplicate request id across chunks"
+                break
+            seen.update(chunk_ids)
+            passed += 1
+        checked = engine._checked_chunks(chunks, unique_ids=True)
+        yielded = 0
+        try:
+            for _ in checked:
+                yielded += 1
+        except ValueError as error:
+            assert str(error) == expected
+        else:
+            assert expected is None
+        assert yielded == passed
+
+
 # ----------------------------------------------------------------------
 # Input independence: row order and cost-model warmth move no bit
 # ----------------------------------------------------------------------
@@ -623,7 +715,9 @@ def memory_faults(table):
 
 
 def transient_bytes(table, cost, faults=None):
-    """Peak bytes of one simulate_table call beyond its result."""
+    """Peak bytes of one simulate_table call beyond the result columns
+    it allocated: a column sharing memory with the table (an ordered
+    table's request columns) cost the run nothing."""
     simulate_table(table, cost, num_devices=4, faults=faults)  # warm the buckets
     tracemalloc.start()
     try:
@@ -632,8 +726,24 @@ def transient_bytes(table, cost, faults=None):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    columns = RESULT_COLUMNS + (FAULT_COLUMNS if result.faulted else ())
-    return peak - sum(getattr(result, name).nbytes for name in columns)
+    names = RESULT_COLUMNS + (FAULT_COLUMNS if result.faulted else ())
+    given = [getattr(table, name) for name in REQUEST_COLUMNS]
+    allocated = [
+        col
+        for col in (getattr(result, name) for name in names)
+        if not any(np.shares_memory(col, own) for own in given if own is not None)
+    ]
+    return peak - sum(col.nbytes for col in allocated)
+
+
+def assert_results_identical(a, b):
+    """Every field of two columnar results bitwise equal."""
+    for name in (field.name for field in dataclasses.fields(a)):
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+        else:
+            assert x == y, name
 
 
 class TestSlicedTableMemory:
@@ -673,6 +783,36 @@ class TestSlicedTableMemory:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("shape", ("prefill", "generative", "faulted"))
+    def test_result_shares_ordered_table_columns(self, cost_model, shape):
+        # An ordered table's request columns come back as read-only
+        # views of its own arrays; a shuffled one's as read-only sorted
+        # copies, and its result is bitwise the ordered table's.
+        table = generate_request_table(
+            BurstyProcess(40.0, 400.0, 0.5, 0.1),
+            MIX,
+            count=3000,
+            seed=3,
+            mean_output_tokens=4.0 if shape == "generative" else None,
+            deadline_range_s=(0.05, 0.5) if shape == "faulted" else None,
+        )
+        faults = memory_faults(table) if shape == "faulted" else None
+        names = [n for n in REQUEST_COLUMNS if getattr(table, n) is not None]
+        assert len(names) == (4 if shape == "prefill" else 5)
+        ordered = simulate_table(table, cost_model, num_devices=4, faults=faults)
+        if faults is not None:
+            assert ordered.retries and ordered.dropped  # fault columns in play
+        shuffled = permute_rows(table, seed=5)
+        other = simulate_table(shuffled, cost_model, num_devices=4, faults=faults)
+        for name in names:
+            col = getattr(ordered, name)
+            assert np.shares_memory(col, getattr(table, name)), name
+            assert not np.shares_memory(getattr(other, name), getattr(shuffled, name))
+            for result in (ordered, other):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(result, name)[0] = 0
+        assert_results_identical(other, ordered)
 
     def test_one_slice_peaks_no_higher_than_whole_table(self, cost_model):
         table = memory_table(20_000)
